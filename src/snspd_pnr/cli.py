@@ -223,7 +223,7 @@ def _sniff_format(path) -> str:
 @click.option("-c", "--config", "config_path", required=True, help="Run configuration JSON.")
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (overrides config).")
 @click.option("--n-bar", type=float, default=None, help="Mean photon number (overrides config and tag header).")
-@click.option("--bootstrap", "n_bootstrap", type=int, default=None, help="Bootstrap resamples for errors.")
+@click.option("--bootstrap", "n_bootstrap", type=int, default=None, help="Bootstrap resamples for errors (0 or >= 2).")
 @click.option("--fit-mu-infinity", is_flag=True, help="Also fit the many-photon delay asymptote.")
 @click.option("--seed", type=int, default=None, help="Override the configured seed (bootstrap stream).")
 @click.option("--svg", "want_svg", is_flag=True, help="Write a data/model overlay plot.")
@@ -281,11 +281,11 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
         {
             "n": i + 1,
             "weight": float(w),
-            "mu_ps": comp.mu,
-            "sigma_ps": comp.sigma,
-            "tau_ps": comp.tau,
+            "mu_ps": float(mu),
+            "sigma_ps": float(sigma),
+            "tau_ps": float(tau),
         }
-        for i, (w, comp) in enumerate(zip(mix.weights, mix.component_params))
+        for i, (w, mu, sigma, tau) in enumerate(zip(mix.weights, mix.mu, mix.sigma, mix.tau))
     ]
     payload = {
         "input": {
@@ -307,6 +307,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
         "bootstrap_errors_ps": (
             list(result.bootstrap_errors) if result.bootstrap_errors is not None else None
         ),
+        "bootstrap_converged": result.bootstrap_converged,
         "covariance_proxy": [[float(v) for v in row] for row in result.covariance_proxy],
         "components": components,
     }
@@ -342,7 +343,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 @click.option("--n-values", default="1,2,3,4,5,6,7,8,9,10", show_default=True, help="Comma-separated photon numbers.")
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--estimator", type=click.Choice([e.value for e in Estimator]), default="midrange", show_default=True)
-@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per n.")
+@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per n (>= 2).")
 @click.option("--histogram-bins", type=int, default=0, help="Also write a per-n timing histogram with this many bins.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--out", "out_dir", required=True, help="Output directory.")
@@ -478,7 +479,7 @@ def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistan
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (overrides config).")
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
 @click.option("--bin-width", type=float, default=2.0, show_default=True, help="Histogram bin width, ps.")
-@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per source.")
+@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per source (0 or >= 2).")
 @click.option("--svg", "want_svg", is_flag=True, help="Write a width-versus-n_bar plot.")
 def sweep(config_path, out_dir, seed, bin_width, bootstrap, want_svg):
     """Simulate the configured sources and report total width versus n_bar."""

@@ -196,10 +196,13 @@ def _build_fit(data: Any, path: str) -> FitSettings:
         ):
             raise ConfigError(f"{path}.theta0: expected a list of three numbers")
         theta0 = (float(raw[0]), float(raw[1]), float(raw[2]))
+    n_bootstrap = _integer(d, "n_bootstrap", path, 0)
+    if n_bootstrap < 0 or n_bootstrap == 1:
+        raise ConfigError(f"{path}.n_bootstrap: must be 0 or >= 2, got {n_bootstrap}")
     return FitSettings(
         n_bar=_number(d, "n_bar", path, None),
         theta0=theta0,
-        n_bootstrap=_integer(d, "n_bootstrap", path, 0),
+        n_bootstrap=n_bootstrap,
         bin_width=_number(d, "bin_width", path, 2.0),
         fit_mu_infinity=_boolean(d, "fit_mu_infinity", path, False),
     )
@@ -243,7 +246,7 @@ def load_config(path) -> RunConfig:
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a string")
     try:
-        return RunConfig(
+        cfg = RunConfig(
             seed=_integer(d, "seed", "config"),
             detector=_build_detector(d["detector"], "config.detector"),
             budget=_build_budget(d["budget"], "config.budget"),
@@ -253,3 +256,12 @@ def load_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    # the simulator places peaks with the detector's exponent, fit and sweep
+    # model them with the budget's; a run is only consistent when they agree
+    det_alpha, budget_alpha = cfg.detector.rise_scaling_exponent, cfg.budget.rise_scaling_exponent
+    if det_alpha != budget_alpha:
+        raise ConfigError(
+            f"config.budget.rise_scaling_exponent: {budget_alpha} contradicts "
+            f"config.detector.rise_scaling_exponent {det_alpha}; both set the same exponent"
+        )
+    return cfg

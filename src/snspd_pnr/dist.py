@@ -5,7 +5,9 @@ EMG: a Gaussian timing core of width ``sigma`` convolved with an exponential
 delay tail of scale ``tau``, offset by ``mu``.  Pulsed illumination with
 Poissonian photon statistics produces a weighted sum of EMG components indexed
 by photon number, conditioned on at least one photon because only events that
-produce a click enter an arrival-time histogram.
+produce a click enter an arrival-time histogram.  A mixture is held as arrays
+over photon number (weights, mu, sigma, tau), and every mixture quantity is
+evaluated on a (component, time) grid by one broadcast kernel.
 
 All times are picoseconds; densities are per picosecond.
 """
@@ -14,18 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.special import erfc, erfcx, log_ndtr, ndtr
+from scipy.special import erfcx
 from scipy.stats import poisson
 
 _SQRT2 = math.sqrt(2.0)
-
-# Beyond this erfc argument the naive exp * erfc product underflows to 0 * inf;
-# switch to pdf = erfcx(z) * exp(-(t - mu)^2 / (2 sigma^2)) / (2 tau), which is
-# algebraically identical and stable for large positive z.
-_ERFCX_THRESHOLD = 5.0
 
 
 @dataclass(frozen=True)
@@ -64,61 +60,65 @@ def _as_times(t) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _emg_grid(mu, sigma, tau, t):
+    """Broadcastable EMG parts (Phi(-|u|), T, u < 0), stable in both tails.
+
+    With u = (t - mu)/sigma, r = sigma/tau and g = exp(-u^2/2), the EMG has
+    CDF F = Phi(u) - T, survival function 1 - F = Phi(-u) + T and density
+    T / tau, where T = exp(r^2/2 - u r) Phi(u - r), and
+
+        Phi(-|u|) = g/2 erfcx(|u|/sqrt 2)
+        T         = g/2 erfcx((r - u)/sqrt 2)                    where r > u
+        T         = exp(r^2/2 - u r) - g/2 erfcx((u - r)/sqrt 2) where r <= u
+
+    Two erfcx calls per cell and no factor that can overflow: erfcx <= 1 on
+    non-negative arguments and r^2/2 - u r <= 0 where r <= u.
+    """
+    v = (t - mu) / (sigma * _SQRT2)  # u / sqrt 2
+    q = sigma / (tau * _SQRT2)  # r / sqrt 2, so r^2/2 - u r = q^2 - 2 q v
+    half_g = 0.5 * np.exp(-v * v)
+    d = q - v
+    h = half_g * erfcx(np.abs(d))
+    tail = np.where(d > 0.0, h, np.exp(np.minimum(q * q - (2.0 * q) * v, 0.0)) - h)
+    return half_g * erfcx(np.abs(v)), tail, v < 0.0
+
+
+def _cdf_sf_grid(mu, sigma, tau, t):
+    """Broadcastable EMG CDF and survival function, from Phi(-|u|) and T by the sign of u.
+
+    Rounding can leave [0, 1] by an ulp; callers that return probabilities clip.
+    """
+    lo, tail, left = _emg_grid(mu, sigma, tau, t)
+    hi = 1.0 - lo
+    return np.where(left, lo, hi) - tail, np.where(left, hi, lo) + tail
+
+
 def emg_pdf(p: EmgParams, t):
     """Arrival-time density at ``t`` (scalar or array-like), in 1/ps.
 
     Evaluates
 
-        (1 / 2 tau) * exp((sigma^2/tau - 2 t + 2 mu) / (2 tau))
-                    * erfc((sigma^2/tau - t + mu) / (sigma sqrt(2)))
+        (1 / tau) * exp(sigma^2 / (2 tau^2) - (t - mu) / tau)
+                  * Phi((t - mu) / sigma - sigma / tau)
 
-    switching to the scaled complementary error function once the erfc
-    argument exceeds 5.
+    as T / tau with the tail-stable T of the CDF kernel.
     """
     arr, scalar = _as_times(t)
-    u = (arr - p.mu) / p.sigma
-    r = p.sigma / p.tau
-    z = (r - u) / _SQRT2
-    out = np.empty_like(u)
-    deep = z > _ERFCX_THRESHOLD
-    if deep.any():
-        ud = u[deep]
-        out[deep] = erfcx(z[deep]) * np.exp(-0.5 * ud * ud)
-    rest = ~deep
-    if rest.any():
-        ur = u[rest]
-        out[rest] = np.exp(0.5 * r * r - ur * r) * erfc(z[rest])
-    out /= 2.0 * p.tau
+    out = _emg_grid(p.mu, p.sigma, p.tau, arr)[1] / p.tau
     return float(out[0]) if scalar else out
-
-
-def _cdf_sf_grid(mu, sigma, tau, t):
-    """Broadcastable EMG CDF and survival function, stable in both tails.
-
-    The exp * Phi cross term is evaluated in log space; it equals
-    Phi(u) - F(t) and is therefore bounded by 1, so the exponential never
-    overflows.
-    """
-    u = (t - mu) / sigma
-    r = sigma / tau
-    k = 0.5 * r * r - u * r
-    tail = np.exp(k + log_ndtr(u - r))
-    cdf = ndtr(u) - tail
-    sf = ndtr(-u) + tail
-    return np.clip(cdf, 0.0, 1.0), np.clip(sf, 0.0, 1.0)
 
 
 def emg_cdf(p: EmgParams, t):
     """Cumulative probability of arrival before ``t``."""
     arr, scalar = _as_times(t)
-    cdf, _ = _cdf_sf_grid(p.mu, p.sigma, p.tau, arr)
+    cdf = np.clip(_cdf_sf_grid(p.mu, p.sigma, p.tau, arr)[0], 0.0, 1.0)
     return float(cdf[0]) if scalar else cdf
 
 
 def emg_sf(p: EmgParams, t):
     """Survival function 1 - CDF, computed without cancellation."""
     arr, scalar = _as_times(t)
-    _, sf = _cdf_sf_grid(p.mu, p.sigma, p.tau, arr)
+    sf = np.clip(_cdf_sf_grid(p.mu, p.sigma, p.tau, arr)[1], 0.0, 1.0)
     return float(sf[0]) if scalar else sf
 
 
@@ -170,76 +170,74 @@ def conditioned_poisson_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class MixtureModel:
-    """Poisson-weighted EMG mixture over photon numbers 1..n_max."""
+    """Poisson-weighted EMG mixture over photon numbers 1..n_max, as arrays over n.
 
-    source: PhotonSource
-    component_params: tuple[EmgParams, ...]
+    ``weights[i]``, ``mu[i]``, ``sigma[i]`` and ``tau[i]`` describe the
+    component of photon number n = i + 1 (ps).  ``source`` is the source the
+    weights were drawn from, None for a single peak (one unit weight).
+    """
+
+    source: PhotonSource | None
     weights: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    tau: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=np.float64)
-        object.__setattr__(self, "weights", w)
-        if len(self.component_params) != w.size:
-            raise ValueError("one weight per component required")
-        if w.size == 0:
+        for name in ("weights", "mu", "sigma", "tau"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        w, mu, sigma, tau = self.weights, self.mu, self.sigma, self.tau
+        if w.ndim != 1 or w.size == 0:
             raise ValueError("mixture needs at least one component")
-        if np.any(w < 0.0):
+        if not (mu.shape == sigma.shape == tau.shape == w.shape):
+            raise ValueError("one weight per component required")
+        # min/max reductions propagate NaN, which fails every comparison below
+        if not (-math.inf < mu.min() and mu.max() < math.inf):
+            raise ValueError("mu must be finite")
+        if not (0.0 < sigma.min() and sigma.max() < math.inf):
+            raise ValueError("sigma must be finite and positive")
+        if not (0.0 < tau.min() and tau.max() < math.inf):
+            raise ValueError("tau must be finite and positive")
+        if not w.min() >= 0.0:
             raise ValueError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > 1e-12:
+        if not abs(float(w.sum()) - 1.0) <= 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
 
     @property
     def n_max(self) -> int:
-        return len(self.component_params)
-
-
-def build_mixture(source: PhotonSource, make_component: Callable[[int], EmgParams]) -> MixtureModel:
-    """Assemble a mixture by calling ``make_component(n)`` for n = 1..n_max."""
-    n_max, weights = conditioned_poisson_weights(source)
-    components = tuple(make_component(n) for n in range(1, n_max + 1))
-    return MixtureModel(source, components, weights)
-
-
-def _component_arrays(m: MixtureModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mu = np.array([c.mu for c in m.component_params])
-    sigma = np.array([c.sigma for c in m.component_params])
-    tau = np.array([c.tau for c in m.component_params])
-    return mu, sigma, tau
+        return self.weights.size
 
 
 def mixture_pdf(m: MixtureModel, t):
     """Weighted sum of component densities at ``t``."""
     arr, scalar = _as_times(t)
-    out = np.zeros_like(arr)
-    for w, p in zip(m.weights, m.component_params):
-        out += w * emg_pdf(p, arr)
+    tau = m.tau[:, None]
+    out = m.weights @ (_emg_grid(m.mu[:, None], m.sigma[:, None], tau, arr)[1] / tau)
     return float(out[0]) if scalar else out
 
 
 def mixture_cdf(m: MixtureModel, t):
     """Weighted sum of component CDFs at ``t``."""
     arr, scalar = _as_times(t)
-    mu, sigma, tau = _component_arrays(m)
-    cdf, _ = _cdf_sf_grid(mu[:, None], sigma[:, None], tau[:, None], arr[None, :])
-    out = m.weights @ cdf
+    cdf, _ = _cdf_sf_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
+    out = np.clip(m.weights @ cdf, 0.0, 1.0)
     return float(out[0]) if scalar else out
 
 
 def mixture_bin_masses(m: MixtureModel, edges) -> np.ndarray:
-    """Probability mass per bin via CDF differences on ``edges``.
+    """Probability mass per bin on ``edges``: the weighted sum of component masses.
 
-    Uses survival-function differences on the right half of the distribution
-    so deep-tail bins do not lose precision to cancellation.
+    Each component's mass is a CDF difference left of its median and a
+    survival-function difference right of it, so neither deep-tail bins nor
+    the valleys between components lose precision to cancellation.
     """
     arr = np.asarray(edges, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
-    mu, sigma, tau = _component_arrays(m)
-    cdf, sf = _cdf_sf_grid(mu[:, None], sigma[:, None], tau[:, None], arr[None, :])
-    F = m.weights @ cdf
-    S = m.weights @ sf
-    mass = np.where(F[:-1] < 0.5, F[1:] - F[:-1], S[:-1] - S[1:])
-    return np.clip(mass, 0.0, None)
+    cdf, sf = _cdf_sf_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
+    mass = cdf[:, 1:] - cdf[:, :-1]
+    np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
+    return np.maximum(m.weights @ mass, 0.0)
 
 
 def mixture_moments(m: MixtureModel) -> tuple[float, float]:
@@ -248,9 +246,8 @@ def mixture_moments(m: MixtureModel) -> tuple[float, float]:
     mean = sum w_n (mu_n + tau_n)
     var  = sum w_n (sigma_n^2 + tau_n^2) + sum w_n (mu_n + tau_n - mean)^2
     """
-    mu, sigma, tau = _component_arrays(m)
-    comp_mean = mu + tau
+    comp_mean = m.mu + m.tau
     mean = float(m.weights @ comp_mean)
-    within = float(m.weights @ (sigma**2 + tau**2))
+    within = float(m.weights @ (m.sigma**2 + m.tau**2))
     between = float(m.weights @ (comp_mean - mean) ** 2)
     return mean, math.sqrt(within + between)

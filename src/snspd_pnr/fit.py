@@ -14,6 +14,7 @@ bootstrap errors, and time-tag ingestion.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,14 +23,7 @@ from scipy.optimize import minimize
 from scipy.signal import find_peaks
 
 from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
-from .dist import (
-    EmgParams,
-    MixtureModel,
-    PhotonSource,
-    _cdf_sf_grid,
-    conditioned_poisson_weights,
-    mixture_bin_masses,
-)
+from .dist import EmgParams, MixtureModel, PhotonSource, conditioned_poisson_weights, mixture_bin_masses
 from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
@@ -66,17 +60,8 @@ class FixedParams:
         self.jitter_budget(1.0, 1.0)
 
     def jitter_budget(self, sigma_int: float, tau: float) -> JitterBudget:
-        return JitterBudget(
-            sigma_inst=self.sigma_inst,
-            sigma_opt=self.sigma_opt,
-            sigma_int=sigma_int,
-            tau=tau,
-            sigma_elec=self.sigma_elec,
-            slew_rate_1=self.slew_rate_1,
-            sigma_geom_1=self.sigma_geom_1,
-            geom_exponent=self.geom_exponent,
-            rise_scaling_exponent=self.rise_scaling_exponent,
-        )
+        return JitterBudget(self.sigma_inst, self.sigma_opt, sigma_int, tau, self.sigma_elec, self.slew_rate_1,
+                            self.sigma_geom_1, self.geom_exponent, self.rise_scaling_exponent)
 
 
 @dataclass(frozen=True)
@@ -84,9 +69,11 @@ class FitResult:
     """Fitted (delta_mu, sigma_int, tau) with diagnostics.
 
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
-    entry when mu_infinity was fitted); ``covariance_proxy`` is the
-    pseudo-inverse of a finite-difference Hessian of the objective, a
-    conditioning diagnostic rather than a calibrated covariance.
+    entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
+    bootstrap refits whose simplex converged (None without a bootstrap);
+    ``covariance_proxy`` is the pseudo-inverse of a finite-difference Hessian
+    of the objective, a conditioning diagnostic rather than a calibrated
+    covariance.
     """
 
     delta_mu: float
@@ -98,38 +85,42 @@ class FitResult:
     bootstrap_errors: tuple[float, ...] | None
     covariance_proxy: np.ndarray
     mu_infinity: float | None = None
+    bootstrap_converged: int | None = None
 
     def __post_init__(self) -> None:
-        if self.sigma_int < 0.0:
+        if not self.sigma_int >= 0.0:
             raise ValueError("sigma_int must be >= 0")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
-        if self.bootstrap_errors is not None and any(e < 0.0 for e in self.bootstrap_errors):
+        if self.bootstrap_errors is not None and any(not e >= 0.0 for e in self.bootstrap_errors):
             raise ValueError("bootstrap errors must be >= 0")
 
 
-def _make_components(
-    fp: FixedParams, delta_mu: float, sigma_int: float, tau: float, mu_infinity: float, n_max: int
-) -> tuple[EmgParams, ...]:
-    b = fp.jitter_budget(sigma_int, tau)
-    return tuple(
-        EmgParams(
-            mu_scaling(mu_infinity, delta_mu, n, fp.rise_scaling_exponent),
-            sigma_total(b, n),
-            tau_at(b, n),
-        )
-        for n in range(1, n_max + 1)
-    )
+def _mixture_law(fp: FixedParams):
+    """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget.
+
+    The budget's laws are evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0
+    and tau = 1 (``fp`` has no per-n override table, so the tail scale is the same at
+    every n); an evaluation only scales them: mu_n = mu_infinity + delta_mu / n**alpha,
+    sigma_n = sqrt(fixed_n^2 + sigma_int^2), tau_n = tau.
+    """
+    source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
+    n_max, weights = conditioned_poisson_weights(source)
+    b, alpha = fp.jitter_budget(0.0, 1.0), fp.rise_scaling_exponent
+    unit = np.array([(mu_scaling(0.0, 1.0, n, alpha), sigma_total(b, n), tau_at(b, n)) for n in range(1, n_max + 1)])
+    inv_n_alpha, fixed_var, unit_tau = unit[:, 0], unit[:, 1] ** 2, unit[:, 2]
+
+    def mixture(delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel:
+        sigma = np.sqrt(fixed_var + sigma_int**2)
+        return MixtureModel(source, weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
+
+    return mixture
 
 
 def mixture_from_params(fp: FixedParams, theta, mu_infinity: float | None = None) -> MixtureModel:
     """Build the photon-number mixture for theta = (delta_mu, sigma_int, tau)."""
     delta_mu, sigma_int, tau = (float(v) for v in theta)
-    source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
-    n_max, weights = conditioned_poisson_weights(source)
-    mu_inf = fp.mu_infinity if mu_infinity is None else mu_infinity
-    components = _make_components(fp, delta_mu, sigma_int, tau, mu_inf, n_max)
-    return MixtureModel(source, components, weights)
+    return _mixture_law(fp)(delta_mu, sigma_int, tau, fp.mu_infinity if mu_infinity is None else mu_infinity)
 
 
 def predict_histogram(fp: FixedParams, theta, hist: ArrivalHistogram) -> np.ndarray:
@@ -138,15 +129,23 @@ def predict_histogram(fp: FixedParams, theta, hist: ArrivalHistogram) -> np.ndar
     return hist.total_events * mixture_bin_masses(mix, hist.bin_edges)
 
 
+def _poisson_objective(counts):
+    """``expected -> sum(m - c ln m)`` for fixed counts, with the c > 0 mask taken once."""
+    c = np.asarray(counts, dtype=np.float64)
+    pos = c > 0.0
+    c_pos = c[pos]
+
+    def nll(expected) -> float:
+        m = np.asarray(expected, dtype=np.float64)
+        m_pos = m[pos]
+        return math.inf if np.any(m_pos <= 0.0) else float(m.sum() - np.dot(c_pos, np.log(m_pos)))
+
+    return nll
+
+
 def poisson_nll(counts, expected) -> float:
     """Per-bin Poisson negative log-likelihood, sum(m - c ln m) up to constants."""
-    c = np.asarray(counts, dtype=np.float64)
-    m = np.asarray(expected, dtype=np.float64)
-    pos = c > 0.0
-    m_pos = m[pos]
-    if np.any(m_pos <= 0.0):
-        return math.inf
-    return float(m.sum() - np.dot(c[pos], np.log(m_pos)))
+    return _poisson_objective(counts)(expected)
 
 
 def initial_guess(hist: ArrivalHistogram, fp: FixedParams) -> tuple[float, float, float]:
@@ -184,13 +183,16 @@ def initial_guess(hist: ArrivalHistogram, fp: FixedParams) -> tuple[float, float
         i_right += 1
     fwhm = max(i_right - i_left, 1) * bw
     peak_sd = fwhm / 2.355
-    b = fp.jitter_budget(1.0, 1.0)
-    fixed_var = (
-        (fp.sigma_elec / fp.slew_rate_1) ** 2 + b.sigma_inst**2 + b.sigma_opt**2 + b.sigma_geom_1**2
-    )
+    fixed_var = sigma_total(fp.jitter_budget(0.0, 1.0), 1) ** 2
     leftover = max(peak_sd**2 - fixed_var, bw**2)
     s0 = t0 = math.sqrt(leftover / 2.0)
     return float(delta_mu0), float(s0), float(t0)
+
+
+def _check_bootstrap(n_bootstrap: int) -> None:
+    """Reject resample counts whose standard deviation is undefined (1) or meaningless (< 0)."""
+    if n_bootstrap < 0 or n_bootstrap == 1:
+        raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
 
 
 def _simplex(fun, z0, xatol, fatol, maxiter=20_000):
@@ -204,21 +206,15 @@ def _simplex(fun, z0, xatol, fatol, maxiter=20_000):
 
 def _fd_hessian(fun, x, rel_step=1e-4):
     x = np.asarray(x, dtype=np.float64)
-    k = x.size
-    h = rel_step * np.maximum(np.abs(x), 1.0)
-    H = np.empty((k, k))
+    e = np.diag(rel_step * np.maximum(np.abs(x), 1.0))  # row i is the step along axis i
+    h = np.diag(e)
+    H = np.empty((x.size, x.size))
     f0 = fun(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = h[i]
-        H[i, i] = (fun(x + ei) - 2.0 * f0 + fun(x - ei)) / h[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = h[j]
-            fpp = fun(x + ei + ej)
-            fpm = fun(x + ei - ej)
-            fmp = fun(x - ei + ej)
-            fmm = fun(x - ei - ej)
+    for i in range(x.size):
+        H[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
+        for j in range(i + 1, x.size):
+            fpp, fpm = fun(x + e[i] + e[j]), fun(x + e[i] - e[j])
+            fmp, fmm = fun(x - e[i] + e[j]), fun(x - e[i] - e[j])
             H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
     return H
 
@@ -238,8 +234,11 @@ def fit_histogram(
     delta_mu (and mu_infinity in the optional four-parameter mode) is
     unconstrained.  The simplex is restarted from three +/-20% multiplicative
     perturbations of the starting point and the best optimum wins.
-    Deterministic for fixed inputs; bootstrap resampling is seeded.
+    ``n_bootstrap`` is 0 (no errors) or at least 2 multinomial resamples,
+    each refitted from the optimum.  Deterministic for fixed inputs;
+    bootstrap resampling is seeded.
     """
+    _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
         raise ValueError("empty histogram")
     if hist.total_events < 1000:
@@ -248,8 +247,7 @@ def fit_histogram(
     edges = hist.bin_edges
     total = int(hist.total_events)
 
-    source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
-    n_max, weights = conditioned_poisson_weights(source)
+    mixture = _mixture_law(fp)
 
     if theta0 is None:
         theta0 = initial_guess(hist, fp)
@@ -258,16 +256,17 @@ def fit_histogram(
         raise ValueError("theta0 sigma_int and tau must be positive")
 
     def expected_counts(delta_mu, sigma_int, tau, mu_inf):
-        comps = _make_components(fp, delta_mu, sigma_int, tau, mu_inf, n_max)
-        mix = MixtureModel(source, comps, weights)
-        return total * mixture_bin_masses(mix, edges)
+        return total * mixture_bin_masses(mixture(delta_mu, sigma_int, tau, mu_inf), edges)
 
-    def nll_z(z):
+    def objective_z(z, nll):
+        """``nll`` over z = (delta_mu, ln sigma_int, ln tau[, mu_infinity])."""
         if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
             return math.inf
         mu_inf = z[3] if fit_mu_infinity else fp.mu_infinity
-        m = expected_counts(z[0], math.exp(z[1]), math.exp(z[2]), mu_inf)
-        return poisson_nll(counts, m)
+        return nll(expected_counts(z[0], math.exp(z[1]), math.exp(z[2]), mu_inf))
+
+    nll = _poisson_objective(counts)
+    nll_z = functools.partial(objective_z, nll=nll)
 
     z0 = [dmu0, math.log(s0), math.log(t0)]
     if fit_mu_infinity:
@@ -299,8 +298,7 @@ def fit_histogram(
         mu_inf = theta[3] if fit_mu_infinity else fp.mu_infinity
         if theta[1] <= 0.0 or theta[2] <= 0.0:
             return math.inf
-        m = expected_counts(theta[0], theta[1], theta[2], mu_inf)
-        return poisson_nll(counts, m)
+        return nll(expected_counts(theta[0], theta[1], theta[2], mu_inf))
 
     theta_hat = [delta_mu, sigma_int, tau] + ([mu_inf_hat] if fit_mu_infinity else [])
     try:
@@ -309,22 +307,18 @@ def fit_histogram(
     except np.linalg.LinAlgError:
         cov = np.full((len(theta_hat), len(theta_hat)), np.nan)
 
-    boot_errors = None
+    boot_errors = boot_converged = None
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
         p = counts / counts.sum()
         draws = np.empty((n_bootstrap, len(theta_hat)))
+        boot_converged = 0
+        fatol_b = 1e-8 * max(1.0, abs(best.fun))
         for b in range(n_bootstrap):
             c_b = rng.multinomial(total, p).astype(np.float64)
-
-            def nll_b(z, _c=c_b):
-                if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
-                    return math.inf
-                mu_inf = z[3] if fit_mu_infinity else fp.mu_infinity
-                m = expected_counts(z[0], math.exp(z[1]), math.exp(z[2]), mu_inf)
-                return poisson_nll(_c, m)
-
-            rb = _simplex(nll_b, z_hat, 1e-6, 1e-8 * max(1.0, abs(best.fun)), maxiter=2000)
+            nll_b = functools.partial(objective_z, nll=_poisson_objective(c_b))
+            rb = _simplex(nll_b, z_hat, 1e-6, fatol_b, maxiter=2000)
+            boot_converged += bool(rb.success)
             row = [rb.x[0], math.exp(rb.x[1]), math.exp(rb.x[2])]
             if fit_mu_infinity:
                 row.append(rb.x[3])
@@ -341,6 +335,7 @@ def fit_histogram(
         bootstrap_errors=boot_errors,
         covariance_proxy=cov,
         mu_infinity=mu_inf_hat,
+        bootstrap_converged=boot_converged,
     )
 
 
@@ -389,16 +384,19 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
     t0 = s0 = width0 / math.sqrt(2.0)
     mu0 = mean0 - t0
 
+    pos = c > 0.0
+
+    def masses(mu, sigma, tau):
+        return mixture_bin_masses(MixtureModel(None, [1.0], [mu], [sigma], [tau]), sub_edges)
+
     def nll_z(z):
         if abs(z[1]) > 50.0 or abs(z[2]) > 50.0:
             return math.inf
-        cdf, sf = _cdf_sf_grid(z[0], math.exp(z[1]), math.exp(z[2]), sub_edges)
-        mass = np.clip(np.where(cdf[:-1] < 0.5, cdf[1:] - cdf[:-1], sf[:-1] - sf[1:]), 0.0, None)
+        mass = masses(z[0], math.exp(z[1]), math.exp(z[2]))
         mass_sum = mass.sum()
         if mass_sum <= 0.0:
             return math.inf
         m = events * mass / mass_sum
-        pos = c > 0.0
         if np.any(m[pos] <= 0.0):
             return math.inf
         return float(events - np.dot(c[pos], np.log(m[pos])))
@@ -426,10 +424,8 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
     except np.linalg.LinAlgError:
         errors = (math.nan, math.nan, math.nan)
 
-    cdf, sf = _cdf_sf_grid(mu, sigma, tau, sub_edges)
-    mass = np.clip(np.where(cdf[:-1] < 0.5, cdf[1:] - cdf[:-1], sf[:-1] - sf[1:]), 0.0, None)
+    mass = masses(mu, sigma, tau)
     m = events * mass / mass.sum()
-    pos = c > 0.0
     deviance = float(2.0 * np.dot(c[pos], np.log(c[pos] / m[pos])))
     dof = max(int(c.size - 4), 1)
     return SinglePeakFit(
@@ -447,16 +443,18 @@ def total_width(
 ) -> tuple[float, float]:
     """Event-weighted standard deviation of bin centers with a bootstrap error.
 
-    The bootstrap resamples event-to-bin assignments multinomially; with the
-    default generator (seed 0) the result is reproducible bit for bit.
+    The bootstrap resamples event-to-bin assignments multinomially,
+    ``n_bootstrap`` times (0 for no error, else at least 2); with the default
+    generator (seed 0) the result is reproducible bit for bit.
     """
+    _check_bootstrap(n_bootstrap)
     if hist.total_events < 1:
         raise ValueError("empty histogram")
     centers = hist.bin_centers
     w = hist.counts / hist.total_events
     mean = float(np.dot(w, centers))
     std = float(math.sqrt(np.dot(w, (centers - mean) ** 2)))
-    if n_bootstrap <= 0:
+    if n_bootstrap == 0:
         return std, 0.0
     if rng is None:
         rng = np.random.default_rng(0)

@@ -61,7 +61,7 @@ class GeomMcResult:
 
     def __post_init__(self) -> None:
         for n, sigma, se in self.per_n_std:
-            if n < 1 or sigma <= 0.0 or se <= 0.0:
+            if n < 1 or not sigma > 0.0 or not se > 0.0:
                 raise ValueError("per_n_std rows must be (n >= 1, sigma > 0, se > 0)")
 
 
@@ -130,10 +130,12 @@ def geom_mc(
 
     Positions are drawn uniformly per trial; per-n spreads use the sample
     standard deviation (ddof=1) with a bootstrap standard error over
-    ``bootstrap_resamples`` resamples.  Consumes ``rng`` sequentially, so a
-    fixed seed reproduces results exactly.
+    ``bootstrap_resamples`` (at least 2) resamples.  Consumes ``rng``
+    sequentially, so a fixed seed reproduces results exactly.
     """
     samples = _check_samples(samples)
+    if bootstrap_resamples < 2:
+        raise ValueError(f"bootstrap_resamples must be >= 2, got {bootstrap_resamples}")
     estimator = Estimator(estimator)
     ns = [int(n) for n in n_values]
     if not ns or any(n < 1 for n in ns):

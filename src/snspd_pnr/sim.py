@@ -28,7 +28,7 @@ import numpy as np
 from ._version import __version__
 from .budget import JitterBudget, mu_n, sigma_total, tau_at
 from .dist import EmgParams, PhotonSource, conditioned_poisson_weights, emg_sample, mixture_moments
-from .fit import FixedParams, mixture_from_params, total_width
+from .fit import FixedParams, _check_bootstrap, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable, write_time_tags
 from .overlap import occupied_element_counts
@@ -193,8 +193,10 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0, n_bootstrap: int = 
 
     The analytic column evaluates the law of total variance for the mixture
     built from the plan's budget (sigma_int, tau) and detector (delta_mu)
-    without merging, so it is the merge-off reference curve.
+    without merging, so it is the merge-off reference curve.  ``n_bootstrap``
+    is 0 (errors reported as 0) or at least 2.
     """
+    _check_bootstrap(n_bootstrap)
     tags = simulate_tags(plan)
     rows = []
     for st in tags:

@@ -173,6 +173,23 @@ def test_fit_bootstrap_seed_override(runner, config_path, tag_file, tmp_path):
     assert e1 == e3
 
 
+def test_fit_reports_bootstrap_convergence(runner, config_path, tag_file, tmp_path):
+    base = ["fit", str(tag_file), "-c", config_path]
+    r0 = runner.invoke(main, base + ["-o", str(tmp_path / "b0")])
+    r3 = runner.invoke(main, base + ["-o", str(tmp_path / "b3"), "--bootstrap", "3"])
+    assert r0.exit_code == 0 and r3.exit_code == 0, out_text(r3)
+    assert json.loads((tmp_path / "b0" / "fit_result.json").read_text())["bootstrap_converged"] is None
+    assert json.loads((tmp_path / "b3" / "fit_result.json").read_text())["bootstrap_converged"] == 3
+
+
+def test_fit_one_bootstrap_resample_exit_2(runner, config_path, tag_file, tmp_path):
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["fit", str(tag_file), "-c", config_path, "-o", str(out), "--bootstrap", "1"])
+    assert result.exit_code == 2
+    assert "n_bootstrap must be 0 or >= 2" in out_text(result)
+    assert not (out / "fit_result.json").exists()
+
+
 def test_fit_histogram_without_nbar_fails(runner, config_path, tag_file, tmp_path):
     hist = ingest_time_tags(tag_file)
     hist = type(hist)(hist.bin_edges, hist.counts, hist.total_events, None)
@@ -241,6 +258,16 @@ def test_geom_cli(runner, tmp_path):
     assert (out / "geom_hist_n02.csv").exists()
 
 
+@pytest.mark.parametrize("resamples", ["0", "1"])
+def test_geom_too_few_bootstrap_resamples_exit_2(runner, tmp_path, resamples):
+    out = tmp_path / "geom"
+    result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2",
+                                  "--samples", "10000", "--bootstrap", resamples, "-o", str(out)])
+    assert result.exit_code == 2
+    assert "bootstrap_resamples must be >= 2" in out_text(result)
+    assert not (out / "geom.json").exists()
+
+
 def test_overlap_cli_stdout(runner):
     result = runner.invoke(main, ["overlap", "--elements", "10", "--max-photons", "3"])
     assert result.exit_code == 0
@@ -291,3 +318,11 @@ def test_sweep_cli(runner, tmp_path):
     payload = json.loads((tmp_path / "w1" / "sweep.json").read_text())
     assert len(payload["rows"]) == 3
     assert payload["version"]
+
+
+def test_sweep_one_bootstrap_resample_exit_2(runner, config_path, tmp_path):
+    out = tmp_path / "w"
+    result = runner.invoke(main, ["sweep", "-c", config_path, "-o", str(out), "--bootstrap", "1"])
+    assert result.exit_code == 2
+    assert "n_bootstrap must be 0 or >= 2" in out_text(result)
+    assert not (out / "sweep.json").exists()

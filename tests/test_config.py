@@ -100,6 +100,8 @@ def test_unknown_keys_are_rejected_with_path(tmp_path, mutate, needle):
         lambda d: d["sim"].update(merge_model="merge-everything"),
         lambda d: d.update(output_dir=3),
         lambda d: d.update(detector=[1, 2]),
+        lambda d: d["fit"].update(n_bootstrap=1),
+        lambda d: d["fit"].update(n_bootstrap=-1),
     ],
 )
 def test_malformed_values_are_rejected(tmp_path, mutate):
@@ -114,6 +116,18 @@ def test_domain_validation_becomes_config_error(tmp_path):
     payload["detector"]["noise_floor"] = 200.0  # above the amplitude
     with pytest.raises(ConfigError, match="noise_floor"):
         load_config(write(tmp_path, payload))
+
+
+def test_contradicting_rise_scaling_exponents_are_rejected(tmp_path):
+    payload = json.loads(json.dumps(GOOD))
+    payload["detector"]["rise_scaling_exponent"] = 0.4
+    payload["budget"]["rise_scaling_exponent"] = 0.5
+    with pytest.raises(ConfigError, match="config.budget.rise_scaling_exponent") as info:
+        load_config(write(tmp_path, payload))
+    assert "0.4" in str(info.value) and "0.5" in str(info.value)
+    payload["budget"]["rise_scaling_exponent"] = 0.4
+    cfg = load_config(write(tmp_path, payload))
+    assert cfg.detector.rise_scaling_exponent == cfg.budget.rise_scaling_exponent == 0.4
 
 
 def test_invalid_json_is_reported(tmp_path):

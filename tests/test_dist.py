@@ -9,6 +9,7 @@ from scipy import integrate, stats
 
 from snspd_pnr import (
     EmgParams,
+    FixedParams,
     MixtureModel,
     PhotonSource,
     conditioned_poisson_weights,
@@ -18,9 +19,11 @@ from snspd_pnr import (
     emg_sf,
     mixture_bin_masses,
     mixture_cdf,
+    mixture_from_params,
     mixture_moments,
     mixture_pdf,
 )
+from snspd_pnr.dist import _cdf_sf_grid
 
 mpmath.mp.dps = 50
 
@@ -36,6 +39,13 @@ def cdf_mp(t, mu, sigma, tau):
     u = (t - mu) / sigma
     r = sigma / tau
     return mpmath.ncdf(u) - mpmath.exp(r * r / 2 - u * r) * mpmath.ncdf(u - r)
+
+
+def mixture_of(source, comps, weights):
+    """The mixture of the given EmgParams components, as arrays over n."""
+    return MixtureModel(
+        source, weights, [c.mu for c in comps], [c.sigma for c in comps], [c.tau for c in comps]
+    )
 
 
 def test_pdf_reference_value():
@@ -112,6 +122,45 @@ def test_sf_far_tail_no_underflow_to_garbage():
     assert np.allclose(sf, want, rtol=1e-9)
 
 
+def test_kernel_matches_high_precision_in_both_tail_branches():
+    # sigma = 1 and mu = 0 make the kernel's u equal t exactly and r the
+    # float 1 / tau, so the oracle evaluates the inputs the kernel sees
+    us = np.linspace(-35.0, 40.0, 61)
+    taus = 1.0 / np.geomspace(0.05, 30.0, 13)
+    cdf, sf = _cdf_sf_grid(0.0, 1.0, taus[:, None], us[None, :])
+    rs = 1.0 / taus
+    assert np.all(np.isfinite(cdf)) and np.all(np.isfinite(sf))
+    checked = {True: 0, False: 0}
+    for i, r in enumerate(rs):
+        for j, u in enumerate(us):
+            um, rm = mpmath.mpf(float(u)), mpmath.mpf(float(r))
+            cross = mpmath.exp(rm * rm / 2 - um * rm) * mpmath.ncdf(um - rm)
+            for got, want in ((cdf[i, j], mpmath.ncdf(um) - cross), (sf[i, j], mpmath.ncdf(-um) + cross)):
+                if want > 1e-300:
+                    assert abs(got - want) <= 1e-12 * want, (u, r, got, float(want))
+                    checked[bool(r > u)] += 1
+    # both tail forms (r > u and r <= u) are exercised
+    assert checked[True] > 100 and checked[False] > 100
+
+
+def test_mixture_bin_masses_match_per_component_differences():
+    fp = FixedParams(
+        sigma_inst=3.0, sigma_opt=1.0, sigma_elec=4.9, slew_rate_1=1.08,
+        sigma_geom_1=9.0, mu_infinity=144.0, n_bar=3.0,
+    )
+    m = mixture_from_params(fp, (289.0, 6.0, 6.0))
+    assert m.n_max == 18
+    edges = np.arange(100.0, 701.0, 2.0)
+    want = np.zeros(edges.size - 1)
+    for w, mu, sigma, tau in zip(m.weights, m.mu, m.sigma, m.tau):
+        p = EmgParams(mu, sigma, tau)
+        F, S = emg_cdf(p, edges), emg_sf(p, edges)
+        want += w * np.where(F[:-1] < 0.5, np.diff(F), -np.diff(S))
+    got = mixture_bin_masses(m, edges)
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_sampling_ks_and_moments():
     p = EmgParams(mu=433.0, sigma=12.1, tau=6.0)
     rng = np.random.default_rng(12345)
@@ -158,7 +207,7 @@ def test_zero_rate_source_rejected():
 
 def test_single_component_mixture_collapses_to_emg():
     p = EmgParams(mu=5.0, sigma=2.0, tau=3.0)
-    m = MixtureModel(PhotonSource(1.0), (p,), np.array([1.0]))
+    m = mixture_of(PhotonSource(1.0), (p,), np.array([1.0]))
     ts = np.linspace(-10.0, 40.0, 101)
     assert np.allclose(mixture_pdf(m, ts), emg_pdf(p, ts), rtol=1e-14)
     assert np.allclose(mixture_cdf(m, ts), emg_cdf(p, ts), rtol=1e-14)
@@ -171,7 +220,7 @@ def test_two_component_moments_closed_form():
     a = EmgParams(mu=0.0, sigma=2.0, tau=1.0)
     b = EmgParams(mu=50.0, sigma=3.0, tau=4.0)
     w = np.array([0.4, 0.6])
-    m = MixtureModel(PhotonSource(1.0), (a, b), w)
+    m = mixture_of(PhotonSource(1.0), (a, b), w)
     means = np.array([a.mean, b.mean])
     variances = np.array([a.std**2, b.std**2])
     want_mean = float(w @ means)
@@ -184,7 +233,7 @@ def test_two_component_moments_closed_form():
 def test_mixture_moments_against_sampling():
     comps = (EmgParams(433.0, 12.1, 6.0), EmgParams(348.4, 9.2, 6.0), EmgParams(310.9, 8.3, 6.0))
     w = np.array([0.6, 0.3, 0.1])
-    m = MixtureModel(PhotonSource(1.0), comps, w)
+    m = mixture_of(PhotonSource(1.0), comps, w)
     mean, std = mixture_moments(m)
     rng = np.random.default_rng(7)
     n = 2_000_000
@@ -196,7 +245,7 @@ def test_mixture_moments_against_sampling():
 
 def test_bin_masses_match_cdf_and_quadrature():
     comps = (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0))
-    m = MixtureModel(PhotonSource(1.0), comps, np.array([0.7, 0.3]))
+    m = mixture_of(PhotonSource(1.0), comps, np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
     masses = mixture_bin_masses(m, edges)
     want = np.diff(mixture_cdf(m, edges))
@@ -213,7 +262,7 @@ def test_bin_masses_match_cdf_and_quadrature():
 def test_bin_masses_far_tail_positive():
     # survival-function differencing keeps tail bins from cancelling to zero
     p = EmgParams(0.0, 1.0, 3.0)
-    m = MixtureModel(PhotonSource(1.0), (p,), np.array([1.0]))
+    m = mixture_of(PhotonSource(1.0), (p,), np.array([1.0]))
     edges = np.array([90.0, 93.0, 96.0, 99.0])
     masses = mixture_bin_masses(m, edges)
     assert np.all(masses > 0.0)
@@ -253,4 +302,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         emg_sample(p, np.random.default_rng(0), 0)
     with pytest.raises(ValueError):
-        MixtureModel(PhotonSource(1.0), (p,), np.array([0.5, 0.5]))
+        mixture_of(PhotonSource(1.0), (p,), np.array([0.5, 0.5]))

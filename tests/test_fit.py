@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import snspd_pnr.fit
 from snspd_pnr import (
     ArrivalHistogram,
     EmgParams,
+    FitResult,
     FixedParams,
-    MixtureModel,
-    PhotonSource,
+    JitterBudget,
     emg_sample,
     fit_histogram,
     fit_single_peak,
@@ -18,8 +19,11 @@ from snspd_pnr import (
     mixture_bin_masses,
     mixture_from_params,
     mixture_pdf,
+    mu_scaling,
     poisson_nll,
     predict_histogram,
+    sigma_total,
+    tau_at,
     total_width,
     write_time_tags,
 )
@@ -35,7 +39,7 @@ def sample_mixture(fp: FixedParams, theta, rng: np.random.Generator, count: int)
     for k in range(mix.weights.size):
         m = int((ks == k).sum())
         if m:
-            parts.append(emg_sample(mix.component_params[k], rng, m))
+            parts.append(emg_sample(EmgParams(mix.mu[k], mix.sigma[k], mix.tau[k]), rng, m))
     return np.concatenate(parts)
 
 
@@ -76,6 +80,20 @@ def test_predicted_counts_match_quadrature(fp1):
         assert expected[i] == pytest.approx(10_000 * q, rel=1e-8)
     wide = np.linspace(0.0, 1200.0, 2)
     assert mixture_bin_masses(mix, wide)[0] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("alpha,geom_exponent", [(0.5, 0.75), (0.37, 1.1)])
+def test_mixture_arrays_follow_the_budget_scaling_laws(make_fixed_params, alpha, geom_exponent):
+    # the mixture's components are the budget's per-n laws at theta
+    fp = make_fixed_params(3.0, rise_scaling_exponent=alpha, geom_exponent=geom_exponent)
+    delta_mu, sigma_int, tau = 250.3, 3.7, 9.1
+    mix = mixture_from_params(fp, (delta_mu, sigma_int, tau))
+    b = JitterBudget(fp.sigma_inst, fp.sigma_opt, sigma_int, tau, fp.sigma_elec, fp.slew_rate_1,
+                     fp.sigma_geom_1, geom_exponent, alpha)
+    ns = range(1, mix.n_max + 1)
+    np.testing.assert_allclose(mix.mu, [mu_scaling(fp.mu_infinity, delta_mu, n, alpha) for n in ns], rtol=1e-15)
+    np.testing.assert_allclose(mix.sigma, [sigma_total(b, n) for n in ns], rtol=1e-15)
+    assert np.array_equal(mix.tau, [tau_at(b, n) for n in ns])
 
 
 def test_round_trip_recovers_truth(rt_fit):
@@ -164,6 +182,53 @@ def test_bootstrap_errors_are_reproducible(rt_hist, fp1, rt_fit):
     assert a.bootstrap_errors[0] < 5.0
     c = fit_histogram(rt_hist, fp1, theta0=theta_hat, n_bootstrap=12, bootstrap_seed=6)
     assert c.bootstrap_errors != a.bootstrap_errors
+
+
+def test_bootstrap_reports_converged_refits(rt_hist, fp1, rt_fit):
+    theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
+    res = fit_histogram(rt_hist, fp1, theta0=theta_hat, n_bootstrap=12, bootstrap_seed=5)
+    assert res.bootstrap_converged == 12
+    assert rt_fit.bootstrap_converged is None
+
+
+def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monkeypatch):
+    seen = []
+
+    def spy(mix, edges):
+        masses = mixture_bin_masses(mix, edges)
+        seen.append((mix, masses))
+        return masses
+
+    theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.fit, "mixture_bin_masses", spy)
+        fit_histogram(rt_hist, fp1, theta0=theta_hat)
+    want = predict_histogram(fp1, theta_hat, rt_hist)
+    ref = mixture_from_params(fp1, theta_hat)
+    # the finite-difference Hessian evaluates the objective at theta_hat itself
+    hits = [
+        mix for mix, masses in seen if np.array_equal(rt_hist.total_events * masses, want)
+    ]
+    assert hits
+    for name in ("weights", "mu", "sigma", "tau"):
+        assert np.array_equal(getattr(hits[0], name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("n_bootstrap", [-1, 1])
+def test_bootstrap_count_of_one_is_rejected(rt_hist, fp1, n_bootstrap):
+    with pytest.raises(ValueError, match="n_bootstrap must be 0 or >= 2"):
+        fit_histogram(rt_hist, fp1, n_bootstrap=n_bootstrap)
+    with pytest.raises(ValueError, match="n_bootstrap must be 0 or >= 2"):
+        total_width(rt_hist, n_bootstrap=n_bootstrap)
+
+
+def test_fit_result_rejects_nan():
+    good = dict(delta_mu=289.0, sigma_int=6.0, tau=6.0, negative_log_likelihood=0.0, converged=True,
+                iterations=1, bootstrap_errors=(0.1, 0.1, 0.1), covariance_proxy=np.eye(3))
+    FitResult(**good)
+    for key, value in (("sigma_int", math.nan), ("tau", math.nan), ("bootstrap_errors", (0.1, math.nan, 0.1))):
+        with pytest.raises(ValueError):
+            FitResult(**{**good, key: value})
 
 
 def test_fit_input_validation(fp1):

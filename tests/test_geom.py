@@ -5,6 +5,7 @@ import pytest
 
 from snspd_pnr import (
     Estimator,
+    GeomMcResult,
     WireGeometry,
     conventional_readout_delay,
     geom_histogram,
@@ -109,3 +110,16 @@ def test_validation(ref_wire):
     with pytest.raises(ValueError):
         geom_histogram(ref_wire, 1, 20_000, 0, np.random.default_rng(0))
     assert Estimator("midrange") is Estimator.MIDRANGE
+
+
+@pytest.mark.parametrize("resamples", [0, 1])
+def test_fewer_than_two_bootstrap_resamples_rejected(ref_wire, resamples):
+    with pytest.raises(ValueError, match="bootstrap_resamples must be >= 2"):
+        geom_mc(ref_wire, [1, 2], 10_000, np.random.default_rng(0), bootstrap_resamples=resamples)
+
+
+def test_result_rejects_nan_spread_or_error():
+    GeomMcResult(((1, 9.6, 0.02),), None, None)
+    for row in ((1, math.nan, 0.02), (1, 9.6, math.nan), (1, 9.6, 0.0)):
+        with pytest.raises(ValueError):
+            GeomMcResult((row,), None, None)

@@ -22,6 +22,7 @@ from scipy.special import erfcx
 from scipy.stats import poisson
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -238,6 +239,37 @@ def mixture_bin_masses(m: MixtureModel, edges) -> np.ndarray:
     mass = cdf[:, 1:] - cdf[:, :-1]
     np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
     return np.maximum(m.weights @ mass, 0.0)
+
+
+def _cdf_partials_grid(mu, sigma, tau, t) -> np.ndarray:
+    """Broadcastable partials of the EMG CDF with respect to (mu, sigma, tau), stacked on axis 0.
+
+    From the kernel's T and phi(u) = exp(-u^2/2) / sqrt(2 pi), with no further erfcx call:
+
+        dF/dmu    = -T / tau
+        dF/dsigma = phi(u) / tau - sigma T / tau^2
+        dF/dtau   = -(T (t - mu - sigma^2 / tau) + sigma phi(u)) / tau^2
+
+    The survival function's partials are these negated.
+    """
+    d_mu = -_emg_grid(mu, sigma, tau, t)[1] / tau
+    phi = np.exp(-0.5 * ((t - mu) / sigma) ** 2) * _INV_SQRT_2PI
+    d_sigma = (phi + sigma * d_mu) / tau
+    d_tau = ((t - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau) / tau
+    return np.stack((d_mu, d_sigma, d_tau))
+
+
+def mixture_bin_mass_partials(m: MixtureModel, edges) -> np.ndarray:
+    """Partials of ``mixture_bin_masses(m, edges)`` with respect to each component's mu, sigma, tau.
+
+    Returns shape (3, n_max, bins): entry [k, i, j] is the derivative of bin j's
+    mass with respect to parameter k (mu, sigma, tau) of component i, the
+    difference of the CDF's partials across the bin times the component weight
+    (both branches of ``mixture_bin_masses`` have these partials).
+    """
+    arr = np.asarray(edges, dtype=np.float64)
+    grid = _cdf_partials_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
+    return m.weights[:, None] * (grid[:, :, 1:] - grid[:, :, :-1])
 
 
 def mixture_moments(m: MixtureModel) -> tuple[float, float]:

@@ -5,8 +5,10 @@ location and width follow the jitter-budget scaling laws.  Everything except
 (delta_mu, sigma_int, tau) is held fixed at independently measured values;
 those three are recovered by minimizing the per-bin Poisson negative
 log-likelihood  sum_i (m_i - c_i ln m_i)  with a derivative-free simplex,
-restarted from multiplicatively perturbed starting points.  Bin masses come
-from analytic CDF differences, never midpoint sampling.
+restarted from multiplicatively perturbed starting points.  Bootstrap errors
+come from multinomial resamples, each refitted by Fisher scoring from the
+optimum with the analytic Jacobian of the bin masses.  Bin masses come from
+analytic CDF differences, never midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
 bootstrap errors, and time-tag ingestion.
@@ -14,7 +16,6 @@ bootstrap errors, and time-tag ingestion.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,12 +24,23 @@ from scipy.optimize import minimize
 from scipy.signal import find_peaks
 
 from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
-from .dist import EmgParams, MixtureModel, PhotonSource, conditioned_poisson_weights, mixture_bin_masses
+from .dist import (
+    EmgParams,
+    MixtureModel,
+    PhotonSource,
+    conditioned_poisson_weights,
+    mixture_bin_mass_partials,
+    mixture_bin_masses,
+)
 from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
 _RESTART_FACTORS = ((1.2, 0.8, 1.2), (0.8, 1.2, 0.8), (1.2, 1.2, 0.8))
 _XATOL = 1e-9
+_REFIT_XTOL = 1e-10
+_REFIT_MAX_ITER = 50
+_NLL_ROUNDING = 1e-14
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
 
 
@@ -70,7 +82,8 @@ class FitResult:
 
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
-    bootstrap refits whose simplex converged (None without a bootstrap);
+    bootstrap refits whose Fisher scoring met its step tolerance within its
+    iteration cap (None without a bootstrap);
     ``covariance_proxy`` is the pseudo-inverse of a finite-difference Hessian
     of the objective, a conditioning diagnostic rather than a calibrated
     covariance.
@@ -97,12 +110,16 @@ class FitResult:
 
 
 def _mixture_law(fp: FixedParams):
-    """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget.
+    """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget,
+    and the Jacobian of that mixture's bin masses in the fit's coordinates.
 
     The budget's laws are evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0
     and tau = 1 (``fp`` has no per-n override table, so the tail scale is the same at
     every n); an evaluation only scales them: mu_n = mu_infinity + delta_mu / n**alpha,
-    sigma_n = sqrt(fixed_n^2 + sigma_int^2), tau_n = tau.
+    sigma_n = sqrt(fixed_n^2 + sigma_int^2), tau_n = tau.  The Jacobian chains the
+    per-component partials through these laws for z = (delta_mu, ln sigma_int, ln tau
+    [, mu_infinity]): dmu_n/ddelta_mu = n**-alpha, dmu_n/dmu_infinity = 1,
+    dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and dtau_n/dln tau = tau_n.
     """
     source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
     n_max, weights = conditioned_poisson_weights(source)
@@ -114,13 +131,21 @@ def _mixture_law(fp: FixedParams):
         sigma = np.sqrt(fixed_var + sigma_int**2)
         return MixtureModel(source, weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
 
-    return mixture
+    def jacobian(mix: MixtureModel, sigma_int, edges, with_mu_infinity: bool) -> np.ndarray:
+        """d(bin masses)/dz of ``mix`` (built at ``sigma_int``), shape (bins, 3 or 4)."""
+        d_mu, d_sigma, d_tau = mixture_bin_mass_partials(mix, edges)
+        cols = [inv_n_alpha @ d_mu, (sigma_int**2 / mix.sigma) @ d_sigma, mix.tau @ d_tau]
+        if with_mu_infinity:
+            cols.append(d_mu.sum(axis=0))
+        return np.column_stack(cols)
+
+    return mixture, jacobian
 
 
 def mixture_from_params(fp: FixedParams, theta, mu_infinity: float | None = None) -> MixtureModel:
     """Build the photon-number mixture for theta = (delta_mu, sigma_int, tau)."""
     delta_mu, sigma_int, tau = (float(v) for v in theta)
-    return _mixture_law(fp)(delta_mu, sigma_int, tau, fp.mu_infinity if mu_infinity is None else mu_infinity)
+    return _mixture_law(fp)[0](delta_mu, sigma_int, tau, fp.mu_infinity if mu_infinity is None else mu_infinity)
 
 
 def predict_histogram(fp: FixedParams, theta, hist: ArrivalHistogram) -> np.ndarray:
@@ -219,6 +244,40 @@ def _fd_hessian(fun, x, rel_step=1e-4):
     return H
 
 
+def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
+    """Minimize the Poisson NLL of ``counts`` by Fisher scoring from ``z``; returns (z, converged).
+
+    ``model(z)`` gives the expected counts m and their Jacobian J = dm/dz, or None
+    outside the objective's domain; ``at_z`` is ``model(z)`` at the start.  Each
+    iteration steps z <- z - I^-1 g with the score g = J^T (1 - c/m) and the expected
+    information I = J^T diag(1/m) J, halving the step while the NLL rises by more than
+    its summation rounding (1e-14 relative).  The refit has converged once every
+    |step_k| <= 1e-10 max(1, |z_k|), within ``max_iter`` iterations.
+    """
+    nll = _poisson_objective(counts)
+    m, J = at_z
+    f = nll(m)
+    for _ in range(max_iter):
+        # a bin whose mass underflows carries no information, and 1/m would overflow
+        inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=m > _SMALLEST_NORMAL)
+        try:
+            step = np.linalg.solve((J * inv_m[:, None]).T @ J, J.T @ (1.0 - counts * inv_m))
+        except np.linalg.LinAlgError:
+            return z, False
+        if not np.all(np.isfinite(step)):
+            return z, False
+        tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z))
+        while True:
+            if np.all(np.abs(step) <= tol):
+                return z, True
+            trial = model(z - step)
+            if trial is not None and (f_trial := nll(trial[0])) <= f + _NLL_ROUNDING * abs(f):
+                break
+            step = 0.5 * step
+        z, (m, J), f = z - step, trial, f_trial
+    return z, False
+
+
 def fit_histogram(
     hist: ArrivalHistogram,
     fp: FixedParams,
@@ -235,8 +294,8 @@ def fit_histogram(
     unconstrained.  The simplex is restarted from three +/-20% multiplicative
     perturbations of the starting point and the best optimum wins.
     ``n_bootstrap`` is 0 (no errors) or at least 2 multinomial resamples,
-    each refitted from the optimum.  Deterministic for fixed inputs;
-    bootstrap resampling is seeded.
+    each refitted by Fisher scoring from the optimum (see ``_fisher_refit``).
+    Deterministic for fixed inputs; bootstrap resampling is seeded.
     """
     _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
@@ -247,7 +306,7 @@ def fit_histogram(
     edges = hist.bin_edges
     total = int(hist.total_events)
 
-    mixture = _mixture_law(fp)
+    mixture, jacobian = _mixture_law(fp)
 
     if theta0 is None:
         theta0 = initial_guess(hist, fp)
@@ -258,15 +317,25 @@ def fit_histogram(
     def expected_counts(delta_mu, sigma_int, tau, mu_inf):
         return total * mixture_bin_masses(mixture(delta_mu, sigma_int, tau, mu_inf), edges)
 
-    def objective_z(z, nll):
-        """``nll`` over z = (delta_mu, ln sigma_int, ln tau[, mu_infinity])."""
-        if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
+    def outside(z) -> bool:
+        return abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7
+
+    def nll_z(z):
+        """The objective over z = (delta_mu, ln sigma_int, ln tau[, mu_infinity])."""
+        if outside(z):
             return math.inf
         mu_inf = z[3] if fit_mu_infinity else fp.mu_infinity
         return nll(expected_counts(z[0], math.exp(z[1]), math.exp(z[2]), mu_inf))
 
+    def model_z(z):
+        """Expected counts and their Jacobian in z, or None where ``nll_z`` is infinite by fiat."""
+        if outside(z):
+            return None
+        sigma_int = math.exp(z[1])
+        mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
+        return total * mixture_bin_masses(mix, edges), total * jacobian(mix, sigma_int, edges, fit_mu_infinity)
+
     nll = _poisson_objective(counts)
-    nll_z = functools.partial(objective_z, nll=nll)
 
     z0 = [dmu0, math.log(s0), math.log(t0)]
     if fit_mu_infinity:
@@ -313,16 +382,12 @@ def fit_histogram(
         p = counts / counts.sum()
         draws = np.empty((n_bootstrap, len(theta_hat)))
         boot_converged = 0
-        fatol_b = 1e-8 * max(1.0, abs(best.fun))
+        at_hat = model_z(z_hat)
         for b in range(n_bootstrap):
             c_b = rng.multinomial(total, p).astype(np.float64)
-            nll_b = functools.partial(objective_z, nll=_poisson_objective(c_b))
-            rb = _simplex(nll_b, z_hat, 1e-6, fatol_b, maxiter=2000)
-            boot_converged += bool(rb.success)
-            row = [rb.x[0], math.exp(rb.x[1]), math.exp(rb.x[2])]
-            if fit_mu_infinity:
-                row.append(rb.x[3])
-            draws[b] = row
+            z_b, ok = _fisher_refit(model_z, c_b, z_hat, at_hat)
+            boot_converged += ok
+            draws[b] = [z_b[0], math.exp(z_b[1]), math.exp(z_b[2])] + ([z_b[3]] if fit_mu_infinity else [])
         boot_errors = tuple(float(v) for v in draws.std(axis=0, ddof=1))
 
     return FitResult(

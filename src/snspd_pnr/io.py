@@ -38,12 +38,20 @@ class TimeTagTable:
         return self.edge_ps - self.trigger_ps
 
 
-def _parse_header(line: str, lineno: int) -> tuple[str, str]:
+def _read_header(line: str, lineno: int, n_bar: float | None) -> float | None:
+    """Apply one ``# key=value`` header; returns n_bar, replaced if the header sets it."""
     body = line.lstrip("#").strip()
     if "=" not in body:
         raise ValueError(f"line {lineno}: malformed header {line.strip()!r}")
-    key, value = body.split("=", 1)
-    return key.strip(), value.strip()
+    key, value = (part.strip() for part in body.split("=", 1))
+    if key == "n_bar":
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"line {lineno}: n_bar is not a number: {value!r}") from None
+    if key == "unit" and value != "ps":
+        raise ValueError(f"line {lineno}: unsupported unit {value!r}, expected ps")
+    return n_bar
 
 
 def read_time_tags(path) -> TimeTagTable:
@@ -57,14 +65,7 @@ def read_time_tags(path) -> TimeTagTable:
             if not line:
                 continue
             if line.startswith("#"):
-                key, value = _parse_header(line, lineno)
-                if key == "n_bar":
-                    try:
-                        n_bar = float(value)
-                    except ValueError:
-                        raise ValueError(f"line {lineno}: n_bar is not a number: {value!r}") from None
-                elif key == "unit" and value != "ps":
-                    raise ValueError(f"line {lineno}: unsupported unit {value!r}, expected ps")
+                n_bar = _read_header(line, lineno, n_bar)
                 continue
             if line == TAG_COLUMNS:
                 continue
@@ -107,11 +108,7 @@ def read_histogram_csv(path) -> ArrivalHistogram:
             if not line:
                 continue
             if line.startswith("#"):
-                key, value = _parse_header(line, lineno)
-                if key == "n_bar":
-                    n_bar = float(value)
-                elif key == "unit" and value != "ps":
-                    raise ValueError(f"line {lineno}: unsupported unit {value!r}, expected ps")
+                n_bar = _read_header(line, lineno, n_bar)
                 continue
             if line == HIST_COLUMNS:
                 continue

@@ -210,6 +210,14 @@ def test_fit_corrupt_row_reports_line(runner, config_path, tag_file, tmp_path):
     assert "line 7" in out_text(result)
 
 
+def test_fit_histogram_bad_nbar_header_reports_line(runner, config_path, tmp_path):
+    bad = tmp_path / "hist.csv"
+    bad.write_text("# unit=ps\n# n_bar=abc\nbin_center_ps,count\n1,5\n3,7\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", str(bad), "-c", config_path, "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2
+    assert "line 2: n_bar is not a number" in out_text(result)
+
+
 def test_fit_missing_file_exit_3(runner, config_path, tmp_path):
     result = runner.invoke(
         main, ["fit", str(tmp_path / "nope.csv"), "-c", config_path, "-o", str(tmp_path / "o")]

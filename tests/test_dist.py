@@ -23,7 +23,8 @@ from snspd_pnr import (
     mixture_moments,
     mixture_pdf,
 )
-from snspd_pnr.dist import _cdf_sf_grid
+from snspd_pnr.dist import _cdf_partials_grid, _cdf_sf_grid, mixture_bin_mass_partials
+from snspd_pnr.fit import _mixture_law
 
 mpmath.mp.dps = 50
 
@@ -39,6 +40,13 @@ def cdf_mp(t, mu, sigma, tau):
     u = (t - mu) / sigma
     r = sigma / tau
     return mpmath.ncdf(u) - mpmath.exp(r * r / 2 - u * r) * mpmath.ncdf(u - r)
+
+
+def sf_mp(t, mu, sigma, tau):
+    t, mu, sigma, tau = (mpmath.mpf(v) for v in (t, mu, sigma, tau))
+    u = (t - mu) / sigma
+    r = sigma / tau
+    return mpmath.ncdf(-u) + mpmath.exp(r * r / 2 - u * r) * mpmath.ncdf(u - r)
 
 
 def mixture_of(source, comps, weights):
@@ -159,6 +167,73 @@ def test_mixture_bin_masses_match_per_component_differences():
     got = mixture_bin_masses(m, edges)
     assert np.all(got > 0.0)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_cdf_partials_match_high_precision_in_both_tails():
+    # mu = 0 and sigma = 1 as in the kernel oracle; the oracle differentiates the
+    # CDF left of the median and minus the survival function right of it, where
+    # a 50-digit CDF would round its change away
+    us = np.linspace(-35.0, 40.0, 31)
+    taus = 1.0 / np.geomspace(0.05, 30.0, 7)
+    got = _cdf_partials_grid(0.0, 1.0, taus[:, None], us[None, :])
+    assert got.shape == (3, taus.size, us.size) and np.all(np.isfinite(got))
+    checked = {True: 0, False: 0}
+    for i, tau in enumerate(taus):
+        for j, u in enumerate(us):
+            um, tm = mpmath.mpf(float(u)), mpmath.mpf(float(tau))
+            f = cdf_mp if u <= 0.0 else (lambda *a: -sf_mp(*a))
+            want = (
+                mpmath.diff(lambda x: f(um, x, 1, tm), 0),
+                mpmath.diff(lambda x: f(um, 0, x, tm), 1),
+                mpmath.diff(lambda x: f(um, 0, 1, x), tm),
+            )
+            # each partial is a sum of two terms; its error is judged against their sizes
+            cross = mpmath.exp(1 / (2 * tm * tm) - um / tm) * mpmath.ncdf(um - 1 / tm) / tm
+            phi = mpmath.npdf(um) / tm
+            scale = (cross, phi + cross / tm, (abs(cross * (um - 1 / tm)) + phi) / tm)
+            for k in range(3):
+                if scale[k] > 1e-300:
+                    assert abs(got[k, i, j] - want[k]) <= 1e-12 * scale[k], (k, u, tau, got[k, i, j], float(want[k]))
+                    checked[bool(1.0 / tau > u)] += 1
+    assert checked[True] > 100 and checked[False] > 100
+
+
+def test_bin_mass_partials_match_central_differences():
+    m = mixture_of(PhotonSource(1.0), (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0)), np.array([0.7, 0.3]))
+    edges = np.linspace(-10.0, 30.0, 81)
+    got = mixture_bin_mass_partials(m, edges)
+    assert got.shape == (3, 2, 80)
+    h = 1e-5
+    for k, name in enumerate(("mu", "sigma", "tau")):
+        for i in range(2):
+            arrays = {a: getattr(m, a).copy() for a in ("mu", "sigma", "tau")}
+            arrays[name][i] += h
+            up = mixture_bin_masses(MixtureModel(m.source, m.weights, **arrays), edges)
+            arrays[name][i] -= 2.0 * h
+            down = mixture_bin_masses(MixtureModel(m.source, m.weights, **arrays), edges)
+            fd = (up - down) / (2.0 * h)
+            assert np.max(np.abs(got[k, i] - fd)) <= 1e-8 * np.max(np.abs(got[k, i])), (name, i)
+
+
+@pytest.mark.parametrize(
+    "n_bar,theta,mu_infinity",
+    [(3.0, (289.0, 6.0, 6.0), 144.0), (3.0, (250.3, 3.7, 9.1), 140.0), (1.0, (300.0, 0.5, 2.0), 150.0)],
+)
+def test_fit_jacobian_matches_central_differences(make_fixed_params, n_bar, theta, mu_infinity):
+    # the chain through the scaling laws, in the fit's z = (delta_mu, ln sigma_int, ln tau, mu_infinity)
+    mixture, jacobian = _mixture_law(make_fixed_params(n_bar))
+    edges = np.arange(100.0, 701.0, 2.0)
+
+    def masses(z):
+        return mixture_bin_masses(mixture(z[0], math.exp(z[1]), math.exp(z[2]), z[3]), edges)
+
+    z = np.array([theta[0], math.log(theta[1]), math.log(theta[2]), mu_infinity])
+    got = jacobian(mixture(*theta, mu_infinity), theta[1], edges, True)
+    assert got.shape == (edges.size - 1, 4)
+    assert np.array_equal(jacobian(mixture(*theta, mu_infinity), theta[1], edges, False), got[:, :3])
+    h = 1e-4
+    fd = np.column_stack([(masses(z + h * e) - masses(z - h * e)) / (2.0 * h) for e in np.eye(4)])
+    assert np.all(np.max(np.abs(got - fd), axis=0) <= 2e-8 * np.max(np.abs(got), axis=0))
 
 
 def test_sampling_ks_and_moments():

@@ -1,8 +1,11 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import minimize
 
 import snspd_pnr.fit
 from snspd_pnr import (
@@ -22,6 +25,7 @@ from snspd_pnr import (
     mu_scaling,
     poisson_nll,
     predict_histogram,
+    read_histogram_csv,
     sigma_total,
     tau_at,
     total_width,
@@ -191,6 +195,66 @@ def test_bootstrap_reports_converged_refits(rt_hist, fp1, rt_fit):
     assert rt_fit.bootstrap_converged is None
 
 
+@pytest.mark.parametrize("fit_mu_infinity", [False, True])
+def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinity, monkeypatch):
+    # every bootstrap refit is redone here by Nelder-Mead on the public objective,
+    # from the same optimum the Fisher-scoring refit started from
+    seen = []
+    real = snspd_pnr.fit._fisher_refit
+
+    def spy(model, counts, z, at_z, **kwargs):
+        out = real(model, counts, z, at_z, **kwargs)
+        seen.append((counts.copy(), np.array(z), out))
+        return out
+
+    theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.fit, "_fisher_refit", spy)
+        res = fit_histogram(rt_hist, fp1, theta0=theta_hat, fit_mu_infinity=fit_mu_infinity,
+                            n_bootstrap=5, bootstrap_seed=3)
+    assert len(seen) == 5 and res.bootstrap_converged == 5
+
+    def theta_of(z):
+        return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])
+
+    def nll(z, counts):
+        fp = dataclasses.replace(fp1, mu_infinity=z[3]) if fit_mu_infinity else fp1
+        return poisson_nll(counts, predict_histogram(fp, theta_of(z)[:3], rt_hist))
+
+    for counts, z_hat, (z_fisher, converged) in seen:
+        assert converged
+        simplex = minimize(nll, z_hat, args=(counts,), method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-9, "maxiter": 20_000, "maxfev": 20_000})
+        assert simplex.success
+        gap = np.abs(theta_of(z_fisher) - theta_of(simplex.x))
+        assert np.all(gap <= 1e-3 * np.array(res.bootstrap_errors)), gap
+        assert nll(z_fisher, counts) <= simplex.fun + 1e-6
+
+
+def test_refit_held_to_one_iteration_is_not_converged(rt_hist, fp1, rt_fit, monkeypatch):
+    theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
+    capped = functools.partial(snspd_pnr.fit._fisher_refit, max_iter=1)
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.fit, "_fisher_refit", capped)
+        res = fit_histogram(rt_hist, fp1, theta0=theta_hat, n_bootstrap=4, bootstrap_seed=5)
+    assert res.bootstrap_converged == 0
+    assert all(e > 0.0 for e in res.bootstrap_errors)
+
+
+def test_bootstrap_on_empty_far_bins_whose_mass_underflows(rt_hist, fp1, rt_fit):
+    # 400 empty 2 ps bins padded on the left: the model's mass underflows to 0 or a
+    # subnormal there, which the refits' 1/m must not turn into inf or NaN
+    pad = 400
+    edges = np.concatenate([rt_hist.bin_edges[0] - 2.0 * np.arange(pad, 0, -1), rt_hist.bin_edges])
+    counts = np.concatenate([np.zeros(pad, dtype=np.int64), rt_hist.counts])
+    padded = ArrivalHistogram(edges, counts, rt_hist.total_events, rt_hist.mean_photon_number)
+    theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
+    assert np.any(predict_histogram(fp1, theta_hat, padded)[:pad] < np.finfo(np.float64).tiny)
+    res = fit_histogram(padded, fp1, theta0=theta_hat, n_bootstrap=4, bootstrap_seed=1)
+    assert res.converged and res.bootstrap_converged == 4
+    assert all(0.0 < e < 1.0 for e in res.bootstrap_errors)
+
+
 def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monkeypatch):
     seen = []
 
@@ -317,3 +381,17 @@ def test_ingest_reports_line_numbers(tmp_path):
     path.write_text("# unit=ps\ntrigger_ps,edge_ps\n1000,410\n0,420\n", encoding="utf-8")
     with pytest.warns(UserWarning, match="monotonically"):
         ingest_time_tags(path)
+
+
+def test_bad_nbar_header_reports_line(tmp_path):
+    rows = "bin_center_ps,count\n1,5\n3,7\n"
+    path = tmp_path / "hist.csv"
+    path.write_text("# unit=ps\n# n_bar=abc\n" + rows, encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2: n_bar is not a number"):
+        read_histogram_csv(path)
+    path.write_text("# n_bar=2.5\n" + rows, encoding="utf-8")
+    assert read_histogram_csv(path).mean_photon_number == 2.5
+    tags = tmp_path / "tags.csv"
+    tags.write_text("# n_bar=abc\ntrigger_ps,edge_ps\n0,410\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 1: n_bar is not a number"):
+        ingest_time_tags(tags)

@@ -8,16 +8,16 @@ electrical-noise, instrumentation, optical, geometric, and intrinsic terms:
 
 Noise scales as 1/n**rise_scaling_exponent through the slew rate of the
 rising edge, the geometric term empirically as 1/n**geom_exponent;
-instrumentation and optical terms are n-independent, and the intrinsic term
-and exponential tail are n-independent by default but accept per-n override
-tables for exploring residual dependence.  Units: ps, mV, mV/ps.
+instrumentation, optical and intrinsic terms and the exponential tail are
+n-independent.  The same exponent sets the peak locations,
+mu_infinity + delta_mu / n**rise_scaling_exponent, so it has its one home
+here.  Units: ps, mV, mV/ps.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 
 def _check_n(n) -> int:
@@ -40,8 +40,6 @@ class JitterBudget:
     sigma_geom_1: float      # geometric jitter at n=1, ps
     geom_exponent: float = 0.75
     rise_scaling_exponent: float = 0.5
-    sigma_int_overrides: Mapping[int, float] | None = None
-    tau_overrides: Mapping[int, float] | None = None
 
     def __post_init__(self) -> None:
         for name in ("sigma_inst", "sigma_opt", "sigma_int", "sigma_elec", "sigma_geom_1"):
@@ -56,9 +54,6 @@ class JitterBudget:
             raise ValueError("geom_exponent must be in (0, 1.5]")
         if not (0.3 <= self.rise_scaling_exponent <= 0.5):
             raise ValueError("rise_scaling_exponent must be in [0.3, 0.5]")
-        for table in (self.sigma_int_overrides, self.tau_overrides):
-            if table is not None and any(v <= 0.0 for v in table.values()):
-                raise ValueError("override values must be positive")
 
 
 def sigma_noise(b: JitterBudget, n) -> float:
@@ -73,19 +68,9 @@ def sigma_geom(b: JitterBudget, n) -> float:
     return b.sigma_geom_1 / n**b.geom_exponent
 
 
-def sigma_int_at(b: JitterBudget, n) -> float:
-    """Intrinsic jitter at photon number n (override table wins when set)."""
-    n = _check_n(n)
-    if b.sigma_int_overrides is not None and n in b.sigma_int_overrides:
-        return float(b.sigma_int_overrides[n])
-    return b.sigma_int
-
-
 def tau_at(b: JitterBudget, n) -> float:
-    """Exponential tail scale at photon number n (override table wins when set)."""
-    n = _check_n(n)
-    if b.tau_overrides is not None and n in b.tau_overrides:
-        return float(b.tau_overrides[n])
+    """Exponential tail scale at photon number n, ps (the same at every n)."""
+    _check_n(n)
     return b.tau
 
 
@@ -97,7 +82,7 @@ def sigma_total(b: JitterBudget, n) -> float:
         + b.sigma_inst**2
         + b.sigma_opt**2
         + sigma_geom(b, n) ** 2
-        + sigma_int_at(b, n) ** 2
+        + b.sigma_int**2
     )
 
 
@@ -105,43 +90,3 @@ def mu_scaling(mu_infinity: float, delta_mu: float, n, exponent: float = 0.5) ->
     """Component location mu_infinity + delta_mu / n**exponent, ps."""
     n = _check_n(n)
     return mu_infinity + delta_mu / n**exponent
-
-
-def mu_n(det, n) -> float:
-    """Component location for a detector configuration.
-
-    ``det`` is any object exposing ``mu_infinity``, ``delta_mu`` and
-    ``rise_scaling_exponent`` (a pulse.DetectorConfig in practice).
-    """
-    return mu_scaling(det.mu_infinity, det.delta_mu, n, det.rise_scaling_exponent)
-
-
-@dataclass(frozen=True)
-class SameSiteModel:
-    """Delay of multi-photon absorption at a single site vs deposited energy.
-
-    The extra delay falls off as the inverse of the energy margin above the
-    detection threshold: delay = delay_scale / (n * photon_energy - threshold_energy).
-    Energy units cancel as long as both energies use the same unit.
-    """
-
-    photon_energy: float
-    threshold_energy: float
-    delay_scale: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.photon_energy) and self.photon_energy > 0.0):
-            raise ValueError("photon_energy must be positive")
-        if not (math.isfinite(self.threshold_energy) and self.threshold_energy >= 0.0):
-            raise ValueError("threshold_energy must be finite and >= 0")
-        if not (math.isfinite(self.delay_scale) and self.delay_scale > 0.0):
-            raise ValueError("delay_scale must be positive")
-
-
-def same_site_delay(m: SameSiteModel, n) -> float:
-    """Same-site detection delay for n photons, ps."""
-    n = _check_n(n)
-    margin = n * m.photon_energy - m.threshold_energy
-    if margin <= 0.0:
-        raise ValueError("fluctuation-assisted regime: deposited energy at or below threshold is out of model scope")
-    return m.delay_scale / margin

@@ -250,19 +250,8 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
     if n_bar is None:
         _fail(EXIT_CONFIG, "mean photon number required (--n-bar, config.fit.n_bar, or a '# n_bar=' header)")
 
-    b = cfg.budget
     try:
-        fp = FixedParams(
-            sigma_inst=b.sigma_inst,
-            sigma_opt=b.sigma_opt,
-            sigma_elec=b.sigma_elec,
-            slew_rate_1=b.slew_rate_1,
-            sigma_geom_1=b.sigma_geom_1,
-            mu_infinity=cfg.detector.mu_infinity,
-            n_bar=float(n_bar),
-            geom_exponent=b.geom_exponent,
-            rise_scaling_exponent=b.rise_scaling_exponent,
-        )
+        fp = FixedParams.from_budget(cfg.budget, cfg.detector.mu_infinity, float(n_bar))
         result = fit_histogram(
             hist,
             fp,

@@ -20,6 +20,7 @@ Units follow the library conventions: ps, mV, mV/ps, nH, Ohm, um, um/ps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -136,7 +137,6 @@ def _build_detector(data: Any, path: str) -> DetectorConfig:
         "rise_time_1",
         "load_resistance",
         "domain_growth_rate",
-        "rise_scaling_exponent",
         "wire",
         "grid",
     }
@@ -150,7 +150,6 @@ def _build_detector(data: Any, path: str) -> DetectorConfig:
         rise_time_1=_number(d, "rise_time_1", path),
         load_resistance=_number(d, "load_resistance", path, 50.0),
         domain_growth_rate=_number(d, "domain_growth_rate", path, None),
-        rise_scaling_exponent=_number(d, "rise_scaling_exponent", path, 0.5),
         wire=_build_wire(d["wire"], f"{path}.wire") if "wire" in d else None,
         grid=_build_grid(d["grid"], f"{path}.grid") if "grid" in d else None,
     )
@@ -196,14 +195,19 @@ def _build_fit(data: Any, path: str) -> FitSettings:
         ):
             raise ConfigError(f"{path}.theta0: expected a list of three numbers")
         theta0 = (float(raw[0]), float(raw[1]), float(raw[2]))
+        if not (theta0[1] > 0.0 and theta0[2] > 0.0):
+            raise ConfigError(f"{path}.theta0: sigma_int and tau must be positive, got {raw}")
     n_bootstrap = _integer(d, "n_bootstrap", path, 0)
     if n_bootstrap < 0 or n_bootstrap == 1:
         raise ConfigError(f"{path}.n_bootstrap: must be 0 or >= 2, got {n_bootstrap}")
+    bin_width = _number(d, "bin_width", path, 2.0)
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise ConfigError(f"{path}.bin_width: must be positive, got {bin_width}")
     return FitSettings(
         n_bar=_number(d, "n_bar", path, None),
         theta0=theta0,
         n_bootstrap=n_bootstrap,
-        bin_width=_number(d, "bin_width", path, 2.0),
+        bin_width=bin_width,
         fit_mu_infinity=_boolean(d, "fit_mu_infinity", path, False),
     )
 
@@ -256,12 +260,6 @@ def load_config(path) -> RunConfig:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    # the simulator places peaks with the detector's exponent, fit and sweep
-    # model them with the budget's; a run is only consistent when they agree
-    det_alpha, budget_alpha = cfg.detector.rise_scaling_exponent, cfg.budget.rise_scaling_exponent
-    if det_alpha != budget_alpha:
-        raise ConfigError(
-            f"config.budget.rise_scaling_exponent: {budget_alpha} contradicts "
-            f"config.detector.rise_scaling_exponent {det_alpha}; both set the same exponent"
-        )
+    if cfg.sim is not None and cfg.sim.merge_model == MergeModel.OCCUPIED_ELEMENTS and cfg.detector.grid is None:
+        raise ConfigError(f"config.sim.merge_model: {cfg.sim.merge_model!r} needs config.detector.grid")
     return cfg

@@ -71,6 +71,12 @@ class FixedParams:
         # remaining range checks are delegated to JitterBudget
         self.jitter_budget(1.0, 1.0)
 
+    @classmethod
+    def from_budget(cls, budget: JitterBudget, mu_infinity: float, n_bar: float) -> "FixedParams":
+        """The fixed terms of ``budget`` (all but sigma_int and tau) for a source of mean ``n_bar``."""
+        return cls(budget.sigma_inst, budget.sigma_opt, budget.sigma_elec, budget.slew_rate_1, budget.sigma_geom_1,
+                   mu_infinity, n_bar, budget.geom_exponent, budget.rise_scaling_exponent)
+
     def jitter_budget(self, sigma_int: float, tau: float) -> JitterBudget:
         return JitterBudget(self.sigma_inst, self.sigma_opt, sigma_int, tau, self.sigma_elec, self.slew_rate_1,
                             self.sigma_geom_1, self.geom_exponent, self.rise_scaling_exponent)
@@ -113,13 +119,15 @@ def _mixture_law(fp: FixedParams):
     """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget,
     and the Jacobian of that mixture's bin masses in the fit's coordinates.
 
-    The budget's laws are evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0
-    and tau = 1 (``fp`` has no per-n override table, so the tail scale is the same at
-    every n); an evaluation only scales them: mu_n = mu_infinity + delta_mu / n**alpha,
-    sigma_n = sqrt(fixed_n^2 + sigma_int^2), tau_n = tau.  The Jacobian chains the
-    per-component partials through these laws for z = (delta_mu, ln sigma_int, ln tau
-    [, mu_infinity]): dmu_n/ddelta_mu = n**-alpha, dmu_n/dmu_infinity = 1,
-    dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and dtau_n/dln tau = tau_n.
+    This is the one photon-number model of the package: the fit and the sweep evaluate
+    it, and ``sim.simulate_tags`` draws its events from it.  The budget's laws are
+    evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0 and tau = 1 (the tail
+    scale is the same at every n); an evaluation only scales them:
+    mu_n = mu_infinity + delta_mu / n**alpha, sigma_n = sqrt(fixed_n^2 + sigma_int^2),
+    tau_n = tau.  The Jacobian chains the per-component partials through these laws for
+    z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]): dmu_n/ddelta_mu = n**-alpha,
+    dmu_n/dmu_infinity = 1, dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and
+    dtau_n/dln tau = tau_n.
     """
     source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
     n_max, weights = conditioned_poisson_weights(source)

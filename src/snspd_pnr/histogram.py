@@ -49,11 +49,7 @@ class ArrivalHistogram:
 
     @classmethod
     def from_events(
-        cls,
-        times,
-        bin_width: float = 2.0,
-        mean_photon_number: float | None = None,
-        t_range: tuple[float, float] | None = None,
+        cls, times, bin_width: float = 2.0, mean_photon_number: float | None = None
     ) -> "ArrivalHistogram":
         """Bin raw event times at ``bin_width`` with edges on a width-aligned grid."""
         t = np.asarray(times, dtype=np.float64)
@@ -63,14 +59,11 @@ class ArrivalHistogram:
             raise ValueError("event times must be finite")
         if bin_width <= 0.0:
             raise ValueError("bin_width must be positive")
-        if t_range is None:
-            lo = math.floor(float(t.min()) / bin_width) * bin_width
-            hi = math.ceil(float(t.max()) / bin_width) * bin_width
-            if hi <= lo:
-                hi = lo + bin_width
-        else:
-            lo, hi = float(t_range[0]), float(t_range[1])
-        n_bins = max(1, int(round((hi - lo) / bin_width)))
+        lo = math.floor(float(t.min()) / bin_width) * bin_width
+        hi = math.ceil(float(t.max()) / bin_width) * bin_width
+        if hi <= lo:
+            hi = lo + bin_width
+        n_bins = int(round((hi - lo) / bin_width))
         edges = lo + bin_width * np.arange(n_bins + 1)
         counts, _ = np.histogram(t, bins=edges)
         return cls(edges, counts, int(counts.sum()), mean_photon_number)

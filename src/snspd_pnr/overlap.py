@@ -58,16 +58,6 @@ def overlap_approx(grid: ElementGrid, n) -> float:
     return float(-math.expm1(-n * (n - 1) / (2.0 * M))) + 0.0  # avoid -0.0 at n = 1
 
 
-def occupied_elements_sample(grid: ElementGrid, n: int, rng: np.random.Generator) -> int:
-    """Number of distinct elements hit by n photons thrown uniformly at random."""
-    if int(n) != n or n < 0:
-        raise ValueError("photon number n must be an integer >= 0")
-    if n == 0:
-        return 0
-    ids = rng.integers(0, grid.element_count, size=int(n))
-    return int(np.unique(ids).size)
-
-
 def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
     """Vectorized occupied-element counts for an array of per-event photon numbers.
 

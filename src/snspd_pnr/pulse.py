@@ -30,7 +30,6 @@ class DetectorConfig:
     rise_time_1: float                    # one-photon rise time, ps
     load_resistance: float = 50.0         # Ohm
     domain_growth_rate: float | None = None  # u, 1/ps^2; derived from rise_time_1 when omitted
-    rise_scaling_exponent: float = 0.5
     wire: WireGeometry | None = None
     grid: ElementGrid | None = None
 
@@ -50,8 +49,6 @@ class DetectorConfig:
             math.isfinite(self.domain_growth_rate) and self.domain_growth_rate > 0.0
         ):
             raise ValueError("domain_growth_rate must be positive")
-        if not (0.3 <= self.rise_scaling_exponent <= 0.5):
-            raise ValueError("rise_scaling_exponent must be in [0.3, 0.5]")
 
 
 def growth_rate(d: DetectorConfig) -> float:
@@ -99,15 +96,16 @@ def bandwidth(d: DetectorConfig) -> float:
 
 
 def rise_time(d: DetectorConfig, n) -> float:
-    """Rise time at photon number n, rise_time_1 / n**rise_scaling_exponent (ps)."""
+    """Rise time at photon number n, rise_time_1 / sqrt(n) like the crossing times (ps)."""
     n = _check_n(n)
-    return d.rise_time_1 / n**d.rise_scaling_exponent
+    return d.rise_time_1 / n**0.5
 
 
 def slew_noise_jitter(d: DetectorConfig, sigma_elec: float, n) -> float:
     """Timing jitter from converting voltage noise through the edge slew rate, ps.
 
-    sigma_elec * rise_time(n) / A == sigma_elec / (slew_rate_1 * n**alpha).
+    sigma_elec * rise_time(n) / A == sigma_elec / (slew_rate_1 * sqrt(n)), the jitter
+    budget's noise term at its default exponent of 0.5.
     """
     if not (math.isfinite(sigma_elec) and sigma_elec >= 0.0):
         raise ValueError("sigma_elec must be finite and >= 0")

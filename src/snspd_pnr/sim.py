@@ -3,9 +3,12 @@
 Each event draws a photon number from the click-conditioned Poisson
 distribution, optionally collapses it to the number of distinct detector
 elements hit (domain-merge model), and draws an arrival time from the EMG
-component of that effective photon number.  Triggers sit on a fixed 9.5 kHz
-comb; the canonical event time is (trigger + arrival) - trigger evaluated in
-float64, so CSV round-trips reproduce in-memory results bit for bit.
+component of that effective photon number.  Weights and components are the
+arrays of ``fit.mixture_from_params`` at the budget's (sigma_int, tau) and the
+detector's delta_mu, the same model the fit and the sweep evaluate.  Triggers
+sit on a fixed 9.5 kHz comb; the canonical event time is (trigger + arrival) -
+trigger evaluated in float64, so CSV round-trips reproduce in-memory results
+bit for bit.
 
 Generation is chunked, and every chunk seeds its own generator from
 (seed, bits(n_bar), chunk_index), so results are identical for any worker
@@ -26,8 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .budget import JitterBudget, mu_n, sigma_total, tau_at
-from .dist import EmgParams, PhotonSource, conditioned_poisson_weights, emg_sample, mixture_moments
+from .budget import JitterBudget
+from .dist import EmgParams, MixtureModel, emg_sample, mixture_moments
 from .fit import FixedParams, _check_bootstrap, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable, write_time_tags
@@ -99,16 +102,16 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _component_params(plan: SimPlan, k: int) -> EmgParams:
-    return EmgParams(
-        mu_n(plan.detector, k), sigma_total(plan.budget, k), tau_at(plan.budget, k)
-    )
+def _plan_mixture(plan: SimPlan, n_bar: float) -> MixtureModel:
+    """The unmerged photon-number mixture of ``plan`` at ``n_bar``."""
+    fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
+    return mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
 
 
-def _generate_chunk(plan: SimPlan, n_bar: float, ns_values, weights, chunk_index: int, start: int, count: int):
+def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, start: int, count: int):
     seed_seq = np.random.SeedSequence((plan.seed, _nbar_entropy(n_bar), chunk_index))
     rng = np.random.default_rng(seed_seq)
-    ns = rng.choice(ns_values, size=count, p=weights)
+    ns = rng.choice(np.arange(1, mix.n_max + 1), size=count, p=mix.weights)
     if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
         ks = occupied_element_counts(plan.detector.grid, ns, rng)
     else:
@@ -116,7 +119,7 @@ def _generate_chunk(plan: SimPlan, n_bar: float, ns_values, weights, chunk_index
     arrivals = np.empty(count)
     for k in np.unique(ks):
         idx = np.nonzero(ks == k)[0]
-        arrivals[idx] = emg_sample(_component_params(plan, int(k)), rng, idx.size)
+        arrivals[idx] = emg_sample(EmgParams(mix.mu[k - 1], mix.sigma[k - 1], mix.tau[k - 1]), rng, idx.size)
     trigger = (start + np.arange(count, dtype=np.float64)) * TRIGGER_PERIOD_PS
     edge = trigger + arrivals
     return ns, ks, trigger, edge
@@ -127,9 +130,7 @@ def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     threads = _thread_count()
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
-        source = PhotonSource(n_bar)
-        n_max, weights = conditioned_poisson_weights(source)
-        ns_values = np.arange(1, n_max + 1)
+        mix = _plan_mixture(plan, n_bar)
         total = plan.events_per_source
         chunks = []
         start = 0
@@ -140,9 +141,9 @@ def simulate_tags(plan: SimPlan) -> list[SourceTags]:
             index += 1
             start += count
 
-        def run(chunk, _n_bar=n_bar, _ns=ns_values, _w=weights):
+        def run(chunk, _n_bar=n_bar, _mix=mix):
             ci, st, m = chunk
-            return _generate_chunk(plan, _n_bar, _ns, _w, ci, st, m)
+            return _generate_chunk(plan, _n_bar, _mix, ci, st, m)
 
         if threads > 1 and len(chunks) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -192,9 +193,9 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0, n_bootstrap: int = 
     """Simulated histogram width vs n_bar alongside the analytic mixture width.
 
     The analytic column evaluates the law of total variance for the mixture
-    built from the plan's budget (sigma_int, tau) and detector (delta_mu)
-    without merging, so it is the merge-off reference curve.  ``n_bootstrap``
-    is 0 (errors reported as 0) or at least 2.
+    the simulator draws from, before merging, so it is the merge-off
+    reference curve.  ``n_bootstrap`` is 0 (errors reported as 0) or at
+    least 2.
     """
     _check_bootstrap(n_bootstrap)
     tags = simulate_tags(plan)
@@ -205,18 +206,6 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0, n_bootstrap: int = 
             np.random.SeedSequence((plan.seed, _nbar_entropy(st.n_bar), _SWEEP_STREAM))
         )
         sigma_hist, sigma_err = total_width(hist, n_bootstrap=n_bootstrap, rng=rng)
-        fp = FixedParams(
-            sigma_inst=plan.budget.sigma_inst,
-            sigma_opt=plan.budget.sigma_opt,
-            sigma_elec=plan.budget.sigma_elec,
-            slew_rate_1=plan.budget.slew_rate_1,
-            sigma_geom_1=plan.budget.sigma_geom_1,
-            mu_infinity=plan.detector.mu_infinity,
-            n_bar=st.n_bar,
-            geom_exponent=plan.budget.geom_exponent,
-            rise_scaling_exponent=plan.budget.rise_scaling_exponent,
-        )
-        mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
-        _, sigma_model = mixture_moments(mix)
+        _, sigma_model = mixture_moments(_plan_mixture(plan, st.n_bar))
         rows.append(SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model))
     return rows

@@ -40,7 +40,7 @@ from snspd_pnr import (
     geom_sigma_analytic,
     mixture_from_params,
     mixture_moments,
-    mu_n,
+    mu_scaling,
     occupied_element_counts,
     overlap_approx,
     overlap_exact,
@@ -171,9 +171,9 @@ def test_criterion_3_overlap_probabilities():
 
 def test_criterion_4_scaling_laws(ref_detector, ref_budget):
     mu_err = max(
-        abs(mu_n(ref_detector, 1) - 433.0),
-        abs(mu_n(ref_detector, 2) - 348.35),
-        abs(mu_n(ref_detector, 3) - 310.86),
+        abs(mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, 1) - 433.0),
+        abs(mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, 2) - 348.35),
+        abs(mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, 3) - 310.86),
     )
     mu_ok = mu_err < 0.01
 

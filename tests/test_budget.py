@@ -4,15 +4,10 @@ import pytest
 
 from snspd_pnr import (
     JitterBudget,
-    SameSiteModel,
-    mu_n,
     mu_scaling,
-    same_site_delay,
     sigma_geom,
-    sigma_int_at,
     sigma_noise,
     sigma_total,
-    tau_at,
 )
 
 
@@ -40,7 +35,7 @@ def test_rss_composition(ref_budget):
             + ref_budget.sigma_inst**2
             + ref_budget.sigma_opt**2
             + sigma_geom(ref_budget, n) ** 2
-            + sigma_int_at(ref_budget, n) ** 2
+            + ref_budget.sigma_int**2
         )
         assert sigma_total(ref_budget, n) == pytest.approx(want, rel=1e-14)
 
@@ -58,10 +53,13 @@ def test_width_strictly_decreasing(ref_budget):
 
 
 def test_mean_location_reference(ref_detector):
-    assert mu_n(ref_detector, 1) == pytest.approx(433.0, rel=1e-14)
-    assert mu_n(ref_detector, 2) == pytest.approx(144.0 + 289.0 / math.sqrt(2.0), rel=1e-14)
-    assert mu_n(ref_detector, 2) == pytest.approx(348.3538597629122, rel=1e-12)
-    assert mu_n(ref_detector, 3) == pytest.approx(310.8542277958019, rel=1e-12)
+    def mu_n(n):
+        return mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, n)
+
+    assert mu_n(1) == pytest.approx(433.0, rel=1e-14)
+    assert mu_n(2) == pytest.approx(144.0 + 289.0 / math.sqrt(2.0), rel=1e-14)
+    assert mu_n(2) == pytest.approx(348.3538597629122, rel=1e-12)
+    assert mu_n(3) == pytest.approx(310.8542277958019, rel=1e-12)
 
 
 def test_mean_location_exponent():
@@ -69,29 +67,6 @@ def test_mean_location_exponent():
         144.0 + 289.0 / 2.0**0.3, rel=1e-14
     )
     assert mu_scaling(100.0, 0.0, 5) == pytest.approx(100.0)
-
-
-def test_overrides_replace_single_n(ref_budget):
-    b = JitterBudget(
-        sigma_inst=3.0,
-        sigma_opt=1.0,
-        sigma_int=6.0,
-        tau=6.0,
-        sigma_elec=4.9,
-        slew_rate_1=1.08,
-        sigma_geom_1=9.0,
-        sigma_int_overrides={2: 5.5},
-        tau_overrides={3: 7.25},
-    )
-    assert sigma_int_at(b, 1) == 6.0
-    assert sigma_int_at(b, 2) == 5.5
-    assert sigma_int_at(b, 3) == 6.0
-    assert tau_at(b, 3) == 7.25
-    assert tau_at(b, 2) == 6.0
-    base = sigma_total(ref_budget, 2)
-    assert sigma_total(b, 2) == pytest.approx(
-        math.sqrt(base**2 - 36.0 + 5.5**2), rel=1e-14
-    )
 
 
 def test_validation():
@@ -120,20 +95,3 @@ def test_validation():
     for bad_n in (0, -1, 1.5, True):
         with pytest.raises(ValueError):
             sigma_total(b, bad_n)
-
-
-def test_same_site_delay_scaling():
-    m = SameSiteModel(photon_energy=1.0, threshold_energy=0.5, delay_scale=10.0)
-    assert same_site_delay(m, 1) == pytest.approx(20.0)
-    assert same_site_delay(m, 2) == pytest.approx(10.0 / 1.5)
-    delays = [same_site_delay(m, n) for n in range(1, 10)]
-    assert all(a > b for a, b in zip(delays, delays[1:]))
-
-
-def test_same_site_delay_below_threshold_rejected():
-    m = SameSiteModel(photon_energy=1.0, threshold_energy=2.0, delay_scale=10.0)
-    with pytest.raises(ValueError, match="fluctuation-assisted"):
-        same_site_delay(m, 2)
-    with pytest.raises(ValueError, match="fluctuation-assisted"):
-        same_site_delay(m, 1)
-    assert same_site_delay(m, 3) == 10.0

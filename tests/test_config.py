@@ -68,6 +68,8 @@ def test_minimal_config_defaults(tmp_path):
     [
         (lambda d: d.update(extra=1), "config: unknown keys ['extra']"),
         (lambda d: d["detector"].update(bogus=2), "config.detector: unknown keys"),
+        (lambda d: d["detector"].update(rise_scaling_exponent=0.5),
+         "config.detector: unknown keys ['rise_scaling_exponent']"),
         (lambda d: d["budget"].update(tau_override=1), "config.budget: unknown keys"),
         (lambda d: d["fit"].update(nbar=1), "config.fit: unknown keys"),
         (lambda d: d["sim"].update(thread_count=4), "config.sim: unknown keys"),
@@ -111,23 +113,34 @@ def test_malformed_values_are_rejected(tmp_path, mutate):
         load_config(write(tmp_path, payload))
 
 
+def _merge_without_grid(d):
+    del d["detector"]["grid"]
+    d["sim"]["merge_model"] = "occupied_elements"
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (_merge_without_grid, "config.sim.merge_model"),
+        (lambda d: d["fit"].update(bin_width=-2), "config.fit.bin_width"),
+        (lambda d: d["fit"].update(bin_width=0), "config.fit.bin_width"),
+        (lambda d: d["fit"].update(theta0=[289, 0, 6]), "config.fit.theta0"),
+        (lambda d: d["fit"].update(theta0=[289, 6, -1]), "config.fit.theta0"),
+    ],
+)
+def test_settings_a_command_would_reject_fail_at_load_with_path(tmp_path, mutate, path):
+    payload = json.loads(json.dumps(GOOD))
+    mutate(payload)
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, payload))
+    assert str(info.value).startswith(path + ":")
+
+
 def test_domain_validation_becomes_config_error(tmp_path):
     payload = json.loads(json.dumps(GOOD))
     payload["detector"]["noise_floor"] = 200.0  # above the amplitude
     with pytest.raises(ConfigError, match="noise_floor"):
         load_config(write(tmp_path, payload))
-
-
-def test_contradicting_rise_scaling_exponents_are_rejected(tmp_path):
-    payload = json.loads(json.dumps(GOOD))
-    payload["detector"]["rise_scaling_exponent"] = 0.4
-    payload["budget"]["rise_scaling_exponent"] = 0.5
-    with pytest.raises(ConfigError, match="config.budget.rise_scaling_exponent") as info:
-        load_config(write(tmp_path, payload))
-    assert "0.4" in str(info.value) and "0.5" in str(info.value)
-    payload["budget"]["rise_scaling_exponent"] = 0.4
-    cfg = load_config(write(tmp_path, payload))
-    assert cfg.detector.rise_scaling_exponent == cfg.budget.rise_scaling_exponent == 0.4
 
 
 def test_invalid_json_is_reported(tmp_path):

@@ -73,16 +73,6 @@ def test_slew_noise_jitter_matches_budget(ref_detector, ref_budget):
 def test_rise_time_scaling(ref_detector):
     assert rise_time(ref_detector, 1) == 300.0
     assert rise_time(ref_detector, 4) == pytest.approx(150.0, rel=1e-14)
-    det = DetectorConfig(
-        kinetic_inductance=500.0,
-        amplitude=100.0,
-        noise_floor=10.0,
-        delta_mu=289.0,
-        mu_infinity=144.0,
-        rise_time_1=300.0,
-        rise_scaling_exponent=0.3,
-    )
-    assert rise_time(det, 8) == pytest.approx(300.0 / 8.0**0.3, rel=1e-14)
 
 
 def test_validation(ref_detector):

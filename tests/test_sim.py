@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import snspd_pnr.sim
 from snspd_pnr import (
     EmgParams,
+    FixedParams,
     MergeModel,
     PhotonSource,
     SimPlan,
     conditioned_poisson_weights,
     emg_cdf,
-    mu_n,
+    emg_sample,
+    mixture_from_params,
+    mu_scaling,
     read_time_tags,
     sigma_total,
     simulate_tags,
@@ -59,7 +63,7 @@ def test_stratum_conditional_moments(make_plan, ref_detector, ref_budget):
         sel = tags.photon_number == n
         m = int(sel.sum())
         x = delta[sel]
-        want_mean = mu_n(ref_detector, n) + tau_at(ref_budget, n)
+        want_mean = mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, n) + tau_at(ref_budget, n)
         want_std = math.hypot(sigma_total(ref_budget, n), tau_at(ref_budget, n))
         assert x.mean() == pytest.approx(want_mean, abs=4.5 * want_std / math.sqrt(m))
         assert x.std(ddof=1) == pytest.approx(want_std, rel=0.03)
@@ -70,10 +74,36 @@ def test_low_rate_source_is_single_photon_emg(make_plan, ref_detector, ref_budge
     (tags,) = simulate_tags(plan)
     frac_single = float((tags.photon_number == 1).mean())
     assert frac_single > 0.99
-    p = EmgParams(mu_n(ref_detector, 1), sigma_total(ref_budget, 1), tau_at(ref_budget, 1))
+    p = EmgParams(
+        mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, 1), sigma_total(ref_budget, 1), tau_at(ref_budget, 1)
+    )
     x = tags.delta_ps[tags.photon_number == 1]
     stat = stats.kstest(x, lambda t: emg_cdf(p, t)).statistic
     assert stat < 1.9495 / math.sqrt(x.size)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.4])
+def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, ref_detector, ref_budget,
+                                                                   monkeypatch, alpha):
+    budget = dataclasses.replace(ref_budget, rise_scaling_exponent=alpha)
+    plan = dataclasses.replace(make_plan([3.0], 50_000, seed=13), budget=budget)
+    sampled = []
+
+    def spy(p, rng, count):
+        sampled.append((p.mu, p.sigma, p.tau))
+        return emg_sample(p, rng, count)
+
+    monkeypatch.setattr(snspd_pnr.sim, "emg_sample", spy)
+    (tags,) = simulate_tags(plan)
+    fp = FixedParams.from_budget(budget, ref_detector.mu_infinity, 3.0)
+    mix = mixture_from_params(fp, (ref_detector.delta_mu, budget.sigma_int, budget.tau))
+    drawn = np.unique(tags.component) - 1  # one chunk: components are sampled in ascending n
+    assert tags.photon_number.max() <= mix.n_max
+    assert drawn.size > 5
+    mu, sigma, tau = (np.array(v) for v in zip(*sampled))
+    assert np.array_equal(mu, mix.mu[drawn])
+    assert np.array_equal(sigma, mix.sigma[drawn])
+    assert np.array_equal(tau, mix.tau[drawn])
 
 
 def test_trigger_comb_is_exact(make_plan):
@@ -149,6 +179,15 @@ def test_sweep_width_matches_analytic_curve(make_plan):
     # the analytic curve rises from n_bar=1 to 2 before falling toward the floor
     assert rows[1].sigma_model > rows[0].sigma_model
     assert rows[2].sigma_model < rows[1].sigma_model
+
+
+def test_sweep_model_follows_the_budget_exponent(make_plan, ref_budget):
+    # the exponent has one home, the budget: simulated and analytic widths both follow it
+    budget = dataclasses.replace(ref_budget, rise_scaling_exponent=0.4)
+    plan = dataclasses.replace(make_plan([1.0, 3.0, 10.0], 200_000, seed=42), budget=budget)
+    for row in sweep_total_width(plan, bin_width=2.0, n_bootstrap=50):
+        assert row.sigma_error > 0.0
+        assert abs(row.sigma_hist - row.sigma_model) < 3.0 * row.sigma_error
 
 
 def test_sweep_is_reproducible(make_plan):

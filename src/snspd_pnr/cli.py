@@ -22,10 +22,9 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, RunConfig, load_config
 from .dist import mixture_bin_masses
-from .fit import FixedParams, fit_histogram, mixture_from_params
+from .fit import FixedParams, fit_histogram, ingest_time_tags, mixture_from_params
 from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_histogram, geom_mc, geom_sigma_analytic
-from .histogram import ArrivalHistogram
-from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, read_time_tags, write_histogram_csv
+from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, write_histogram_csv
 from .overlap import ElementGrid, overlap_approx, overlap_exact
 from .pulse import (
     DetectorConfig,
@@ -233,20 +232,14 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
     out = _resolve_out(out_dir, cfg)
     try:
         fmt = _sniff_format(input_file)
-        if fmt == "time_tags":
-            table = read_time_tags(input_file)
-            hist = ArrivalHistogram.from_events(table.delta_ps, cfg.fit.bin_width, table.n_bar)
-            header_n_bar = table.n_bar
-        else:
-            hist = read_histogram_csv(input_file)
-            header_n_bar = hist.mean_photon_number
+        hist = ingest_time_tags(input_file, cfg.fit.bin_width) if fmt == "time_tags" else read_histogram_csv(input_file)
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
     except OSError as exc:
         _fail(EXIT_IO, exc)
 
     if n_bar is None:
-        n_bar = cfg.fit.n_bar if cfg.fit.n_bar is not None else header_n_bar
+        n_bar = cfg.fit.n_bar if cfg.fit.n_bar is not None else hist.mean_photon_number
     if n_bar is None:
         _fail(EXIT_CONFIG, "mean photon number required (--n-bar, config.fit.n_bar, or a '# n_bar=' header)")
 

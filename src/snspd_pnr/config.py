@@ -220,6 +220,11 @@ def _build_sim(data: Any, path: str) -> SimSettings:
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
     ):
         raise ConfigError(f"{path}.n_bar_values: expected a non-empty list of numbers")
+    if not all(math.isfinite(v) and v > 0.0 for v in raw):
+        raise ConfigError(f"{path}.n_bar_values: must be positive and finite, got {raw}")
+    events_per_source = _integer(d, "events_per_source", path)
+    if events_per_source < 1:
+        raise ConfigError(f"{path}.events_per_source: must be >= 1, got {events_per_source}")
     merge = d.get("merge_model", "off")
     try:
         MergeModel(merge)
@@ -229,7 +234,7 @@ def _build_sim(data: Any, path: str) -> SimSettings:
         ) from None
     return SimSettings(
         n_bar_values=tuple(float(v) for v in raw),
-        events_per_source=_integer(d, "events_per_source", path),
+        events_per_source=events_per_source,
         merge_model=str(merge),
     )
 

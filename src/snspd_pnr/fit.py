@@ -4,11 +4,12 @@ The model histogram is a Poisson-weighted EMG mixture whose per-component
 location and width follow the jitter-budget scaling laws.  Everything except
 (delta_mu, sigma_int, tau) is held fixed at independently measured values;
 those three are recovered by minimizing the per-bin Poisson negative
-log-likelihood  sum_i (m_i - c_i ln m_i)  with a derivative-free simplex,
-restarted from multiplicatively perturbed starting points.  Bootstrap errors
-come from multinomial resamples, each refitted by Fisher scoring from the
-optimum with the analytic Jacobian of the bin masses.  Bin masses come from
-analytic CDF differences, never midpoint sampling.
+log-likelihood  sum_i (m_i - c_i ln m_i)  by Marquardt-damped Fisher scoring
+on the analytic Jacobian of the bin masses, run from the starting point and
+from multiplicatively perturbed copies of it.  The covariance is the inverse
+expected information at the optimum.  Bootstrap errors come from multinomial
+resamples, each refitted by the same scoring from the optimum.  Bin masses
+come from analytic CDF differences, never midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
 bootstrap errors, and time-tag ingestion.
@@ -36,10 +37,10 @@ from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
 _RESTART_FACTORS = ((1.2, 0.8, 1.2), (0.8, 1.2, 0.8), (1.2, 1.2, 0.8))
-_XATOL = 1e-9
 _REFIT_XTOL = 1e-10
 _REFIT_MAX_ITER = 50
 _NLL_ROUNDING = 1e-14
+_DAMPING_START = 1e-3
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
 
@@ -86,13 +87,16 @@ class FixedParams:
 class FitResult:
     """Fitted (delta_mu, sigma_int, tau) with diagnostics.
 
+    ``converged`` and ``negative_log_likelihood`` belong to the winning start;
+    ``iterations`` counts the accepted scoring steps of all starts.
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
-    bootstrap refits whose Fisher scoring met its step tolerance within its
+    bootstrap refits whose scoring met its step tolerance within its
     iteration cap (None without a bootstrap);
-    ``covariance_proxy`` is the pseudo-inverse of a finite-difference Hessian
-    of the objective, a conditioning diagnostic rather than a calibrated
-    covariance.
+    ``covariance_proxy`` is I(theta_hat)^-1, the inverse expected information
+    J^T diag(1/m) J of the fitted bin counts m, carried from the fit's log
+    coordinates to (delta_mu, sigma_int, tau[, mu_infinity]): the asymptotic
+    covariance of the maximum-likelihood estimate.
     """
 
     delta_mu: float
@@ -252,38 +256,51 @@ def _fd_hessian(fun, x, rel_step=1e-4):
     return H
 
 
+def _score_and_information(counts, m, J):
+    """The score g = J^T (1 - c/m) and the expected information I = J^T diag(1/m) J."""
+    # a bin whose mass underflows carries no information, and 1/m would overflow
+    inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=m > _SMALLEST_NORMAL)
+    return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
+
+
 def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
-    """Minimize the Poisson NLL of ``counts`` by Fisher scoring from ``z``; returns (z, converged).
+    """Minimize the Poisson NLL of ``counts`` by damped Fisher scoring from ``z``.
 
     ``model(z)`` gives the expected counts m and their Jacobian J = dm/dz, or None
     outside the objective's domain; ``at_z`` is ``model(z)`` at the start.  Each
-    iteration steps z <- z - I^-1 g with the score g = J^T (1 - c/m) and the expected
-    information I = J^T diag(1/m) J, halving the step while the NLL rises by more than
-    its summation rounding (1e-14 relative).  The refit has converged once every
-    |step_k| <= 1e-10 max(1, |z_k|), within ``max_iter`` iterations.
+    iteration steps z <- z - s with (I + lam diag(I)) s = g, from the score and the
+    expected information of ``_score_and_information`` (Marquardt damping).  A trial
+    step is rejected while the NLL rises by more than its summation rounding (1e-14
+    relative) or leaves the domain; each rejection multiplies lam by 10 (from 0 to
+    1e-3) and each accepted step divides it by 10 (back to 0 below 1e-3).  The fit has
+    converged once an undamped step (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|),
+    within ``max_iter`` accepted steps; a damped step that small stops it unconverged.
+    Returns (z, converged, NLL at z, accepted steps).
     """
     nll = _poisson_objective(counts)
     m, J = at_z
     f = nll(m)
-    for _ in range(max_iter):
-        # a bin whose mass underflows carries no information, and 1/m would overflow
-        inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=m > _SMALLEST_NORMAL)
-        try:
-            step = np.linalg.solve((J * inv_m[:, None]).T @ J, J.T @ (1.0 - counts * inv_m))
-        except np.linalg.LinAlgError:
-            return z, False
-        if not np.all(np.isfinite(step)):
-            return z, False
+    lam = 0.0
+    g, info = _score_and_information(counts, m, J)
+    for it in range(max_iter):
         tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z))
         while True:
+            try:
+                step = np.linalg.solve(info + lam * np.diag(np.diag(info)), g)
+            except np.linalg.LinAlgError:
+                return z, False, f, it
+            if not np.all(np.isfinite(step)):
+                return z, False, f, it
             if np.all(np.abs(step) <= tol):
-                return z, True
+                return z, lam == 0.0, f, it
             trial = model(z - step)
             if trial is not None and (f_trial := nll(trial[0])) <= f + _NLL_ROUNDING * abs(f):
                 break
-            step = 0.5 * step
+            lam = max(10.0 * lam, _DAMPING_START)
         z, (m, J), f = z - step, trial, f_trial
-    return z, False
+        g, info = _score_and_information(counts, m, J)
+        lam = lam / 10.0 if lam > _DAMPING_START else 0.0
+    return z, False, f, max_iter
 
 
 def fit_histogram(
@@ -299,11 +316,11 @@ def fit_histogram(
 
     sigma_int and tau are optimized in log space to enforce positivity;
     delta_mu (and mu_infinity in the optional four-parameter mode) is
-    unconstrained.  The simplex is restarted from three +/-20% multiplicative
-    perturbations of the starting point and the best optimum wins.
-    ``n_bootstrap`` is 0 (no errors) or at least 2 multinomial resamples,
-    each refitted by Fisher scoring from the optimum (see ``_fisher_refit``).
-    Deterministic for fixed inputs; bootstrap resampling is seeded.
+    unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from the
+    starting point and from three +/-20% multiplicative perturbations of it, and
+    the start with the lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
+    least 2 multinomial resamples, each refitted by the same scoring from the
+    optimum.  Deterministic for fixed inputs; bootstrap resampling is seeded.
     """
     _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
@@ -322,92 +339,64 @@ def fit_histogram(
     if s0 <= 0.0 or t0 <= 0.0:
         raise ValueError("theta0 sigma_int and tau must be positive")
 
-    def expected_counts(delta_mu, sigma_int, tau, mu_inf):
-        return total * mixture_bin_masses(mixture(delta_mu, sigma_int, tau, mu_inf), edges)
-
-    def outside(z) -> bool:
-        return abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7
-
-    def nll_z(z):
-        """The objective over z = (delta_mu, ln sigma_int, ln tau[, mu_infinity])."""
-        if outside(z):
-            return math.inf
-        mu_inf = z[3] if fit_mu_infinity else fp.mu_infinity
-        return nll(expected_counts(z[0], math.exp(z[1]), math.exp(z[2]), mu_inf))
-
     def model_z(z):
-        """Expected counts and their Jacobian in z, or None where ``nll_z`` is infinite by fiat."""
-        if outside(z):
+        """Expected counts and their Jacobian in z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]),
+        or None outside the box the fit searches."""
+        if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
             return None
         sigma_int = math.exp(z[1])
         mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
         return total * mixture_bin_masses(mix, edges), total * jacobian(mix, sigma_int, edges, fit_mu_infinity)
 
-    nll = _poisson_objective(counts)
+    def theta_of(z) -> np.ndarray:
+        return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])
 
-    z0 = [dmu0, math.log(s0), math.log(t0)]
-    if fit_mu_infinity:
-        z0.append(fp.mu_infinity)
-    starts = [np.array(z0)]
-    for fa, fb, fc in _RESTART_FACTORS:
+    starts = []
+    for fa, fb, fc in ((1.0, 1.0, 1.0), *_RESTART_FACTORS):
         z = [dmu0 * fa, math.log(s0 * fb), math.log(t0 * fc)]
         if fit_mu_infinity:
             z.append(fp.mu_infinity + (1.0 - fa) * dmu0)
         starts.append(np.array(z))
 
-    f_ref = nll_z(starts[0])
-    fatol = 1e-10 * max(1.0, abs(f_ref) if math.isfinite(f_ref) else 1.0)
-    runs = [_simplex(nll_z, z, _XATOL, fatol) for z in starts]
-    finite = [r for r in runs if math.isfinite(r.fun)]
+    runs = [_fisher_refit(model_z, counts, z, at) for z in starts if (at := model_z(z)) is not None]
+    finite = [r for r in runs if math.isfinite(r[2])]
     if not finite:
         raise ValueError("fit objective is not finite anywhere near theta0")
-    best = min(finite, key=lambda r: r.fun)
-    iterations = int(sum(r.nit for r in runs))
-    converged = bool(best.success)
+    z_hat, converged, nll_hat, _ = min(finite, key=lambda r: r[2])
+    theta_hat = theta_of(z_hat)
 
-    z_hat = best.x
-    delta_mu = float(z_hat[0])
-    sigma_int = float(math.exp(z_hat[1]))
-    tau = float(math.exp(z_hat[2]))
-    mu_inf_hat = float(z_hat[3]) if fit_mu_infinity else None
-
-    def nll_theta(theta):
-        mu_inf = theta[3] if fit_mu_infinity else fp.mu_infinity
-        if theta[1] <= 0.0 or theta[2] <= 0.0:
-            return math.inf
-        return nll(expected_counts(theta[0], theta[1], theta[2], mu_inf))
-
-    theta_hat = [delta_mu, sigma_int, tau] + ([mu_inf_hat] if fit_mu_infinity else [])
+    # I(z_hat)^-1 carried to theta by dtheta/dz = diag(1, sigma_int, tau[, 1])
+    at_hat = model_z(z_hat)
+    scale = np.ones(z_hat.size)
+    scale[1:3] = theta_hat[1:3]
     try:
-        H = _fd_hessian(nll_theta, theta_hat)
-        cov = np.linalg.pinv(H)
+        cov = scale[:, None] * np.linalg.inv(_score_and_information(counts, *at_hat)[1]) * scale[None, :]
     except np.linalg.LinAlgError:
-        cov = np.full((len(theta_hat), len(theta_hat)), np.nan)
+        cov = np.full((scale.size, scale.size), np.nan)
 
     boot_errors = boot_converged = None
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
         p = counts / counts.sum()
-        draws = np.empty((n_bootstrap, len(theta_hat)))
+        draws = np.empty((n_bootstrap, scale.size))
         boot_converged = 0
-        at_hat = model_z(z_hat)
         for b in range(n_bootstrap):
             c_b = rng.multinomial(total, p).astype(np.float64)
-            z_b, ok = _fisher_refit(model_z, c_b, z_hat, at_hat)
+            z_b, ok, _, _ = _fisher_refit(model_z, c_b, z_hat, at_hat)
             boot_converged += ok
-            draws[b] = [z_b[0], math.exp(z_b[1]), math.exp(z_b[2])] + ([z_b[3]] if fit_mu_infinity else [])
+            draws[b] = theta_of(z_b)
         boot_errors = tuple(float(v) for v in draws.std(axis=0, ddof=1))
 
     return FitResult(
-        delta_mu=delta_mu,
-        sigma_int=sigma_int,
-        tau=tau,
-        negative_log_likelihood=float(best.fun),
-        converged=converged,
-        iterations=iterations,
+        delta_mu=float(theta_hat[0]),
+        sigma_int=float(theta_hat[1]),
+        tau=float(theta_hat[2]),
+        negative_log_likelihood=float(nll_hat),
+        converged=bool(converged),
+        iterations=int(sum(r[3] for r in runs)),
         bootstrap_errors=boot_errors,
         covariance_proxy=cov,
-        mu_infinity=mu_inf_hat,
+        mu_infinity=float(theta_hat[3]) if fit_mu_infinity else None,
         bootstrap_converged=boot_converged,
     )
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -126,6 +127,10 @@ def _merge_without_grid(d):
         (lambda d: d["fit"].update(bin_width=0), "config.fit.bin_width"),
         (lambda d: d["fit"].update(theta0=[289, 0, 6]), "config.fit.theta0"),
         (lambda d: d["fit"].update(theta0=[289, 6, -1]), "config.fit.theta0"),
+        (lambda d: d["sim"].update(n_bar_values=[1, -1.0]), "config.sim.n_bar_values"),
+        (lambda d: d["sim"].update(n_bar_values=[0]), "config.sim.n_bar_values"),
+        (lambda d: d["sim"].update(n_bar_values=[2, math.inf]), "config.sim.n_bar_values"),
+        (lambda d: d["sim"].update(events_per_source=0), "config.sim.events_per_source"),
     ],
 )
 def test_settings_a_command_would_reject_fail_at_load_with_path(tmp_path, mutate, path):

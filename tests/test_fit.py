@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import math
 
 import numpy as np
@@ -142,8 +141,12 @@ def test_translation_equivariance(rt_hist, fp1, rt_fit):
     assert res.tau == pytest.approx(rt_fit.tau, rel=1e-5)
 
 
-def test_explicit_start_reaches_same_optimum(rt_hist, fp1, rt_fit):
-    res = fit_histogram(rt_hist, fp1, theta0=(200.0, 4.0, 9.0))
+@pytest.mark.parametrize("theta0", [(200.0, 4.0, 9.0), (400.0, 15.0, 2.0), (150.0, 2.0, 20.0)],
+                         ids=["200-4-9", "400-15-2", "150-2-20"])
+def test_explicit_start_reaches_same_optimum(rt_hist, fp1, rt_fit, theta0):
+    # scoring alone from (400, 15, 2) ends at tau -> 0 and from (150, 2, 20) at sigma_int -> 0;
+    # one of the restarts reaches the optimum
+    res = fit_histogram(rt_hist, fp1, theta0=theta0)
     assert res.delta_mu == pytest.approx(rt_fit.delta_mu, rel=1e-4)
     assert res.sigma_int == pytest.approx(rt_fit.sigma_int, rel=1e-3)
     assert res.tau == pytest.approx(rt_fit.tau, rel=1e-3)
@@ -157,6 +160,30 @@ def test_four_parameter_mode_recovers_identifiable_combinations(rt_hist, fp1):
     # per-photon-number locations are what the data pin down
     assert res.mu_infinity + res.delta_mu == pytest.approx(433.0, abs=1.5)
     assert res.mu_infinity + res.delta_mu / math.sqrt(2.0) == pytest.approx(348.35, abs=1.5)
+
+
+@pytest.mark.parametrize("fit_mu_infinity", [False, True])
+def test_covariance_matches_the_curvature_of_the_objective(rt_hist, fp1, rt_fit, fit_mu_infinity):
+    # standard errors of I(theta_hat)^-1 against the pseudo-inverse of a central-difference
+    # Hessian of the public objective in theta
+    res = fit_histogram(rt_hist, fp1, fit_mu_infinity=True) if fit_mu_infinity else rt_fit
+    theta = np.array([res.delta_mu, res.sigma_int, res.tau] + ([res.mu_infinity] if fit_mu_infinity else []))
+
+    def nll(t):
+        fp = dataclasses.replace(fp1, mu_infinity=t[3]) if fit_mu_infinity else fp1
+        return poisson_nll(rt_hist.counts, predict_histogram(fp, t[:3], rt_hist))
+
+    h = 1e-4 * np.maximum(np.abs(theta), 1.0)
+    e = np.diag(h)
+    hess = np.empty((theta.size, theta.size))
+    f0 = nll(theta)
+    for i in range(theta.size):
+        hess[i, i] = (nll(theta + e[i]) - 2.0 * f0 + nll(theta - e[i])) / h[i] ** 2
+        for j in range(i + 1, theta.size):
+            hess[i, j] = hess[j, i] = (nll(theta + e[i] + e[j]) - nll(theta + e[i] - e[j])
+                                       - nll(theta - e[i] + e[j]) + nll(theta - e[i] - e[j])) / (4.0 * h[i] * h[j])
+    want = np.sqrt(np.diag(np.linalg.pinv(hess)))
+    np.testing.assert_allclose(np.sqrt(np.diag(res.covariance_proxy)), want, rtol=0.02)
 
 
 def test_initial_guess_is_in_the_basin(rt_hist, fp1):
@@ -195,16 +222,22 @@ def test_bootstrap_reports_converged_refits(rt_hist, fp1, rt_fit):
     assert rt_fit.bootstrap_converged is None
 
 
+def _simplex_fit(nll, z0, counts):
+    return minimize(nll, z0, args=(counts,), method="Nelder-Mead",
+                    options={"xatol": 1e-10, "fatol": 1e-9, "maxiter": 20_000, "maxfev": 20_000})
+
+
 @pytest.mark.parametrize("fit_mu_infinity", [False, True])
 def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinity, monkeypatch):
-    # every bootstrap refit is redone here by Nelder-Mead on the public objective,
-    # from the same optimum the Fisher-scoring refit started from
+    # the main fit is redone here by Nelder-Mead on the public objective from the default
+    # start, and every bootstrap refit from the same optimum the scoring refit started from
     seen = []
     real = snspd_pnr.fit._fisher_refit
 
     def spy(model, counts, z, at_z, **kwargs):
         out = real(model, counts, z, at_z, **kwargs)
-        seen.append((counts.copy(), np.array(z), out))
+        if not np.array_equal(counts, rt_hist.counts):  # the main fit's starts run on the data itself
+            seen.append((counts.copy(), np.array(z), out))
         return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
@@ -221,10 +254,18 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
         fp = dataclasses.replace(fp1, mu_infinity=z[3]) if fit_mu_infinity else fp1
         return poisson_nll(counts, predict_histogram(fp, theta_of(z)[:3], rt_hist))
 
-    for counts, z_hat, (z_fisher, converged) in seen:
+    dmu0, s0, t0 = initial_guess(rt_hist, fp1)
+    z0 = [dmu0, math.log(s0), math.log(t0)] + ([fp1.mu_infinity] if fit_mu_infinity else [])
+    main = _simplex_fit(nll, z0, rt_hist.counts)
+    assert main.success and res.converged
+    theta_res = [res.delta_mu, res.sigma_int, res.tau] + ([res.mu_infinity] if fit_mu_infinity else [])
+    gap = np.abs(np.array(theta_res) - theta_of(main.x))
+    assert np.all(gap <= 1e-3 * np.array(res.bootstrap_errors)), gap
+    assert res.negative_log_likelihood <= main.fun + 1e-6
+
+    for counts, z_hat, (z_fisher, converged, *_) in seen:
         assert converged
-        simplex = minimize(nll, z_hat, args=(counts,), method="Nelder-Mead",
-                           options={"xatol": 1e-10, "fatol": 1e-9, "maxiter": 20_000, "maxfev": 20_000})
+        simplex = _simplex_fit(nll, z_hat, counts)
         assert simplex.success
         gap = np.abs(theta_of(z_fisher) - theta_of(simplex.x))
         assert np.all(gap <= 1e-3 * np.array(res.bootstrap_errors)), gap
@@ -233,7 +274,13 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
 
 def test_refit_held_to_one_iteration_is_not_converged(rt_hist, fp1, rt_fit, monkeypatch):
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
-    capped = functools.partial(snspd_pnr.fit._fisher_refit, max_iter=1)
+    real = snspd_pnr.fit._fisher_refit
+
+    def capped(model, counts, z, at_z, **kwargs):
+        if np.array_equal(counts, rt_hist.counts):  # the main fit's starts run uncapped
+            return real(model, counts, z, at_z, **kwargs)
+        return real(model, counts, z, at_z, max_iter=1)
+
     with monkeypatch.context() as mp:
         mp.setattr(snspd_pnr.fit, "_fisher_refit", capped)
         res = fit_histogram(rt_hist, fp1, theta0=theta_hat, n_bootstrap=4, bootstrap_seed=5)
@@ -266,10 +313,10 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
     with monkeypatch.context() as mp:
         mp.setattr(snspd_pnr.fit, "mixture_bin_masses", spy)
-        fit_histogram(rt_hist, fp1, theta0=theta_hat)
-    want = predict_histogram(fp1, theta_hat, rt_hist)
-    ref = mixture_from_params(fp1, theta_hat)
-    # the finite-difference Hessian evaluates the objective at theta_hat itself
+        res = fit_histogram(rt_hist, fp1, theta0=theta_hat)
+    theta_res = (res.delta_mu, res.sigma_int, res.tau)
+    want = predict_histogram(fp1, theta_res, rt_hist)
+    ref = mixture_from_params(fp1, theta_res)
     hits = [
         mix for mix, masses in seen if np.array_equal(rt_hist.total_events * masses, want)
     ]

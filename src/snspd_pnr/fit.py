@@ -5,11 +5,12 @@ location and width follow the jitter-budget scaling laws.  Everything except
 (delta_mu, sigma_int, tau) is held fixed at independently measured values;
 those three are recovered by minimizing the per-bin Poisson negative
 log-likelihood  sum_i (m_i - c_i ln m_i)  by Marquardt-damped Fisher scoring
-on the analytic Jacobian of the bin masses, run from the starting point and
-from multiplicatively perturbed copies of it.  The covariance is the inverse
-expected information at the optimum.  Bootstrap errors come from multinomial
-resamples, each refitted by the same scoring from the optimum.  Bin masses
-come from analytic CDF differences, never midpoint sampling.
+on the analytic Jacobian of the bin masses, run from a heuristic start read
+off the histogram's peaks and from the caller's start when one is given.  The
+covariance is the inverse expected information at the optimum.  Bootstrap
+errors come from multinomial resamples, each refitted by the same scoring
+from the optimum.  Bin masses come from analytic CDF differences, never
+midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
 bootstrap errors, and time-tag ingestion.
@@ -36,7 +37,6 @@ from .dist import (
 from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
-_RESTART_FACTORS = ((1.2, 0.8, 1.2), (0.8, 1.2, 0.8), (1.2, 1.2, 0.8))
 _REFIT_XTOL = 1e-10
 _REFIT_MAX_ITER = 50
 _NLL_ROUNDING = 1e-14
@@ -88,7 +88,8 @@ class FitResult:
     """Fitted (delta_mu, sigma_int, tau) with diagnostics.
 
     ``converged`` and ``negative_log_likelihood`` belong to the winning start;
-    ``iterations`` counts the accepted scoring steps of all starts.
+    ``iterations`` counts the accepted scoring steps of all starts (one, or two
+    with an explicit theta0).
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
     bootstrap refits whose scoring met its step tolerance within its
@@ -273,9 +274,9 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
     step is rejected while the NLL rises by more than its summation rounding (1e-14
     relative) or leaves the domain; each rejection multiplies lam by 10 (from 0 to
     1e-3) and each accepted step divides it by 10 (back to 0 below 1e-3).  The fit has
-    converged once an undamped step (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|),
-    within ``max_iter`` accepted steps; a damped step that small stops it unconverged.
-    Returns (z, converged, NLL at z, accepted steps).
+    converged once the undamped step (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|),
+    within ``max_iter`` accepted steps; a damped step that small while the undamped
+    one is not stops it unconverged.  Returns (z, converged, NLL at z, accepted steps).
     """
     nll = _poisson_objective(counts)
     m, J = at_z
@@ -284,15 +285,17 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
     g, info = _score_and_information(counts, m, J)
     for it in range(max_iter):
         tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z))
+        try:
+            step = np.linalg.solve(info, g)
+        except np.linalg.LinAlgError:
+            return z, False, f, it
+        if np.all(np.abs(step) <= tol):
+            return z, True, f, it
         while True:
-            try:
+            if lam > 0.0:  # I solved above, so I + lam diag(I) is not singular either
                 step = np.linalg.solve(info + lam * np.diag(np.diag(info)), g)
-            except np.linalg.LinAlgError:
+            if not np.all(np.isfinite(step)) or np.all(np.abs(step) <= tol):
                 return z, False, f, it
-            if not np.all(np.isfinite(step)):
-                return z, False, f, it
-            if np.all(np.abs(step) <= tol):
-                return z, lam == 0.0, f, it
             trial = model(z - step)
             if trial is not None and (f_trial := nll(trial[0])) <= f + _NLL_ROUNDING * abs(f):
                 break
@@ -316,9 +319,9 @@ def fit_histogram(
 
     sigma_int and tau are optimized in log space to enforce positivity;
     delta_mu (and mu_infinity in the optional four-parameter mode) is
-    unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from the
-    starting point and from three +/-20% multiplicative perturbations of it, and
-    the start with the lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
+    unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from
+    ``initial_guess`` and, when ``theta0`` is given, from ``theta0`` too; the
+    start with the lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
     least 2 multinomial resamples, each refitted by the same scoring from the
     optimum.  Deterministic for fixed inputs; bootstrap resampling is seeded.
     """
@@ -333,11 +336,12 @@ def fit_histogram(
 
     mixture, jacobian = _mixture_law(fp)
 
-    if theta0 is None:
-        theta0 = initial_guess(hist, fp)
-    dmu0, s0, t0 = (float(v) for v in theta0)
-    if s0 <= 0.0 or t0 <= 0.0:
+    # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
+    # so the heuristic start from the peak structure runs as well
+    starts = [] if theta0 is None else [tuple(float(v) for v in theta0)]
+    if starts and not (starts[0][1] > 0.0 and starts[0][2] > 0.0):
         raise ValueError("theta0 sigma_int and tau must be positive")
+    starts.append(initial_guess(hist, fp))
 
     def model_z(z):
         """Expected counts and their Jacobian in z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]),
@@ -351,14 +355,11 @@ def fit_histogram(
     def theta_of(z) -> np.ndarray:
         return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])
 
-    starts = []
-    for fa, fb, fc in ((1.0, 1.0, 1.0), *_RESTART_FACTORS):
-        z = [dmu0 * fa, math.log(s0 * fb), math.log(t0 * fc)]
-        if fit_mu_infinity:
-            z.append(fp.mu_infinity + (1.0 - fa) * dmu0)
-        starts.append(np.array(z))
-
-    runs = [_fisher_refit(model_z, counts, z, at) for z in starts if (at := model_z(z)) is not None]
+    runs = []
+    for dmu, sigma_int, tau in starts:
+        z = np.array([dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][: 4 if fit_mu_infinity else 3])
+        if (at := model_z(z)) is not None:
+            runs.append(_fisher_refit(model_z, counts, z, at))
     finite = [r for r in runs if math.isfinite(r[2])]
     if not finite:
         raise ValueError("fit objective is not finite anywhere near theta0")

@@ -18,8 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx
-from scipy.stats import poisson
+from scipy.special import erfcx, gammaln, pdtrc, xlogy
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -159,13 +158,14 @@ def conditioned_poisson_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
     hi = int(math.ceil(nbar + 12.0 * math.sqrt(nbar) + 40.0))
     while True:
         ns = np.arange(1, hi + 1)
-        tail = poisson.sf(ns, nbar) / click_mass
+        tail = pdtrc(ns, nbar) / click_mass  # P(N > n)
         below = tail < source.truncation_tail_mass
         if below.any():
             n_max = int(ns[np.argmax(below)])
             break
         hi *= 2
-    w = poisson.pmf(np.arange(1, n_max + 1), nbar) / click_mass
+    ns = np.arange(1, n_max + 1)
+    w = np.exp(xlogy(ns, nbar) - gammaln(ns + 1) - nbar) / click_mass  # P(N = n)
     return n_max, w / w.sum()
 
 

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.signal import find_peaks
 
 from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
 from .dist import (
@@ -42,6 +40,7 @@ _REFIT_MAX_ITER = 50
 _NLL_ROUNDING = 1e-14
 _DAMPING_START = 1e-3
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
+_LARGEST = np.finfo(np.float64).max
 _PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
 
 
@@ -186,6 +185,40 @@ def poisson_nll(counts, expected) -> float:
     return _poisson_objective(counts)(expected)
 
 
+def _find_peaks(x: np.ndarray, prominence: float, distance: int) -> np.ndarray:
+    """Indices of the peaks of ``x`` that ``scipy.signal.find_peaks(x, prominence=prominence,
+    distance=distance)`` returns, for finite ``x`` and ``distance`` >= 1.
+
+    A peak is a run of equal values higher than both its neighbours, taken at its
+    midpoint.  Peaks are kept in order of height (the same ``np.argsort`` order as
+    scipy), each removing the lower ones closer than ``distance``; of those left, a
+    peak stays if it rises at least ``prominence`` above the higher of the minima
+    between it and the nearest higher value on either side (or the end of ``x``).
+    """
+    starts = np.flatnonzero(np.diff(x, prepend=np.nan))  # first index of each run of equal values
+    ends = np.append(starts[1:] - 1, x.size - 1)
+    v = x[starts]
+    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[top] + ends[top]) // 2
+
+    keep = np.ones(peaks.size, dtype=bool)
+    for j in np.argsort(x[peaks])[::-1]:
+        if keep[j]:
+            near = np.abs(peaks - peaks[j]) < distance
+            near[j] = False
+            keep[near] = False
+    peaks = peaks[keep]
+
+    prominent = []
+    for p in peaks:
+        higher_left = np.flatnonzero(x[:p] > x[p])
+        higher_right = np.flatnonzero(x[p + 1 :] > x[p])
+        left = higher_left[-1] + 1 if higher_left.size else 0
+        right = p + 1 + higher_right[0] if higher_right.size else x.size
+        prominent.append(x[p] - max(x[left : p + 1].min(), x[p:right].min()) >= prominence)
+    return peaks[np.array(prominent, dtype=bool)]
+
+
 def initial_guess(hist: ArrivalHistogram, fp: FixedParams) -> tuple[float, float, float]:
     """Heuristic starting point from histogram peak structure.
 
@@ -200,7 +233,7 @@ def initial_guess(hist: ArrivalHistogram, fp: FixedParams) -> tuple[float, float
     kernel = np.ones(window) / window
     smooth = np.convolve(counts, kernel, mode="same")
     distance = max(1, int(round(6.0 / bw)))
-    peaks, _ = find_peaks(smooth, prominence=0.02 * float(smooth.max()), distance=distance)
+    peaks = _find_peaks(smooth, 0.02 * float(smooth.max()), distance)
     if peaks.size >= 2:
         right, left = centers[peaks[-1]], centers[peaks[-2]]
         delta_mu0 = (right - left) * _PEAK_SPACING_FACTOR
@@ -234,6 +267,8 @@ def _check_bootstrap(n_bootstrap: int) -> None:
 
 
 def _simplex(fun, z0, xatol, fatol, maxiter=20_000):
+    from scipy.optimize import minimize  # only fit_single_peak needs it, and importing it is slow
+
     return minimize(
         fun,
         np.asarray(z0, dtype=np.float64),
@@ -258,9 +293,16 @@ def _fd_hessian(fun, x, rel_step=1e-4):
 
 
 def _score_and_information(counts, m, J):
-    """The score g = J^T (1 - c/m) and the expected information I = J^T diag(1/m) J."""
-    # a bin whose mass underflows carries no information, and 1/m would overflow
-    inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=m > _SMALLEST_NORMAL)
+    """The score g = J^T (1 - c/m) and the expected information I = J^T diag(1/m) J.
+
+    1/m is taken as 0, so the bin carries no information, where m is not a normal
+    float or where the bin's terms, at most s_i max(s_i, c_i) / m_i with
+    s_i = sum_k |J_ik|, could exceed the largest float over twice the number of bins:
+    neither sum can then overflow.  Such a bin's mass has all but underflowed.
+    """
+    s = np.abs(J) @ np.ones(J.shape[1])
+    bounded = s * (np.maximum(s, counts) * (2.0 * m.size / _LARGEST)) < m
+    inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=(m > _SMALLEST_NORMAL) & bounded)
     return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
 
 

@@ -54,33 +54,62 @@ def _read_header(line: str, lineno: int, n_bar: float | None) -> float | None:
     return n_bar
 
 
-def read_time_tags(path) -> TimeTagTable:
-    """Parse a time-tag CSV; malformed rows raise with their line number."""
+def _parse_rows(path, columns: str, kinds: tuple) -> tuple[float | None, list[tuple]]:
+    """Parse a CSV line by line: headers, blank lines and the ``columns`` line may
+    appear anywhere, and a malformed row raises with its line number."""
     n_bar = None
-    triggers: list[float] = []
-    edges: list[float] = []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
+            if not line or line == columns:
                 continue
             if line.startswith("#"):
                 n_bar = _read_header(line, lineno, n_bar)
                 continue
-            if line == TAG_COLUMNS:
-                continue
             parts = line.split(",")
-            if len(parts) != 2:
+            if len(parts) != len(kinds):
                 raise ValueError(f"line {lineno}: expected two comma-separated values, got {line!r}")
             try:
-                triggers.append(float(parts[0]))
-                edges.append(float(parts[1]))
+                rows.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
-    if not triggers:
+    return n_bar, rows
+
+
+def _read_columns(path, columns: str, kinds: tuple) -> tuple[float | None, list[np.ndarray]]:
+    """n_bar and one contiguous array per column (dtypes ``kinds``) of a CSV with header ``columns``.
+
+    The header block is read with ``_read_header`` and the rows below it with
+    ``np.loadtxt``.  Where ``np.loadtxt`` rejects them (a malformed row, or a
+    header, blank or column line among the rows), ``_parse_rows`` reads the file
+    instead, which names the malformed line or accepts the file as before.
+    """
+    n_bar, skip = None, 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in iter(fh.readline, ""):
+            line = raw.strip()
+            if line.startswith("#"):
+                n_bar = _read_header(line, skip + 1, n_bar)
+            elif line and line != columns:
+                break
+            skip += 1
+        else:
+            return n_bar, [np.empty(0, dtype=kind) for kind in kinds]
+    dtype = [(f"c{i}", kind) for i, kind in enumerate(kinds)]
+    try:
+        data = np.loadtxt(path, dtype=dtype, delimiter=",", comments=None, skiprows=skip, ndmin=1, encoding="utf-8")
+    except ValueError:
+        n_bar, rows = _parse_rows(path, columns, kinds)
+        data = np.array(rows, dtype=dtype)
+    return n_bar, [np.ascontiguousarray(data[name]) for name in data.dtype.names]
+
+
+def read_time_tags(path) -> TimeTagTable:
+    """Parse a time-tag CSV; malformed rows raise with their line number."""
+    n_bar, (trigger, edge) = _read_columns(path, TAG_COLUMNS, (float, float))
+    if trigger.size == 0:
         raise ValueError(f"{path}: no time-tag rows found")
-    trigger = np.asarray(triggers, dtype=np.float64)
-    edge = np.asarray(edges, dtype=np.float64)
     if np.any(np.diff(trigger) < 0.0):
         warnings.warn("trigger times are not monotonically increasing", stacklevel=2)
     return TimeTagTable(trigger, edge, n_bar)
@@ -99,36 +128,14 @@ def write_time_tags(path, table: TimeTagTable) -> None:
 
 def read_histogram_csv(path) -> ArrivalHistogram:
     """Parse a histogram CSV and rebuild edges from the uniform bin centers."""
-    n_bar = None
-    centers: list[float] = []
-    counts: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                n_bar = _read_header(line, lineno, n_bar)
-                continue
-            if line == HIST_COLUMNS:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(f"line {lineno}: expected two comma-separated values, got {line!r}")
-            try:
-                centers.append(float(parts[0]))
-                counts.append(int(parts[1]))
-            except ValueError:
-                raise ValueError(f"line {lineno}: malformed row {line!r}") from None
-    if len(centers) < 2:
+    n_bar, (c, counts_arr) = _read_columns(path, HIST_COLUMNS, (float, int))
+    if c.size < 2:
         raise ValueError(f"{path}: need at least two histogram rows to infer the bin width")
-    c = np.asarray(centers, dtype=np.float64)
     widths = np.diff(c)
     if np.any(widths <= 0.0) or not np.allclose(widths, widths[0], rtol=1e-9, atol=0.0):
         raise ValueError(f"{path}: bin centers must be uniformly spaced and increasing")
     w = float(widths[0])
     edges = (c[0] - w / 2.0) + w * np.arange(c.size + 1)
-    counts_arr = np.asarray(counts, dtype=np.int64)
     return ArrivalHistogram(edges, counts_arr, int(counts_arr.sum()), n_bar)
 
 

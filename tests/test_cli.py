@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import snspd_pnr
 from snspd_pnr import ingest_time_tags, write_histogram_csv
 from snspd_pnr.cli import main
 
@@ -334,3 +339,14 @@ def test_sweep_one_bootstrap_resample_exit_2(runner, config_path, tmp_path):
     assert result.exit_code == 2
     assert "n_bootstrap must be 0 or >= 2" in out_text(result)
     assert not (out / "sweep.json").exists()
+
+
+def test_cli_import_leaves_unused_scipy_modules_out():
+    # importing scipy.stats, scipy.signal and scipy.optimize costs more than half a second,
+    # and the CLI computes nothing with them
+    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
+    code = f"import sys, snspd_pnr.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    src = str(Path(snspd_pnr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == ""

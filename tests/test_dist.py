@@ -271,6 +271,32 @@ def test_conditioned_weights_tail_property(n_bar):
     assert np.all(np.isfinite(w))
 
 
+def _scipy_stats_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
+    """``conditioned_poisson_weights`` written on ``scipy.stats.poisson``: the reference it must equal."""
+    nbar = source.mean_photon_number
+    click_mass = -math.expm1(-nbar)
+    hi = int(math.ceil(nbar + 12.0 * math.sqrt(nbar) + 40.0))
+    while True:
+        ns = np.arange(1, hi + 1)
+        below = stats.poisson.sf(ns, nbar) / click_mass < source.truncation_tail_mass
+        if below.any():
+            n_max = int(ns[np.argmax(below)])
+            break
+        hi *= 2
+    w = stats.poisson.pmf(np.arange(1, n_max + 1), nbar) / click_mass
+    return n_max, w / w.sum()
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-14])
+def test_conditioned_weights_equal_scipy_stats_bit_for_bit(eps):
+    for n_bar in np.geomspace(1e-3, 500.0, 805):
+        source = PhotonSource(float(n_bar), eps)
+        n_max, w = conditioned_poisson_weights(source)
+        ref_n_max, ref_w = _scipy_stats_weights(source)
+        assert n_max == ref_n_max
+        np.testing.assert_array_equal(w, ref_w)
+
+
 def test_zero_rate_source_rejected():
     with pytest.raises(ValueError, match="no detectable events"):
         conditioned_poisson_weights(PhotonSource(0.0))

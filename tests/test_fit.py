@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 from scipy.optimize import minimize
+from scipy.signal import find_peaks
 
 import snspd_pnr.fit
 from snspd_pnr import (
@@ -25,6 +27,7 @@ from snspd_pnr import (
     poisson_nll,
     predict_histogram,
     read_histogram_csv,
+    read_time_tags,
     sigma_total,
     tau_at,
     total_width,
@@ -231,6 +234,70 @@ def test_initial_guess_is_in_the_basin(rt_hist, fp1):
     assert dmu0 == pytest.approx(289.0, rel=0.4)
     assert 1.0 < s0 < 20.0
     assert 1.0 < t0 < 20.0
+
+
+def _random_histograms(count: int, seed: int):
+    """Poisson counts of one to four Gaussian bumps on 20 to 400 bins of 0.5 to 4 ps, some so
+    sparse that isolated counts smooth into flat-topped peaks."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        bins, width = int(rng.integers(20, 401)), float(rng.choice([0.5, 1.0, 2.0, 4.0]))
+        x = np.arange(bins) * width
+        lam = np.zeros(bins)
+        for _ in range(int(rng.integers(1, 5))):
+            lam += rng.uniform(0.0, 1.0) * np.exp(-0.5 * ((x - rng.uniform(0.0, x[-1])) / rng.uniform(2.0, 40.0)) ** 2)
+        counts = rng.poisson(lam * 10.0 ** rng.uniform(-1.0, 3.0))
+        if counts.sum() == 0:
+            counts[bins // 2] = 1
+        yield ArrivalHistogram(100.0 + width * np.arange(bins + 1), counts, int(counts.sum()), 3.0)
+
+
+def test_peak_search_matches_scipy_find_peaks(rt_hist, fp1, monkeypatch):
+    # initial_guess's peak search is a numpy port of the part of scipy.signal.find_peaks
+    # it uses; compare the two on the exact arrays initial_guess searches
+    calls = []
+    port = snspd_pnr.fit._find_peaks
+    monkeypatch.setattr(snspd_pnr.fit, "_find_peaks", lambda x, prominence, distance: (
+        calls.append((x, prominence, distance)) or port(x, prominence, distance)))
+    inputs = [rt_hist, *(benchmark_histogram(seed) for seed in (1, 2, 7)), *_random_histograms(240, 11)]
+    for hist in inputs:
+        initial_guess(hist, fp1)
+    assert len(calls) == len(inputs)
+    plateau_peaks = 0
+    for x, prominence, distance in calls:
+        want, props = find_peaks(x, prominence=prominence, distance=distance, plateau_size=1)
+        np.testing.assert_array_equal(port(x, prominence, distance), want)
+        plateau_peaks += int(np.sum(props["plateau_sizes"] > 1))
+    assert plateau_peaks > 50
+
+
+@pytest.mark.parametrize("x", [
+    [0, 1, 1, 0], [0, 2, 2, 2, 1, 3, 3, 0], [1, 1, 0, 2, 2], [0, 1, 1], [0, 3, 1, 3, 0, 3, 0],
+    [0, 1, 0, 2, 2, 2, 2, 0, 1, 0], [5, 4, 5, 4, 5, 4, 5], [1, 1, 1, 1], [0, 4, 4, 1, 1, 2, 0, 2, 2, 0],
+], ids=lambda x: "".join(map(str, x)))
+def test_peak_search_on_plateaus_and_ties(x):
+    x = np.asarray(x, dtype=np.float64)
+    for distance in (1, 2, 3, 5):
+        for prominence in (0.0, 1.0, 2.5):
+            want, _ = find_peaks(x, prominence=prominence, distance=distance)
+            np.testing.assert_array_equal(snspd_pnr.fit._find_peaks(x, prominence, distance), want)
+
+
+def test_score_and_information_stay_finite_for_a_barely_normal_mass():
+    # 1/m of a barely normal mass is 1e307, so with a Jacobian entry of 10 the
+    # information term J^2/m and the score term c J/m overflow float64
+    m = np.array([1e-307, 40.0, 900.0, 25.0])
+    J = np.array([[10.0, -3.0, 2.0], [4.0, 1.0, -2.0], [-30.0, 8.0, 5.0], [2.0, -6.0, 1.0]])
+    counts = np.array([2.0, 38.0, 910.0, 22.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        score, info = snspd_pnr.fit._score_and_information(counts, m, J)
+    assert np.all(np.isfinite(score)) and np.all(np.isfinite(info))
+    # the normal bins contribute what they always did; the barely normal one, like a mass
+    # that underflows, only its share J of the derivative of the mass sum
+    inv_m = np.array([0.0, *(1.0 / m[1:])])
+    np.testing.assert_allclose(info, (J * inv_m[:, None]).T @ J, rtol=1e-15)
+    np.testing.assert_allclose(score, J.T @ (1.0 - counts * inv_m), rtol=1e-15)
 
 
 def test_poisson_nll_values():
@@ -487,6 +554,41 @@ def test_ingest_reports_line_numbers(tmp_path):
     path.write_text("# unit=ps\ntrigger_ps,edge_ps\n1000,410\n0,420\n", encoding="utf-8")
     with pytest.warns(UserWarning, match="monotonically"):
         ingest_time_tags(path)
+
+
+def test_malformed_row_in_the_middle_is_named_by_its_line(tmp_path):
+    rows = [f"{1000.0 * i:.17g},{1000.0 * i + 410.0:.17g}" for i in range(2000)]
+    header = ["# n_bar=2.5", "# unit=ps", "trigger_ps,edge_ps"]
+    path = tmp_path / "tags.csv"
+    for bad, message in [("1000,x", "malformed row"), ("1000,410,7", "expected two comma-separated values"),
+                         ("1000", "expected two comma-separated values")]:
+        path.write_text("\n".join(header + rows[:1200] + [bad] + rows[1200:]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"line 1204: {message}"):
+            ingest_time_tags(path)
+    hist = tmp_path / "hist.csv"
+    hist.write_text("# unit=ps\nbin_center_ps,count\n1,5\n3,7\n5,2.0\n7,1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 5: malformed row"):
+        read_histogram_csv(hist)
+
+
+def test_tag_rows_read_back_exactly_with_headers_and_blank_lines_among_them(tmp_path):
+    rng = np.random.default_rng(3)
+    trig = np.cumsum(rng.exponential(1e8, size=3000))
+    edge = trig + rng.normal(400.0, 30.0, size=3000)
+    path = tmp_path / "tags.csv"
+    write_time_tags(path, TimeTagTable(trig, edge, n_bar=2.5))
+    table = read_time_tags(path)
+    np.testing.assert_array_equal(table.trigger_ps, trig)
+    np.testing.assert_array_equal(table.edge_ps, edge)
+    assert table.n_bar == 2.5
+    # the format allows blank lines, headers and the column line anywhere; a later n_bar header wins
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(["", *lines[:10], "", "# n_bar=4", "trigger_ps,edge_ps", *lines[10:]]) + "\n",
+                    encoding="utf-8")
+    table = read_time_tags(path)
+    np.testing.assert_array_equal(table.trigger_ps, trig)
+    np.testing.assert_array_equal(table.edge_ps, edge)
+    assert table.n_bar == 4.0
 
 
 def test_bad_nbar_header_reports_line(tmp_path):

@@ -3,10 +3,16 @@
 When n photons land uniformly at random on M elements, the probability that
 at least two share an element follows the birthday problem: exact product
 form, and a second-order exponential approximation for n much smaller than M.
+The number K of distinct elements they occupy follows
+``P(K=k | n, M) = C(M,k) S(n,k) k! / M^n`` with S the Stirling numbers of the
+second kind; ``occupied_law`` tabulates it exactly, and
+``occupied_element_counts`` samples it with one uniform per event through a
+Walker/Vose alias table of each row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -58,23 +64,87 @@ def overlap_approx(grid: ElementGrid, n) -> float:
     return float(-math.expm1(-n * (n - 1) / (2.0 * M))) + 0.0  # avoid -0.0 at n = 1
 
 
-def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized occupied-element counts for an array of per-event photon numbers.
+# Alias tables are built for the largest n rounded up to a multiple of this,
+# so chunks whose largest n differs a little share one cached table.
+_LAW_ROWS = 32
 
-    Events are grouped by photon number in ascending order, so the draw order
-    (and therefore the output for a fixed generator state) is deterministic.
+
+def occupied_law(n_hi: int, M: int) -> np.ndarray:
+    """``P[n, k] = P(K = k | n photons on M elements)`` for n = 0..n_hi, k = 0..min(n_hi, M).
+
+    ``C(M,k) S(n,k) k! / M^n`` in integer arithmetic with a single division
+    per cell, so every entry is the correctly rounded probability.  Row 0 is
+    the certain K = 0 of an event without photons.
+    """
+    if int(n_hi) != n_hi or n_hi < 0 or int(M) != M or M < 1:
+        raise ValueError("occupied_law needs integers n_hi >= 0 and M >= 1")
+    n_hi, M = int(n_hi), int(M)
+    width = min(n_hi, M)
+    falling = [1]  # M! / (M-k)! = C(M,k) k!
+    for k in range(width):
+        falling.append(falling[-1] * (M - k))
+    stirling = [1] + [0] * width  # S(0, k)
+    law = np.zeros((n_hi + 1, width + 1))
+    law[0, 0] = 1.0
+    for n in range(1, n_hi + 1):
+        stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, width + 1)]
+        denom = M**n
+        law[n] = [f * s / denom for f, s in zip(falling, stirling)]
+    return law
+
+
+@functools.lru_cache(maxsize=16)
+def _alias_table(n_hi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Walker/Vose alias tables of ``occupied_law`` rows 0..n_hi.
+
+    Row n has ``min(n, M)`` slots, slot j standing for k = j + 1: a draw that
+    lands in slot j keeps j + 1 when its fraction is below ``cut[n, j]`` and
+    takes ``alias[n, j]`` otherwise.  Row 0 has cut 0 and alias 0, so an
+    event without photons always yields 0.  Each row depends on n and M alone,
+    not on n_hi.
+    """
+    law = occupied_law(n_hi, M)
+    cut = np.zeros((n_hi + 1, max(law.shape[1] - 1, 1)))
+    alias = np.zeros(cut.shape, dtype=np.int64)
+    for n in range(1, n_hi + 1):
+        slots = min(n, M)
+        scaled = [p * slots for p in law[n, 1 : slots + 1].tolist()]
+        small = [j for j in range(slots) if scaled[j] < 1.0]
+        large = [j for j in range(slots) if scaled[j] >= 1.0]
+        while small and large:
+            s, big = small.pop(), large.pop()
+            cut[n, s], alias[n, s] = scaled[s], big + 1
+            scaled[big] -= 1.0 - scaled[s]
+            (small if scaled[big] < 1.0 else large).append(big)
+        for j in small + large:  # 1 up to rounding
+            cut[n, j], alias[n, j] = 1.0, j + 1
+    cut.flags.writeable = False
+    alias.flags.writeable = False
+    return cut, alias
+
+
+def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
+    """Number of distinct elements occupied by each event's photons, drawn from ``occupied_law``.
+
+    Takes one ``rng.random`` value per event, so the draw of an event depends
+    only on its photon number and its uniform.  Photon counts must be
+    non-negative integers; an event without photons occupies no element.
     """
     counts = np.asarray(photon_counts)
     if counts.ndim != 1:
         raise ValueError("photon_counts must be one-dimensional")
+    if counts.dtype.kind not in "iu":
+        if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+            raise ValueError("photon counts must be integers")
+        counts = counts.astype(np.int64)
     if np.any(counts < 0):
         raise ValueError("photon counts must be >= 0")
-    out = np.zeros(counts.size, dtype=np.int64)
-    for n in np.unique(counts):
-        if n == 0:
-            continue
-        idx = np.nonzero(counts == n)[0]
-        draws = rng.integers(0, grid.element_count, size=(idx.size, int(n)))
-        draws.sort(axis=1)
-        out[idx] = 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
-    return out
+    if counts.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    M = int(grid.element_count)
+    n_hi = -(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS
+    cut, alias = _alias_table(n_hi, M)
+    slots = np.maximum(np.minimum(counts, M), 1)
+    x = rng.random(counts.size) * slots
+    j = np.minimum(x.astype(np.int64), slots - 1)  # u * slots may round up to slots
+    return np.where(x - j < cut[counts, j], j + 1, alias[counts, j])

@@ -117,8 +117,12 @@ def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index:
     else:
         ks = ns.copy()
     arrivals = np.empty(count)
-    for k in np.unique(ks):
-        idx = np.nonzero(ks == k)[0]
+    # stable, so each k's events keep ascending index order; keys of at most
+    # 16 bits take numpy's radix sort
+    order = np.argsort(ks.astype(np.min_scalar_type(ks.max())), kind="stable")
+    ends = np.cumsum(np.bincount(ks))
+    for k in np.flatnonzero(np.diff(ends, prepend=0)):
+        idx = order[ends[k - 1] : ends[k]]
         arrivals[idx] = emg_sample(EmgParams(mix.mu[k - 1], mix.sigma[k - 1], mix.tau[k - 1]), rng, idx.size)
     trigger = (start + np.arange(count, dtype=np.float64)) * TRIGGER_PERIOD_PS
     edge = trigger + arrivals

@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from snspd_pnr import (
     ElementGrid,
@@ -11,6 +13,7 @@ from snspd_pnr import (
     overlap_approx,
     overlap_exact,
 )
+from snspd_pnr.overlap import occupied_law
 
 
 def test_reference_values():
@@ -83,6 +86,38 @@ def test_zero_photons():
     g = ElementGrid(5)
     counts = occupied_element_counts(g, np.array([0, 3, 0]), np.random.default_rng(0))
     assert counts[0] == 0 and counts[2] == 0 and 1 <= counts[1] <= 3
+    ns = np.array([0, 4, 0, 0, 9, 1, 0, 2] * 500)
+    counts = occupied_element_counts(g, ns, np.random.default_rng(1))
+    assert np.all(counts[ns == 0] == 0)
+    assert np.all(counts[ns == 1] == 1)
+    assert np.all((counts[ns > 0] >= 1) & (counts[ns > 0] <= np.minimum(ns[ns > 0], 5)))
+
+
+def test_empty_photon_counts():
+    out = occupied_element_counts(ElementGrid(5), np.array([], dtype=np.int64), np.random.default_rng(0))
+    assert out.shape == (0,) and out.dtype == np.int64
+
+
+def test_single_element_is_always_occupied_once():
+    ns = np.array([0, 1, 2, 7, 40, 3])
+    counts = occupied_element_counts(ElementGrid(1), ns, np.random.default_rng(2))
+    assert np.array_equal(counts, np.minimum(ns, 1))
+
+
+def test_more_photons_than_elements():
+    g = ElementGrid(24)
+    counts = occupied_element_counts(g, np.full(50_000, 60), np.random.default_rng(3))
+    assert counts.min() >= 1 and counts.max() <= 24
+    want = 24.0 * -math.expm1(60 * math.log1p(-1.0 / 24.0))
+    assert abs(counts.mean() - want) < 4.0 * counts.std(ddof=1) / math.sqrt(counts.size)
+
+
+def test_draw_depends_only_on_the_event():
+    # one uniform per event, and alias rows that do not depend on the largest n in the array
+    g = ElementGrid(24)
+    ns = np.array([5, 17, 3, 60, 200, 1, 24])
+    alone = [occupied_element_counts(g, ns[: i + 1], np.random.default_rng(4))[i] for i in range(ns.size)]
+    assert np.array_equal(alone, occupied_element_counts(g, ns, np.random.default_rng(4)))
 
 
 def test_validation():
@@ -97,3 +132,83 @@ def test_validation():
         overlap_approx(g, 1.5)
     with pytest.raises(ValueError):
         occupied_element_counts(g, np.array([-1]), np.random.default_rng(0))
+    for bad in ([2.5], [3.0, np.nan], [np.inf]):
+        with pytest.raises(ValueError, match="integers"):
+            occupied_element_counts(g, np.array(bad), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        occupied_element_counts(g, np.ones((2, 2), dtype=int), np.random.default_rng(0))
+    whole = occupied_element_counts(g, np.array([3.0, 0.0]), np.random.default_rng(0))
+    assert np.array_equal(whole, occupied_element_counts(g, np.array([3, 0]), np.random.default_rng(0)))
+    for n_hi, m in ((-1, 4), (3, 0), (2.5, 4), (3, 1.5)):
+        with pytest.raises(ValueError):
+            occupied_law(n_hi, m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 10, 24, 1000])
+def test_occupied_law_rows_overlap_and_mean(m):
+    n_hi = 60
+    law = occupied_law(n_hi, m)
+    assert law.shape == (n_hi + 1, min(n_hi, m) + 1)
+    assert np.all(law >= 0.0)
+    assert np.all(np.abs(law.sum(axis=1) - 1.0) <= 1e-15)
+    k = np.arange(law.shape[1])
+    grid = ElementGrid(m)
+    for n in range(1, n_hi + 1):
+        if n <= m:
+            assert law[n, n] == pytest.approx(1.0 - overlap_exact(grid, n), rel=1e-15, abs=1e-15)
+        assert np.all(law[n, min(n, m) + 1 :] == 0.0)
+        want = m * -math.expm1(n * math.log1p(-1.0 / m)) if m > 1 else 1.0
+        assert float(law[n] @ k) == pytest.approx(want, rel=1e-13)
+
+
+def test_occupied_law_matches_enumeration():
+    for m in range(1, 5):
+        law = occupied_law(6, m)
+        for n in range(0, 7):
+            hits = np.bincount([len(set(c)) for c in itertools.product(range(m), repeat=n)],
+                               minlength=law.shape[1])
+            assert np.array_equal(law[n], hits / m**n)
+
+
+def _pooled_chisquare(observed, expected):
+    """Pearson chi-square p-value after pooling cells expected below 5 into one."""
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small].sum())
+    exp = np.append(expected[~small], expected[small].sum())
+    if exp[-1] == 0.0:
+        obs, exp = obs[:-1], exp[:-1]
+    stat = float(((obs - exp) ** 2 / exp).sum())
+    return stat, exp.size - 1
+
+
+def test_occupied_counts_follow_the_law():
+    m, per_n = 24, 100_000
+    ns = np.repeat(np.arange(1, 46), per_n)
+    np.random.default_rng(5).shuffle(ns)
+    counts = occupied_element_counts(ElementGrid(m), ns, np.random.default_rng(6))
+    law = occupied_law(45, m)
+    joint = np.bincount(ns * law.shape[1] + counts, minlength=law.size).reshape(law.shape)
+    total_stat, total_dof = 0.0, 0
+    for n in range(1, 46):
+        observed = joint[n].astype(float)
+        stat, dof = _pooled_chisquare(observed, per_n * law[n])
+        if dof == 0:  # a single possible k
+            assert observed[1] == per_n and n == 1
+            continue
+        assert stats.chi2.sf(stat, dof) > 1e-4, f"n={n}: chi2={stat:.1f} on {dof} dof"
+        total_stat, total_dof = total_stat + stat, total_dof + dof
+    assert stats.chi2.sf(total_stat, total_dof) > 1e-3
+
+
+def test_occupied_counts_agree_with_sorting_sampler():
+    def sort_and_count(m, n, size, rng):
+        draws = np.sort(rng.integers(0, m, size=(size, n)), axis=1)
+        return 1 + np.count_nonzero(np.diff(draws, axis=1), axis=1)
+
+    g, size = ElementGrid(24), 40_000
+    for i, n in enumerate((2, 5, 12, 24, 45)):
+        new = occupied_element_counts(g, np.full(size, n), np.random.default_rng(100 + i))
+        old = sort_and_count(24, n, size, np.random.default_rng(200 + i))
+        table = np.array([np.bincount(new, minlength=25), np.bincount(old, minlength=25)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table)[1] > 1e-4, f"n={n}"

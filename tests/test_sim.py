@@ -10,12 +10,14 @@ from snspd_pnr import (
     EmgParams,
     FixedParams,
     MergeModel,
+    MixtureModel,
     PhotonSource,
     SimPlan,
     conditioned_poisson_weights,
     emg_cdf,
     emg_sample,
     mixture_from_params,
+    mixture_moments,
     mu_scaling,
     read_time_tags,
     sigma_total,
@@ -24,6 +26,7 @@ from snspd_pnr import (
     tau_at,
     write_source_files,
 )
+from snspd_pnr.overlap import occupied_law
 from snspd_pnr.sim import TRIGGER_PERIOD_PS
 
 
@@ -188,6 +191,21 @@ def test_sweep_model_follows_the_budget_exponent(make_plan, ref_budget):
     for row in sweep_total_width(plan, bin_width=2.0, n_bootstrap=50):
         assert row.sigma_error > 0.0
         assert abs(row.sigma_hist - row.sigma_model) < 3.0 * row.sigma_error
+
+
+def test_merged_sweep_width_matches_merged_mixture(make_plan, ref_detector, ref_budget):
+    plan = make_plan([1.0, 5.0, 20.0], 200_000, merge="occupied_elements", seed=8)
+    m = ref_detector.grid.element_count
+    for row in sweep_total_width(plan, bin_width=2.0, n_bootstrap=200):
+        fp = FixedParams.from_budget(ref_budget, ref_detector.mu_infinity, row.n_bar)
+        mix = mixture_from_params(fp, (ref_detector.delta_mu, ref_budget.sigma_int, ref_budget.tau))
+        merged_weights = mix.weights @ occupied_law(mix.n_max, m)[1:, 1:]  # w'_k = sum_n w_n P(k | n)
+        k = merged_weights.size
+        merged = MixtureModel(None, merged_weights, mix.mu[:k], mix.sigma[:k], mix.tau[:k])
+        _, width = mixture_moments(merged)
+        binned = math.sqrt(width**2 + 2.0**2 / 12.0)  # Sheppard's correction for 2 ps bins
+        assert row.sigma_error > 0.0
+        assert abs(row.sigma_hist - binned) < 3.0 * row.sigma_error, (row, binned)
 
 
 def test_sweep_is_reproducible(make_plan):

@@ -133,10 +133,9 @@ def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Gen
     counts = np.asarray(photon_counts)
     if counts.ndim != 1:
         raise ValueError("photon_counts must be one-dimensional")
-    if counts.dtype.kind not in "iu":
-        if not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
-            raise ValueError("photon counts must be integers")
-        counts = counts.astype(np.int64)
+    if counts.dtype.kind not in "iu" and not np.all(np.isfinite(counts) & (counts == np.floor(counts))):
+        raise ValueError("photon counts must be integers")
+    counts = counts.astype(np.int64, copy=False)
     if np.any(counts < 0):
         raise ValueError("photon counts must be >= 0")
     if counts.size == 0:

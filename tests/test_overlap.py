@@ -139,6 +139,9 @@ def test_validation():
         occupied_element_counts(g, np.ones((2, 2), dtype=int), np.random.default_rng(0))
     whole = occupied_element_counts(g, np.array([3.0, 0.0]), np.random.default_rng(0))
     assert np.array_equal(whole, occupied_element_counts(g, np.array([3, 0]), np.random.default_rng(0)))
+    for dtype in (np.uint8, np.uint64, np.int32):
+        typed = occupied_element_counts(g, np.array([3, 0], dtype=dtype), np.random.default_rng(0))
+        assert typed.dtype == np.int64 and np.array_equal(typed, whole)
     for n_hi, m in ((-1, 4), (3, 0), (2.5, 4), (3, 1.5)):
         with pytest.raises(ValueError):
             occupied_law(n_hi, m)

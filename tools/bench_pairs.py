@@ -31,6 +31,11 @@ METRICS = ("setup_s", "round_s", "peak_rss_mb")
 WORKLOADS = ("hist-bootstrap", "sweep-merge", "geom-mc")
 CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_one_photon_peak_drift"
 CLI = "from snspd_pnr.cli import main; main()"
+PAIRS = 10  # alternating parent/change pairs per workload
+SEED = 3
+SECONDS = 20.0  # the benchmark's run_seconds
+CRITERION_7_PAIRS = 5
+SWEEP_SEEDS = (1, 2, 3)  # seeds of the merged sweep comparison
 
 
 def parse_args(argv=None):
@@ -38,12 +43,6 @@ def parse_args(argv=None):
     p.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
     p.add_argument("--change", required=True, type=Path, help="checkout of the change")
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
-    p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--seconds", type=float, default=20.0)
-    p.add_argument("--workloads", default=",".join(WORKLOADS))
-    p.add_argument("--criterion7-pairs", type=int, default=5)
-    p.add_argument("--sweep-seeds", default="1,2,3", help="seeds of the merged sweep comparison")
     p.add_argument("--hardware", default="", help="host description stored in the output")
     p.add_argument("--parent-commit", default="", help="parent commit id stored in the output")
     return p.parse_args(argv)
@@ -55,9 +54,9 @@ def _env(root: Path) -> dict:
     return env
 
 
-def bench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", f"{seconds:g}", "--trace", "0"]
+def bench_run(root: Path, workload: str) -> dict:
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", f"{SECONDS:g}", "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     run = {k: result[k] for k in ("correct", "attempted", "failed")}
@@ -103,22 +102,19 @@ def alternate(pairs: int, sides: dict, run) -> list[dict]:
 def merged_sweeps(sides: dict, seeds) -> dict:
     """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows."""
     sys.path.insert(0, str(sides["change"].resolve() / "benchmarks"))
-    import workloads  # the workload's own configuration writer
+    import workloads  # the workload writes its own configuration
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
             rows = {}
             for side, root in sides.items():
-                work = Path(tmp) / f"{side}-{seed}"
-                work.mkdir()
-                config = work / "run.json"
-                workloads.write_config(config, seed, sim={"n_bar_values": list(workloads.SWEEP_N_BAR),
-                                                          "events_per_source": workloads.SWEEP_EVENTS,
-                                                          "merge_model": "occupied_elements"})
-                subprocess.run([sys.executable, "-c", CLI, "sweep", "-c", str(config), "-o", str(work / "sweep")],
+                workload = workloads.SweepMerge(seed, Path(tmp) / f"{side}-{seed}")
+                workload.setup()
+                sweep = workload.work / "sweep"
+                subprocess.run([sys.executable, "-c", CLI, "sweep", "-c", str(workload.config), "-o", str(sweep)],
                                cwd=root, env=_env(root), check=True, capture_output=True)
-                rows[side] = json.loads((work / "sweep" / "sweep.json").read_text())["rows"]
+                rows[side] = json.loads((sweep / "sweep.json").read_text())["rows"]
             per_n = []
             for old, new in zip(rows["parent"], rows["change"]):
                 combined = math.hypot(old["sigma_err_ps"], new["sigma_err_ps"])
@@ -141,12 +137,12 @@ def main(argv=None) -> int:
         "hardware": args.hardware,
         "parent_commit": args.parent_commit,
         "method": {
-            "benchmark": f"python3 benchmarks/run.py --workload W --seed {args.seed} --seconds {args.seconds:g} "
-                         f"--trace 0, unmodified, from a checkout of each commit; {args.pairs} pairs per workload, "
+            "benchmark": f"python3 benchmarks/run.py --workload W --seed {SEED} --seconds {SECONDS:g} "
+                         f"--trace 0, unmodified, from a checkout of each commit; {PAIRS} pairs per workload, "
                          "alternating which side runs first; numpy linear percentiles over the runs of each side; "
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
             "criterion_7": f"python -m pytest -q {CRITERION_7} in each checkout, timed from outside "
-                           f"(interpreter start and imports included); {args.criterion7_pairs} alternating pairs; "
+                           f"(interpreter start and imports included); {CRITERION_7_PAIRS} alternating pairs; "
                            "reported, not gated",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
@@ -155,25 +151,23 @@ def main(argv=None) -> int:
         "workloads": {},
         "runs": [],
     }
-    for workload in args.workloads.split(","):
-        runs = alternate(args.pairs, sides, lambda root: bench_run(root, workload, args.seed, args.seconds))
+    for workload in WORKLOADS:
+        runs = alternate(PAIRS, sides, lambda root: bench_run(root, workload))
         for r in runs:
-            r.update(kind="bench", workload=workload, seed=args.seed)
+            r.update(kind="bench", workload=workload, seed=SEED)
         summary = {m: compare(runs, m) for m in METRICS}
         summary["all_runs_correct"] = all(r["correct"] for r in runs)
         summary["failed_operations"] = sum(r["failed"] for r in runs)
         summary["attempted_operations"] = {s: sum(r["attempted"] for r in runs if r["side"] == s) for s in sides}
         report["workloads"][workload] = summary
         report["runs"] += runs
-    if args.criterion7_pairs:
-        runs = alternate(args.criterion7_pairs, sides, criterion7_run)
-        for r in runs:
-            r["kind"] = "criterion_7"
-        report["criterion_7_s"] = compare(runs, "wall_s")
-        report["criterion_7_s"]["all_passed"] = all(r["passed"] for r in runs)
-        report["runs"] += runs
-    if args.sweep_seeds:
-        report["merged_sweep"] = merged_sweeps(sides, [int(s) for s in args.sweep_seeds.split(",")])
+    runs = alternate(CRITERION_7_PAIRS, sides, criterion7_run)
+    for r in runs:
+        r["kind"] = "criterion_7"
+    report["criterion_7_s"] = compare(runs, "wall_s")
+    report["criterion_7_s"]["all_passed"] = all(r["passed"] for r in runs)
+    report["runs"] += runs
+    report["merged_sweep"] = merged_sweeps(sides, SWEEP_SEEDS)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

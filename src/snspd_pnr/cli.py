@@ -325,8 +325,9 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 @click.option("--n-values", default="1,2,3,4,5,6,7,8,9,10", show_default=True, help="Comma-separated photon numbers.")
 @click.option("--samples", type=int, default=200_000, show_default=True)
 @click.option("--estimator", type=click.Choice([e.value for e in Estimator]), default="midrange", show_default=True)
-@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per n (>= 2).")
-@click.option("--histogram-bins", type=int, default=0, help="Also write a per-n timing histogram with this many bins.")
+@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples, shared by all n (>= 2).")
+@click.option("--histogram-bins", type=click.IntRange(min=0), default=0,
+              help="Also write a per-n timing histogram with this many bins (0: none).")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("-o", "--out", "out_dir", required=True, help="Output directory.")
 def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator, bootstrap, histogram_bins, seed, out_dir):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .histogram import ArrivalHistogram
 
-_MC_CHUNK = 200_000
+_MC_CHUNK = 1 << 15  # rows per uniform block: 2.6 MB at n = 10
 
 
 class Estimator(str, enum.Enum):
@@ -50,9 +50,11 @@ class WireGeometry:
 class GeomMcResult:
     """Per-photon-number timing spread and the fitted scaling exponent.
 
-    ``per_n_std`` rows are (n, sigma_ps, bootstrap_se_ps).  ``fitted_exponent``
-    is the negative slope of the OLS fit of ln sigma vs ln n (None with fewer
-    than two distinct n); ``fit_residual`` is the RMS log-space residual.
+    ``per_n_std`` rows are (n, sigma_ps, bootstrap_se_ps); every n's error
+    comes from the same resamples of trial indices, drawn after all trials.
+    ``fitted_exponent`` is the negative slope of the OLS fit of ln sigma vs
+    ln n (None with fewer than two distinct n); ``fit_residual`` is the RMS
+    log-space residual.
     """
 
     per_n_std: tuple[tuple[int, float, float], ...]
@@ -92,30 +94,58 @@ def _check_samples(samples: int) -> int:
     return samples
 
 
+def _min_plus_max(x: np.ndarray) -> np.ndarray:
+    """``x.min(axis=1) + x.max(axis=1)``, bit for bit, by running minima and maxima over the columns.
+
+    numpy reduces slowly over a short inner axis; elementwise ``minimum`` and
+    ``maximum`` are exact, so taking them column by column changes no bit.
+    """
+    lo = x[:, 0].copy()
+    hi = lo.copy()
+    for j in range(1, x.shape[1]):
+        np.minimum(lo, x[:, j], out=lo)
+        np.maximum(hi, x[:, j], out=hi)
+    lo += hi
+    return lo
+
+
 def _trial_times(
-    g: WireGeometry, n: int, samples: int, rng: np.random.Generator, estimator: Estimator
-) -> np.ndarray:
-    out = np.empty(samples)
+    g: WireGeometry, n: int, out: np.ndarray, rng: np.random.Generator, estimator: Estimator
+) -> None:
+    """Fill ``out`` with one event-time estimate per trial.
+
+    Draws ``(m, n)`` uniform blocks of at most ``_MC_CHUNK`` rows; ``uniform``
+    takes one double per value, so the chunk size does not change the draws.
+    """
     done = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
+    while done < out.size:
+        m = min(_MC_CHUNK, out.size - done)
         x = rng.uniform(0.0, g.length, size=(m, n))
         if estimator is Estimator.MIDRANGE:
-            t = (x.min(axis=1) + x.max(axis=1)) / (2.0 * g.signal_velocity)
+            out[done : done + m] = _min_plus_max(x) / (2.0 * g.signal_velocity)
         else:
-            t = x.mean(axis=1) / g.signal_velocity
-        out[done : done + m] = t
+            out[done : done + m] = x.mean(axis=1) / g.signal_velocity
         done += m
-    return out
 
 
-def _bootstrap_std_se(values: np.ndarray, resamples: int, rng: np.random.Generator) -> float:
-    stds = np.empty(resamples)
-    n = values.size
+def _bootstrap_std_se(centred: np.ndarray, resamples: int, rng: np.random.Generator) -> np.ndarray:
+    """Bootstrap standard error of each row's sample std (ddof=1), rows centred on their means.
+
+    Each replicate draws one set of ``N`` indices with replacement, shared by
+    all rows (a paired bootstrap over trials), and takes every row's resampled
+    moments from the index counts ``c``: ``s1 = x @ c`` and ``s2 = (x * x) @ c``,
+    so the replicate std is ``sqrt((s2 - s1**2 / N) / (N - 1))``.  Each row's
+    replicates are those of a resample of that row alone; only the dependence
+    between rows differs from drawing indices per row.
+    """
+    n = centred.shape[1]
+    stds = np.empty((resamples, centred.shape[0]))
     for i in range(resamples):
-        idx = rng.integers(0, n, size=n)
-        stds[i] = values[idx].std(ddof=1)
-    return float(stds.std(ddof=1))
+        c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        s1 = centred @ c
+        s2 = np.einsum("ji,ji,i->j", centred, centred, c)
+        stds[i] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
+    return stds.std(axis=0, ddof=1)
 
 
 def geom_mc(
@@ -130,8 +160,10 @@ def geom_mc(
 
     Positions are drawn uniformly per trial; per-n spreads use the sample
     standard deviation (ddof=1) with a bootstrap standard error over
-    ``bootstrap_resamples`` (at least 2) resamples.  Consumes ``rng``
-    sequentially, so a fixed seed reproduces results exactly.
+    ``bootstrap_resamples`` (at least 2) resamples with replacement.  ``rng``
+    is consumed as every n's trial draws in the order of ``n_values``, then
+    one index draw per resample, shared by all n, so a fixed seed reproduces
+    results exactly.
     """
     samples = _check_samples(samples)
     if bootstrap_resamples < 2:
@@ -140,12 +172,14 @@ def geom_mc(
     ns = [int(n) for n in n_values]
     if not ns or any(n < 1 for n in ns):
         raise ValueError("n_values must contain integers >= 1")
-    rows = []
-    for n in ns:
-        times = _trial_times(g, n, samples, rng, estimator)
-        sigma = float(times.std(ddof=1))
-        se = _bootstrap_std_se(times, bootstrap_resamples, rng)
-        rows.append((n, sigma, se))
+    times = np.empty((len(ns), samples))
+    sigmas = []
+    for n, row in zip(ns, times):
+        _trial_times(g, n, row, rng, estimator)
+        sigmas.append(float(row.std(ddof=1)))
+        row -= row.mean()
+    ses = _bootstrap_std_se(times, bootstrap_resamples, rng)
+    rows = [(n, sigma, float(se)) for n, sigma, se in zip(ns, sigmas, ses)]
     distinct = sorted({n for n, _, _ in rows})
     if len(distinct) < 2:
         return GeomMcResult(tuple(rows), None, None)
@@ -169,7 +203,8 @@ def geom_histogram(
     if bins < 1:
         raise ValueError("bins must be >= 1")
     estimator = Estimator(estimator)
-    times = _trial_times(g, int(n), samples, rng, estimator)
+    times = np.empty(samples)
+    _trial_times(g, int(n), times, rng, estimator)
     span = g.length / g.signal_velocity
     edges = np.linspace(0.0, span, bins + 1)
     counts, _ = np.histogram(times, bins=edges)

@@ -281,6 +281,15 @@ def test_geom_too_few_bootstrap_resamples_exit_2(runner, tmp_path, resamples):
     assert not (out / "geom.json").exists()
 
 
+def test_geom_negative_histogram_bins_exit_2(runner, tmp_path):
+    out = tmp_path / "geom"
+    result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2",
+                                  "--samples", "10000", "--histogram-bins", "-3", "-o", str(out)])
+    assert result.exit_code == 2
+    assert "--histogram-bins" in out_text(result)
+    assert not out.exists()
+
+
 def test_overlap_cli_stdout(runner):
     result = runner.invoke(main, ["overlap", "--elements", "10", "--max-photons", "3"])
     assert result.exit_code == 0

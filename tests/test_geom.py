@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from snspd_pnr import geom
 from snspd_pnr import (
     Estimator,
     GeomMcResult,
@@ -123,3 +125,66 @@ def test_result_rejects_nan_spread_or_error():
     for row in ((1, math.nan, 0.02), (1, 9.6, math.nan), (1, 9.6, 0.0)):
         with pytest.raises(ValueError):
             GeomMcResult((row,), None, None)
+
+
+def _delta_method_std_se(x):
+    """Closed-form (delta-method) standard error of the sample std of ``x``."""
+    d = x - x.mean()
+    m2, m4, n = np.mean(d * d), np.mean(d**4), x.size
+    return x.std(ddof=1) / 2.0 * math.sqrt((m4 / m2**2 - (n - 3) / (n - 1)) / n)
+
+
+def _per_n_loop_std_se(x, resamples, rng):
+    """The bootstrap that draws its own indices for each n: one gather and one std per resample."""
+    stds = [x[rng.integers(0, x.size, size=x.size)].std(ddof=1) for _ in range(resamples)]
+    return float(np.std(stds, ddof=1))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_bootstrap_errors_match_closed_form_and_per_n_loop(ref_wire, seed):
+    # 200 resamples estimate a standard error to about 1/sqrt(2 * 199) = 5%
+    samples, ns = 20_000, range(1, 11)
+    res = geom_mc(ref_wire, ns, samples, np.random.default_rng(seed), bootstrap_resamples=200)
+    # the trial draws come first, so a fresh generator of the same seed gives the same trials
+    trials = np.random.default_rng(seed)
+    loop_rng = np.random.default_rng(100 + seed)
+    closed, loop = [], []
+    for n, sigma, se in res.per_n_std:
+        x = np.empty(samples)
+        geom._trial_times(ref_wire, n, x, trials, Estimator.MIDRANGE)
+        assert x.std(ddof=1) == sigma
+        closed.append(se / _delta_method_std_se(x))
+        loop.append(se / _per_n_loop_std_se(x, 200, loop_rng))
+    for ratios in (closed, loop):
+        assert all(0.75 <= r <= 1.33 for r in ratios), ratios
+        assert 0.95 <= np.mean(ratios) <= 1.05, ratios
+
+
+def test_geom_mc_memory_peak(ref_wire):
+    # the (K, N) trial array plus four length-N vectors; a (K, N) temporary fails
+    ns, samples = range(1, 11), 200_000
+    tracemalloc.start()
+    try:
+        geom_mc(ref_wire, ns, samples, np.random.default_rng(1), bootstrap_resamples=20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= len(ns) * samples * 8 + 4 * samples * 8
+
+
+@pytest.mark.parametrize("estimator", list(Estimator))
+def test_trial_times_do_not_depend_on_chunk_size(ref_wire, monkeypatch, estimator):
+    samples = 100_000
+    want = np.empty(samples)
+    geom._trial_times(ref_wire, 4, want, np.random.default_rng(9), estimator)
+    monkeypatch.setattr(geom, "_MC_CHUNK", 30_007)
+    got = np.empty(samples)
+    geom._trial_times(ref_wire, 4, got, np.random.default_rng(9), estimator)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 10])
+def test_columnwise_midrange_is_bit_identical(n):
+    x = np.random.default_rng(n).uniform(-3.0, 250.0, size=(4099, n))
+    got = geom._min_plus_max(x)
+    assert got.tobytes() == (x.min(axis=1) + x.max(axis=1)).tobytes()

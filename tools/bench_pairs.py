@@ -4,10 +4,11 @@ Runs the unmodified ``benchmarks/run.py`` of two checkouts (say, a
 ``git archive`` of the parent commit and the working tree) in pairs that
 alternate which side goes first, summarises each end-to-end metric per side
 (median and linear quartiles), and counts the pairs the change wins.  It also
-times the criterion 7 acceptance test in each checkout and compares the
-merged sweep of the ``sweep-merge`` workload between the two sides.
+times the criterion 2 and criterion 7 acceptance tests in each checkout, and
+compares the merged sweep of the ``sweep-merge`` workload and the ``geom`` run
+of the ``geom-mc`` workload between the two sides.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_8.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_9.json
 
 Both checkouts need the same benchmark code; the script reads nothing else
 from them.  Wall times depend on the host: record it with ``--hardware``.
@@ -29,13 +30,17 @@ import numpy as np
 
 METRICS = ("setup_s", "round_s", "peak_rss_mb")
 WORKLOADS = ("hist-bootstrap", "sweep-merge", "geom-mc")
-CRITERION_7 = "tests/test_acceptance.py::test_criterion_7_one_photon_peak_drift"
+CRITERIA = {  # acceptance tests timed in each checkout
+    "criterion_2": "tests/test_acceptance.py::test_criterion_2_geometric_jitter",
+    "criterion_7": "tests/test_acceptance.py::test_criterion_7_one_photon_peak_drift",
+}
 CLI = "from snspd_pnr.cli import main; main()"
 PAIRS = 10  # alternating parent/change pairs per workload
 SEED = 3
 SECONDS = 20.0  # the benchmark's run_seconds
-CRITERION_7_PAIRS = 5
+CRITERION_PAIRS = 5
 SWEEP_SEEDS = (1, 2, 3)  # seeds of the merged sweep comparison
+GEOM_SEEDS = (1, 2, 3)  # seeds of the geom comparison
 
 
 def parse_args(argv=None):
@@ -64,8 +69,8 @@ def bench_run(root: Path, workload: str) -> dict:
     return run
 
 
-def criterion7_run(root: Path) -> dict:
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", CRITERION_7]
+def criterion_run(root: Path, test: str) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=_env(root))
     return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
@@ -99,10 +104,18 @@ def alternate(pairs: int, sides: dict, run) -> list[dict]:
     return runs
 
 
+def _benchmark_modules(sides: dict):
+    """The change's ``benchmarks/workloads.py`` and ``reference.py`` (both sides share them)."""
+    sys.path.insert(0, str(sides["change"].resolve() / "benchmarks"))
+    import reference
+    import workloads
+
+    return workloads, reference
+
+
 def merged_sweeps(sides: dict, seeds) -> dict:
     """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows."""
-    sys.path.insert(0, str(sides["change"].resolve() / "benchmarks"))
-    import workloads  # the workload writes its own configuration
+    workloads, _ = _benchmark_modules(sides)  # the workload writes its own configuration
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -128,12 +141,71 @@ def merged_sweeps(sides: dict, seeds) -> dict:
     return out
 
 
+def midrange_std_se(sigma: float, n: int, samples: int) -> float:
+    """Closed-form (delta-method) error of a sample std of ``samples`` midranges of n uniforms.
+
+    ``s/2 sqrt((kurtosis - (N-3)/(N-1)) / N)`` with the midrange's exact
+    kurtosis ``6 (n+1)(n+2) / ((n+3)(n+4))`` (1.8 at n = 1, the uniform's).
+    """
+    kurtosis = 6.0 * (n + 1) * (n + 2) / ((n + 3) * (n + 4))
+    return sigma / 2.0 * math.sqrt((kurtosis - (samples - 3) / (samples - 1)) / samples)
+
+
+def geom_runs(sides: dict, seeds) -> dict:
+    """Run the ``geom-mc`` workload's CLI ``geom`` once per seed on both sides and compare per n.
+
+    Per n: the z of the change's ``sigma_ps`` against the parent's (the two
+    bootstrap errors combined in quadrature), each side's z against the exact
+    midrange spread, and each side's bootstrap error over the closed form.
+    """
+    workloads, reference = _benchmark_modules(sides)
+    geometry = (workloads.WIRE_LENGTH_UM, workloads.SIGNAL_VELOCITY)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            per_side, hists = {}, {}
+            for side, root in sides.items():
+                workload = workloads.GeomMc(seed, Path(tmp) / f"{side}-{seed}")
+                (op,) = workload.round_ops()
+                subprocess.run([sys.executable, "-c", CLI, *op.args],
+                               cwd=root, env=_env(root), check=True, capture_output=True)
+                geom = workload.work / "geom"
+                per_side[side] = json.loads((geom / "geom.json").read_text())["per_n"]
+                hists[side] = {p.name: p.read_bytes() for p in sorted(geom.glob("geom_hist_n*.csv"))}
+            per_n = []
+            for old, new in zip(per_side["parent"], per_side["change"]):
+                n = old["n"]
+                exact = reference.midrange_spread(*geometry, n)
+                closed = midrange_std_se(exact, n, workloads.GEOM_SAMPLES)
+                combined = math.hypot(old["bootstrap_se_ps"], new["bootstrap_se_ps"])
+                per_n.append({
+                    "n": n,
+                    "parent_sigma_ps": old["sigma_ps"],
+                    "change_sigma_ps": new["sigma_ps"],
+                    "sigma_ps_identical": old["sigma_ps"] == new["sigma_ps"],
+                    "z_change_vs_parent": (new["sigma_ps"] - old["sigma_ps"]) / combined,
+                    "parent_z_vs_exact": (old["sigma_ps"] - exact) / old["bootstrap_se_ps"],
+                    "change_z_vs_exact": (new["sigma_ps"] - exact) / new["bootstrap_se_ps"],
+                    "closed_form_se_ps": closed,
+                    "parent_se_over_closed_form": old["bootstrap_se_ps"] / closed,
+                    "change_se_over_closed_form": new["bootstrap_se_ps"] / closed,
+                })
+            out[str(seed)] = {
+                "histograms_identical": hists["parent"] == hists["change"] and bool(hists["parent"]),
+                "max_abs_z_change_vs_parent": max(abs(r["z_change_vs_parent"]) for r in per_n),
+                "change_se_over_closed_form_range": [min(r["change_se_over_closed_form"] for r in per_n),
+                                                     max(r["change_se_over_closed_form"] for r in per_n)],
+                "rows": per_n,
+            }
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sides = {"parent": args.parent, "change": args.change}
     report = {
         "what": "End-to-end benchmark metrics of the parent commit and of this change (median, quartiles, IQR), "
-                "the criterion 7 wall time, and the merged sweep widths of both sides.",
+                "the criterion 2 and 7 wall times, and the merged sweep widths and geom spreads of both sides.",
         "hardware": args.hardware,
         "parent_commit": args.parent_commit,
         "method": {
@@ -141,12 +213,17 @@ def main(argv=None) -> int:
                          f"--trace 0, unmodified, from a checkout of each commit; {PAIRS} pairs per workload, "
                          "alternating which side runs first; numpy linear percentiles over the runs of each side; "
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
-            "criterion_7": f"python -m pytest -q {CRITERION_7} in each checkout, timed from outside "
-                           f"(interpreter start and imports included); {CRITERION_7_PAIRS} alternating pairs; "
-                           "reported, not gated",
+            "criteria": f"python -m pytest -q TEST in each checkout, timed from outside (interpreter start "
+                        f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
                             "bootstrap errors combined in quadrature",
+            "geom": "the geom-mc workload's CLI `geom` flags, run once per seed on each side; z_change_vs_parent "
+                    "is the change's sigma_ps minus the parent's over the two bootstrap errors combined in "
+                    "quadrature; z_vs_exact is a side's sigma_ps minus the exact midrange spread over its "
+                    "bootstrap error; se_over_closed_form divides a side's bootstrap_se_ps by the delta-method "
+                    "error s/2 sqrt((kurtosis - (N-3)/(N-1))/N) at the exact spread and kurtosis; "
+                    "histograms_identical compares every geom_hist_n*.csv byte for byte",
         },
         "workloads": {},
         "runs": [],
@@ -161,13 +238,15 @@ def main(argv=None) -> int:
         summary["attempted_operations"] = {s: sum(r["attempted"] for r in runs if r["side"] == s) for s in sides}
         report["workloads"][workload] = summary
         report["runs"] += runs
-    runs = alternate(CRITERION_7_PAIRS, sides, criterion7_run)
-    for r in runs:
-        r["kind"] = "criterion_7"
-    report["criterion_7_s"] = compare(runs, "wall_s")
-    report["criterion_7_s"]["all_passed"] = all(r["passed"] for r in runs)
-    report["runs"] += runs
+    for name, test in CRITERIA.items():
+        runs = alternate(CRITERION_PAIRS, sides, lambda root: criterion_run(root, test))
+        for r in runs:
+            r["kind"] = name
+        report[f"{name}_s"] = compare(runs, "wall_s")
+        report[f"{name}_s"]["all_passed"] = all(r["passed"] for r in runs)
+        report["runs"] += runs
     report["merged_sweep"] = merged_sweeps(sides, SWEEP_SEEDS)
+    report["geom"] = geom_runs(sides, GEOM_SEEDS)
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
 

@@ -21,6 +21,7 @@ import numpy as np
 from .histogram import ArrivalHistogram
 
 _MC_CHUNK = 1 << 15  # rows per uniform block: 2.6 MB at n = 10
+_BOOTSTRAP_BLOCK = 1 << 16  # values per column block of the bootstrap sums: 512 kB
 
 
 class Estimator(str, enum.Enum):
@@ -134,16 +135,24 @@ def _bootstrap_std_se(centred: np.ndarray, resamples: int, rng: np.random.Genera
     Each replicate draws one set of ``N`` indices with replacement, shared by
     all rows (a paired bootstrap over trials), and takes every row's resampled
     moments from the index counts ``c``: ``s1 = x @ c`` and ``s2 = (x * x) @ c``,
-    so the replicate std is ``sqrt((s2 - s1**2 / N) / (N - 1))``.  Each row's
+    so the replicate std is ``sqrt((s2 - s1**2 / N) / (N - 1))``.  Both sums
+    run over column blocks of ``_BOOTSTRAP_BLOCK`` values, so each block is
+    read from cache for both and ``x * x`` never exists whole.  Each row's
     replicates are those of a resample of that row alone; only the dependence
     between rows differs from drawing indices per row.
     """
-    n = centred.shape[1]
-    stds = np.empty((resamples, centred.shape[0]))
+    k, n = centred.shape
+    width = max(1, _BOOTSTRAP_BLOCK // k)
+    square = np.empty((k, width))
+    stds = np.empty((resamples, k))
     for i in range(resamples):
         c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
-        s1 = centred @ c
-        s2 = np.einsum("ji,ji,i->j", centred, centred, c)
+        s1 = np.zeros(k)
+        s2 = np.zeros(k)
+        for j in range(0, n, width):
+            x, cj = centred[:, j : j + width], c[j : j + width]
+            s1 += x @ cj
+            s2 += np.square(x, out=square[:, : x.shape[1]]) @ cj
         stds[i] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
     return stds.std(axis=0, ddof=1)
 

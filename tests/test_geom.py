@@ -160,6 +160,21 @@ def test_bootstrap_errors_match_closed_form_and_per_n_loop(ref_wire, seed):
         assert 0.95 <= np.mean(ratios) <= 1.05, ratios
 
 
+@pytest.mark.parametrize("block", [geom._BOOTSTRAP_BLOCK, 7])
+def test_bootstrap_counts_give_each_resample_std(monkeypatch, block):
+    # the count-weighted moments equal the std of each row gathered at the shared indices
+    x = np.random.default_rng(4).gamma(2.0, size=(3, 1001))
+    x -= x.mean(axis=1, keepdims=True)
+    monkeypatch.setattr(geom, "_BOOTSTRAP_BLOCK", block)
+    got = geom._bootstrap_std_se(x, 30, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    stds = []
+    for _ in range(30):
+        idx = rng.integers(0, x.shape[1], size=x.shape[1])
+        stds.append(x[:, idx].std(axis=1, ddof=1))
+    np.testing.assert_allclose(got, np.std(stds, axis=0, ddof=1), rtol=1e-9)
+
+
 def test_geom_mc_memory_peak(ref_wire):
     # the (K, N) trial array plus four length-N vectors; a (K, N) temporary fails
     ns, samples = range(1, 11), 200_000

@@ -4,12 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from snspd_pnr import geom
 from snspd_pnr import (
     Estimator,
     GeomMcResult,
     WireGeometry,
     conventional_readout_delay,
+    geom,
     geom_histogram,
     geom_mc,
     geom_sigma_analytic,

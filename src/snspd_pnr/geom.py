@@ -22,6 +22,7 @@ from .histogram import ArrivalHistogram
 
 _MC_CHUNK = 1 << 15  # rows per uniform block: 2.6 MB at n = 10
 _BOOTSTRAP_BLOCK = 1 << 16  # values per column block of the bootstrap sums: 512 kB
+_BOOTSTRAP_BATCH = 8  # resamples whose sums share one pass over the trials
 
 
 class Estimator(str, enum.Enum):
@@ -135,25 +136,38 @@ def _bootstrap_std_se(centred: np.ndarray, resamples: int, rng: np.random.Genera
     Each replicate draws one set of ``N`` indices with replacement, shared by
     all rows (a paired bootstrap over trials), and takes every row's resampled
     moments from the index counts ``c``: ``s1 = x @ c`` and ``s2 = (x * x) @ c``,
-    so the replicate std is ``sqrt((s2 - s1**2 / N) / (N - 1))``.  Both sums
-    run over column blocks of ``_BOOTSTRAP_BLOCK`` values, so each block is
-    read from cache for both and ``x * x`` never exists whole.  Each row's
+    so the replicate std is ``sqrt((s2 - s1**2 / N) / (N - 1))``.  The counts
+    of ``_BOOTSTRAP_BATCH`` replicates are kept as ``uint8`` rows of one
+    matrix ``C``, so both sums are matrix-matrix products ``x @ C.T`` and the
+    trials are read once per batch.  The sums run over column blocks of about
+    ``_BOOTSTRAP_BLOCK`` values, so each block is read from cache for both and
+    ``x * x`` never exists whole.  A count above 255 would wrap, which a row
+    sum other than ``N`` shows; it raises ``RuntimeError``.  Each row's
     replicates are those of a resample of that row alone; only the dependence
     between rows differs from drawing indices per row.
     """
     k, n = centred.shape
-    width = max(1, _BOOTSTRAP_BLOCK // k)
+    width = max(1, _BOOTSTRAP_BLOCK // max(k, _BOOTSTRAP_BATCH))
+    counts = np.empty((_BOOTSTRAP_BATCH, n), dtype=np.uint8)
     square = np.empty((k, width))
+    block = np.empty(_BOOTSTRAP_BATCH * width)
     stds = np.empty((resamples, k))
-    for i in range(resamples):
-        c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
-        s1 = np.zeros(k)
-        s2 = np.zeros(k)
+    for start in range(0, resamples, _BOOTSTRAP_BATCH):
+        b = min(_BOOTSTRAP_BATCH, resamples - start)
+        for row in counts[:b]:
+            row[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            if row.sum(dtype=np.int64) != n:
+                raise RuntimeError("a bootstrap index count exceeds 255")
+        s1 = np.zeros((k, b))
+        s2 = np.zeros((k, b))
         for j in range(0, n, width):
-            x, cj = centred[:, j : j + width], c[j : j + width]
-            s1 += x @ cj
-            s2 += np.square(x, out=square[:, : x.shape[1]]) @ cj
-        stds[i] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
+            x = centred[:, j : j + width]
+            w = x.shape[1]
+            c = block[: b * w].reshape(b, w)
+            c[:] = counts[:b, j : j + w]
+            s1 += x @ c.T
+            s2 += np.square(x, out=square[:, :w]) @ c.T
+        stds[start : start + b] = np.sqrt((s2 - s1 * s1 / n) / (n - 1)).T
     return stds.std(axis=0, ddof=1)
 
 
@@ -172,7 +186,9 @@ def geom_mc(
     ``bootstrap_resamples`` (at least 2) resamples with replacement.  ``rng``
     is consumed as every n's trial draws in the order of ``n_values``, then
     one index draw per resample, shared by all n, so a fixed seed reproduces
-    results exactly.
+    results exactly.  Every trial is held at once: ``K * N * 8`` bytes for K
+    values of n and N samples, plus about ``4 * N * 8`` for the bootstrap
+    (16 MB at n = 1..10 and 200 000 samples, 800 MB at 10**7 samples).
     """
     samples = _check_samples(samples)
     if bootstrap_resamples < 2:

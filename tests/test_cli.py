@@ -281,6 +281,24 @@ def test_geom_too_few_bootstrap_resamples_exit_2(runner, tmp_path, resamples):
     assert not (out / "geom.json").exists()
 
 
+def test_geom_output_does_not_depend_on_blas_threads(tmp_path):
+    # the bootstrap sums are BLAS matrix products; reruns must be byte-identical at any thread count
+    src = str(Path(snspd_pnr.__file__).resolve().parent.parent)
+    code = "from snspd_pnr.cli import main; main()"
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-c", code, "geom", "--length", "200um", "--signal-velocity", "6",
+                        "--n-values", "1,2,3,4", "--samples", "20000", "--bootstrap", "20",
+                        "--histogram-bins", "10", "--seed", "5", "-o", str(out)],
+                       env=env, capture_output=True, text=True, timeout=120, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["geom.json"] + [f"geom_hist_n{n:02d}.csv" for n in range(1, 5)]
+    assert outputs[0] == outputs[1]
+
+
 def test_geom_negative_histogram_bins_exit_2(runner, tmp_path):
     out = tmp_path / "geom"
     result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2",

@@ -161,18 +161,63 @@ def test_bootstrap_errors_match_closed_form_and_per_n_loop(ref_wire, seed):
 
 
 @pytest.mark.parametrize("block", [geom._BOOTSTRAP_BLOCK, 7])
-def test_bootstrap_counts_give_each_resample_std(monkeypatch, block):
-    # the count-weighted moments equal the std of each row gathered at the shared indices
-    x = np.random.default_rng(4).gamma(2.0, size=(3, 1001))
+@pytest.mark.parametrize("rows", [1, 3, 12])
+@pytest.mark.parametrize("resamples", [2, 8, 9, 30])
+def test_bootstrap_counts_give_each_resample_std(monkeypatch, block, rows, resamples):
+    # the count-weighted moments equal the std of each row gathered at the shared indices,
+    # for a partial batch of resamples and for more rows than resamples in a batch
+    x = np.random.default_rng(4).gamma(2.0, size=(rows, 1001))
     x -= x.mean(axis=1, keepdims=True)
     monkeypatch.setattr(geom, "_BOOTSTRAP_BLOCK", block)
-    got = geom._bootstrap_std_se(x, 30, np.random.default_rng(8))
+    got = geom._bootstrap_std_se(x, resamples, np.random.default_rng(8))
     rng = np.random.default_rng(8)
     stds = []
-    for _ in range(30):
+    for _ in range(resamples):
         idx = rng.integers(0, x.shape[1], size=x.shape[1])
         stds.append(x[:, idx].std(axis=1, ddof=1))
     np.testing.assert_allclose(got, np.std(stds, axis=0, ddof=1), rtol=1e-9)
+
+
+def _matrix_vector_std_se(centred, resamples, rng):
+    """The bootstrap as one pair of matrix-vector sums per resample, over the same index draws."""
+    k, n = centred.shape
+    width = max(1, geom._BOOTSTRAP_BLOCK // k)
+    stds = np.empty((resamples, k))
+    for i in range(resamples):
+        c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        s1 = np.zeros(k)
+        s2 = np.zeros(k)
+        for j in range(0, n, width):
+            x, cj = centred[:, j : j + width], c[j : j + width]
+            s1 += x @ cj
+            s2 += (x * x) @ cj
+        stds[i] = np.sqrt((s2 - s1 * s1 / n) / (n - 1))
+    return stds.std(axis=0, ddof=1)
+
+
+def test_batched_bootstrap_errors_equal_the_matrix_vector_loop(ref_wire, monkeypatch):
+    # the same draws give the same errors; only the summation order differs
+    ns, samples = range(1, 11), 20_000
+    got = geom_mc(ref_wire, ns, samples, np.random.default_rng(6), bootstrap_resamples=200)
+    monkeypatch.setattr(geom, "_bootstrap_std_se", _matrix_vector_std_se)
+    want = geom_mc(ref_wire, ns, samples, np.random.default_rng(6), bootstrap_resamples=200)
+    assert [row[:2] for row in got.per_n_std] == [row[:2] for row in want.per_n_std]
+    np.testing.assert_allclose([se for *_, se in got.per_n_std], [se for *_, se in want.per_n_std], rtol=1e-12)
+
+
+class _ZeroIndices:
+    """A generator stub whose every index draw is zero, so index 0 is counted N times."""
+
+    def integers(self, low, high, size):
+        return np.zeros(size, dtype=np.int64)
+
+
+def test_bootstrap_count_above_255_raises():
+    # 1000 draws of one index would store 1000 mod 256 = 232 in a uint8 count
+    x = np.random.default_rng(2).normal(size=(2, 1000))
+    x -= x.mean(axis=1, keepdims=True)
+    with pytest.raises(RuntimeError, match="exceeds 255"):
+        geom._bootstrap_std_se(x, 2, _ZeroIndices())
 
 
 def test_geom_mc_memory_peak(ref_wire):

@@ -8,7 +8,7 @@ times the criterion 2 and criterion 7 acceptance tests in each checkout, and
 compares the merged sweep of the ``sweep-merge`` workload and the ``geom`` run
 of the ``geom-mc`` workload between the two sides.
 
-    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_9.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
 
 Both checkouts need the same benchmark code; the script reads nothing else
 from them.  Wall times depend on the host: record it with ``--hardware``.
@@ -156,7 +156,10 @@ def geom_runs(sides: dict, seeds) -> dict:
 
     Per n: the z of the change's ``sigma_ps`` against the parent's (the two
     bootstrap errors combined in quadrature), each side's z against the exact
-    midrange spread, and each side's bootstrap error over the closed form.
+    midrange spread, each side's bootstrap error over the closed form, and the
+    relative difference of the two bootstrap errors.  Per seed: whether every
+    ``sigma_ps``, the ``fitted_exponent`` and every histogram are byte-identical,
+    and the largest relative difference of ``bootstrap_se_ps``.
     """
     workloads, reference = _benchmark_modules(sides)
     geometry = (workloads.WIRE_LENGTH_UM, workloads.SIGNAL_VELOCITY)
@@ -170,10 +173,10 @@ def geom_runs(sides: dict, seeds) -> dict:
                 subprocess.run([sys.executable, "-c", CLI, *op.args],
                                cwd=root, env=_env(root), check=True, capture_output=True)
                 geom = workload.work / "geom"
-                per_side[side] = json.loads((geom / "geom.json").read_text())["per_n"]
+                per_side[side] = json.loads((geom / "geom.json").read_text())
                 hists[side] = {p.name: p.read_bytes() for p in sorted(geom.glob("geom_hist_n*.csv"))}
             per_n = []
-            for old, new in zip(per_side["parent"], per_side["change"]):
+            for old, new in zip(per_side["parent"]["per_n"], per_side["change"]["per_n"]):
                 n = old["n"]
                 exact = reference.midrange_spread(*geometry, n)
                 closed = midrange_std_se(exact, n, workloads.GEOM_SAMPLES)
@@ -189,9 +192,14 @@ def geom_runs(sides: dict, seeds) -> dict:
                     "closed_form_se_ps": closed,
                     "parent_se_over_closed_form": old["bootstrap_se_ps"] / closed,
                     "change_se_over_closed_form": new["bootstrap_se_ps"] / closed,
+                    "se_rel_diff": abs(new["bootstrap_se_ps"] / old["bootstrap_se_ps"] - 1.0),
                 })
             out[str(seed)] = {
                 "histograms_identical": hists["parent"] == hists["change"] and bool(hists["parent"]),
+                "sigma_ps_identical": all(r["sigma_ps_identical"] for r in per_n),
+                "fitted_exponent_identical":
+                    per_side["parent"]["fitted_exponent"] == per_side["change"]["fitted_exponent"],
+                "max_se_rel_diff": max(r["se_rel_diff"] for r in per_n),
                 "max_abs_z_change_vs_parent": max(abs(r["z_change_vs_parent"]) for r in per_n),
                 "change_se_over_closed_form_range": [min(r["change_se_over_closed_form"] for r in per_n),
                                                      max(r["change_se_over_closed_form"] for r in per_n)],
@@ -223,7 +231,9 @@ def main(argv=None) -> int:
                     "quadrature; z_vs_exact is a side's sigma_ps minus the exact midrange spread over its "
                     "bootstrap error; se_over_closed_form divides a side's bootstrap_se_ps by the delta-method "
                     "error s/2 sqrt((kurtosis - (N-3)/(N-1))/N) at the exact spread and kurtosis; "
-                    "histograms_identical compares every geom_hist_n*.csv byte for byte",
+                    "histograms_identical compares every geom_hist_n*.csv byte for byte; sigma_ps_identical and "
+                    "fitted_exponent_identical compare the geom.json values exactly; max_se_rel_diff is the largest "
+                    "|change/parent - 1| of bootstrap_se_ps over n",
         },
         "workloads": {},
         "runs": [],

@@ -464,15 +464,14 @@ def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistan
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (overrides config).")
 @click.option("--seed", type=int, default=None, help="Override the configured seed.")
 @click.option("--bin-width", type=float, default=2.0, show_default=True, help="Histogram bin width, ps.")
-@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples per source (0 or >= 2).")
 @click.option("--svg", "want_svg", is_flag=True, help="Write a width-versus-n_bar plot.")
-def sweep(config_path, out_dir, seed, bin_width, bootstrap, want_svg):
+def sweep(config_path, out_dir, seed, bin_width, want_svg):
     """Simulate the configured sources and report total width versus n_bar."""
     cfg = _read_config(config_path)
     plan = _build_plan(cfg, seed)
     out = _resolve_out(out_dir, cfg)
     try:
-        rows = sweep_total_width(plan, bin_width=bin_width, n_bootstrap=bootstrap)
+        rows = sweep_total_width(plan, bin_width=bin_width)
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
     lines = ["n_bar,sigma_hist_ps,sigma_err_ps,sigma_model_ps"]
@@ -484,7 +483,6 @@ def sweep(config_path, out_dir, seed, bin_width, bootstrap, want_svg):
         "merge_model": plan.merge_model.value,
         "events_per_source": plan.events_per_source,
         "bin_width_ps": bin_width,
-        "bootstrap": bootstrap,
         "rows": [
             {
                 "n_bar": r.n_bar,

@@ -13,7 +13,7 @@ from the optimum.  Bin masses come from analytic CDF differences, never
 midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
-bootstrap errors, and time-tag ingestion.
+its delta-method standard error, and time-tag ingestion.
 """
 
 from __future__ import annotations
@@ -543,33 +543,25 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
     )
 
 
-def total_width(
-    hist: ArrivalHistogram, *, n_bootstrap: int = 200, rng: np.random.Generator | None = None
-) -> tuple[float, float]:
-    """Event-weighted standard deviation of bin centers with a bootstrap error.
+def total_width(hist: ArrivalHistogram) -> tuple[float, float]:
+    """Event-weighted standard deviation of bin centers with its standard error.
 
-    The bootstrap resamples event-to-bin assignments multinomially,
-    ``n_bootstrap`` times (0 for no error, else at least 2); with the default
-    generator (seed 0) the result is reproducible bit for bit.
+    The error is the delta-method error of a standard deviation over N events,
+    ``sqrt((mu4 - mu2**2) / (4 mu2 N))``, with the central moments mu2 and mu4
+    of the bin centers taken about the same weighted mean; it is the spread a
+    multinomial resampling of event-to-bin assignments estimates.  A histogram
+    whose events all sit in one bin returns (0.0, 0.0).
     """
-    _check_bootstrap(n_bootstrap)
     if hist.total_events < 1:
         raise ValueError("empty histogram")
     centers = hist.bin_centers
     w = hist.counts / hist.total_events
-    mean = float(np.dot(w, centers))
-    std = float(math.sqrt(np.dot(w, (centers - mean) ** 2)))
-    if n_bootstrap == 0:
-        return std, 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-    stds = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        cb = rng.multinomial(hist.total_events, w)
-        wb = cb / hist.total_events
-        mb = float(np.dot(wb, centers))
-        stds[i] = math.sqrt(np.dot(wb, (centers - mb) ** 2))
-    return std, float(stds.std(ddof=1))
+    d2 = (centers - np.dot(w, centers)) ** 2
+    m2 = float(np.dot(w, d2))
+    if m2 == 0.0:
+        return 0.0, 0.0
+    m4 = float(np.dot(w, d2 * d2))
+    return math.sqrt(m2), math.sqrt(max(m4 - m2 * m2, 0.0) / (4.0 * m2 * hist.total_events))
 
 
 def ingest_time_tags(source, bin_width: float = 2.0) -> ArrivalHistogram:

@@ -57,8 +57,8 @@ class ArrivalHistogram:
             raise ValueError("no events to bin")
         if not np.all(np.isfinite(t)):
             raise ValueError("event times must be finite")
-        if bin_width <= 0.0:
-            raise ValueError("bin_width must be positive")
+        if not (math.isfinite(bin_width) and bin_width > 0.0):
+            raise ValueError("bin_width must be positive and finite")
         lo = math.floor(float(t.min()) / bin_width) * bin_width
         hi = math.ceil(float(t.max()) / bin_width) * bin_width
         if hi <= lo:

@@ -13,7 +13,8 @@ bit for bit.
 Generation is chunked, and every chunk seeds its own generator from
 (seed, bits(n_bar), chunk_index), so results are identical for any worker
 count and duplicated n_bar entries yield identical tag streams.  The
-SNSPD_PNR_THREADS environment variable caps the worker count.
+SNSPD_PNR_THREADS environment variable caps the worker count.  The sweep's
+width errors are closed-form, so the tag streams are its only random draws.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import numpy as np
 from ._version import __version__
 from .budget import JitterBudget
 from .dist import EmgParams, MixtureModel, emg_sample, mixture_moments
-from .fit import FixedParams, _check_bootstrap, mixture_from_params, total_width
+from .fit import FixedParams, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable, write_time_tags
 from .overlap import occupied_element_counts
@@ -39,7 +40,6 @@ from .pulse import DetectorConfig
 
 TRIGGER_PERIOD_PS = 1e12 / 9500.0  # 9.5 kHz pulse comb
 _CHUNK_EVENTS = 200_000
-_SWEEP_STREAM = 0xFFFFFFFF  # chunk-index slot reserved for bootstrap streams
 
 
 class MergeModel(str, enum.Enum):
@@ -187,29 +187,26 @@ def write_source_files(tags: list[SourceTags], out_dir, plan: SimPlan) -> dict:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One source of a sweep: simulated width, its standard error, analytic width (ps)."""
+
     n_bar: float
     sigma_hist: float
     sigma_error: float
     sigma_model: float
 
 
-def sweep_total_width(plan: SimPlan, bin_width: float = 2.0, n_bootstrap: int = 200) -> list[SweepRow]:
+def sweep_total_width(plan: SimPlan, bin_width: float = 2.0) -> list[SweepRow]:
     """Simulated histogram width vs n_bar alongside the analytic mixture width.
 
-    The analytic column evaluates the law of total variance for the mixture
-    the simulator draws from, before merging, so it is the merge-off
-    reference curve.  ``n_bootstrap`` is 0 (errors reported as 0) or at
-    least 2.
+    Each width and its error come from ``total_width`` (delta-method standard
+    error, no resampling).  The analytic column evaluates the law of total
+    variance for the mixture the simulator draws from, before merging, so it
+    is the merge-off reference curve.
     """
-    _check_bootstrap(n_bootstrap)
-    tags = simulate_tags(plan)
     rows = []
-    for st in tags:
+    for st in simulate_tags(plan):
         hist = ArrivalHistogram.from_events(st.delta_ps, bin_width, st.n_bar)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((plan.seed, _nbar_entropy(st.n_bar), _SWEEP_STREAM))
-        )
-        sigma_hist, sigma_err = total_width(hist, n_bootstrap=n_bootstrap, rng=rng)
+        sigma_hist, sigma_err = total_width(hist)
         _, sigma_model = mixture_moments(_plan_mixture(plan, st.n_bar))
         rows.append(SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model))
     return rows

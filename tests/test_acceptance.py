@@ -238,7 +238,7 @@ def test_criterion_6_width_vs_n_bar_sweep(ref_detector, ref_budget, make_fixed_p
         200_000,
         seed=777,
     )
-    rows = sweep_total_width(plan, bin_width=2.0, n_bootstrap=200)
+    rows = sweep_total_width(plan, bin_width=2.0)
 
     widths = np.array([r.sigma_hist for r in rows])
     model = np.array([r.sigma_model for r in rows])
@@ -269,7 +269,7 @@ def test_criterion_6_width_vs_n_bar_sweep(ref_detector, ref_budget, make_fixed_p
         f"analytic rise-then-fall: {unimodal_ok}; simulated steps follow "
         f"analytic signs: {signs_ok}; simulated strict decrease from peak to "
         f"n_bar={rows[-1].n_bar:.1f}: {fall_ok}; "
-        f"within 3 bootstrap errors of analytic curve: {agree_ok}; "
+        f"within 3 standard errors of analytic curve: {agree_ok}; "
         f"limit at n_bar=500 {limit_width:.3f} vs floor {floor:.3f} "
         f"within 5%: {limit_ok}",
     )
@@ -387,8 +387,8 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
     config["sim"] = {"n_bar_values": [1.0, 2.0, 3.0], "events_per_source": 50_000}
     sweep_cfg.write_text(json.dumps(config))
     sw1, sw2 = tmp_path / "w1", tmp_path / "w2"
-    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw1), "--bootstrap", "50", "--svg"], "1")
-    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw2), "--bootstrap", "50", "--svg"], "4")
+    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw1), "--svg"], "1")
+    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw2), "--svg"], "4")
     sweep_ok = artifacts(sw1) == artifacts(sw2)
 
     ok = sim_ok and fit_ok and geom_ok and stdout_ok and sweep_ok

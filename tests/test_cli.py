@@ -344,7 +344,7 @@ def test_sweep_cli(runner, tmp_path):
     cfg["sim"]["events_per_source"] = 20_000
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    args = ["sweep", "-c", str(path), "--bootstrap", "10", "--svg"]
+    args = ["sweep", "-c", str(path), "--svg"]
     r1 = runner.invoke(main, args + ["-o", str(tmp_path / "w1")])
     r2 = runner.invoke(main, args + ["-o", str(tmp_path / "w2")])
     assert r1.exit_code == 0, out_text(r1)
@@ -360,11 +360,12 @@ def test_sweep_cli(runner, tmp_path):
     assert payload["version"]
 
 
-def test_sweep_one_bootstrap_resample_exit_2(runner, config_path, tmp_path):
+@pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+def test_sweep_bad_bin_width_exit_2(runner, config_path, tmp_path, width):
     out = tmp_path / "w"
-    result = runner.invoke(main, ["sweep", "-c", config_path, "-o", str(out), "--bootstrap", "1"])
+    result = runner.invoke(main, ["sweep", "-c", config_path, "-o", str(out), "--bin-width", width])
     assert result.exit_code == 2
-    assert "n_bootstrap must be 0 or >= 2" in out_text(result)
+    assert "bin_width must be positive and finite" in out_text(result)
     assert not (out / "sweep.json").exists()
 
 

@@ -15,6 +15,7 @@ from snspd_pnr import (
     FitResult,
     FixedParams,
     JitterBudget,
+    SimPlan,
     emg_sample,
     fit_histogram,
     fit_single_peak,
@@ -29,6 +30,7 @@ from snspd_pnr import (
     read_histogram_csv,
     read_time_tags,
     sigma_total,
+    simulate_tags,
     tau_at,
     total_width,
     write_time_tags,
@@ -455,8 +457,6 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
 def test_bootstrap_count_of_one_is_rejected(rt_hist, fp1, n_bootstrap):
     with pytest.raises(ValueError, match="n_bootstrap must be 0 or >= 2"):
         fit_histogram(rt_hist, fp1, n_bootstrap=n_bootstrap)
-    with pytest.raises(ValueError, match="n_bootstrap must be 0 or >= 2"):
-        total_width(rt_hist, n_bootstrap=n_bootstrap)
 
 
 def test_fit_result_rejects_nan():
@@ -518,17 +518,38 @@ def test_single_peak_sparse_window_rejected():
         fit_single_peak(hist, (5000.0, 6000.0))
 
 
-def test_total_width_closed_form_and_bootstrap():
+def test_total_width_closed_form_and_bootstrap(ref_detector, ref_budget):
+    def resampled_se(hist, resamples, seed):
+        # multinomial resampling of event-to-bin assignments, the width recomputed on each resample
+        rng = np.random.default_rng(seed)
+        centers, n = hist.bin_centers, hist.total_events
+        w = hist.counts / n
+        stds = np.empty(resamples)
+        for i in range(resamples):
+            wb = rng.multinomial(n, w) / n
+            stds[i] = math.sqrt(np.dot(wb, (centers - np.dot(wb, centers)) ** 2))
+        return float(stds.std(ddof=1))
+
     edges = np.array([0.0, 1.0, 2.0, 3.0])
-    counts = np.array([100, 0, 100])
-    hist = ArrivalHistogram(edges, counts, 200)
-    std, se = total_width(hist, n_bootstrap=0)
+    hist = ArrivalHistogram(edges, np.array([100, 0, 100]), 200)
+    std, se = total_width(hist)
     assert std == pytest.approx(1.0, rel=1e-14)  # two halves one bin apart
+    # equal halves: the width's first-order error vanishes, and resampling sees only
+    # its second-order spread, of order 1/N rather than 1/sqrt(N)
     assert se == 0.0
-    s1, e1 = total_width(hist, n_bootstrap=100, rng=np.random.default_rng(4))
-    s2, e2 = total_width(hist, n_bootstrap=100, rng=np.random.default_rng(4))
-    assert (s1, e1) == (s2, e2)
-    assert e1 > 0.0
+    assert resampled_se(hist, 2000, 4) < 1.0 / hist.total_events
+    # the same halves 1.1 ps apart, where mu4 - mu2**2 rounds to -2.2e-16
+    assert total_width(ArrivalHistogram(1.1 * np.arange(4.0), np.array([100, 0, 100]), 200))[1] == 0.0
+    plan = SimPlan(ref_detector, ref_budget, (5.0,), 200_000, merge_model="occupied_elements", seed=11)
+    (st,) = simulate_tags(plan)
+    for hist in (ArrivalHistogram(edges, np.array([150, 0, 50]), 200),
+                 ArrivalHistogram.from_events(st.delta_ps, 2.0, st.n_bar)):
+        _, se = total_width(hist)
+        assert se == pytest.approx(resampled_se(hist, 4000, 5), rel=0.05)
+    one_bin = ArrivalHistogram(edges, np.array([0, 7, 0]), 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert total_width(one_bin) == (0.0, 0.0)
 
 
 def test_ingest_time_tags_round_trip(tmp_path):

@@ -175,7 +175,7 @@ def test_write_and_read_round_trip_bit_exact(make_plan, tmp_path):
 
 def test_sweep_width_matches_analytic_curve(make_plan):
     plan = make_plan([1.0, 2.0, 5.0], 150_000, seed=2)
-    rows = sweep_total_width(plan, bin_width=2.0, n_bootstrap=80)
+    rows = sweep_total_width(plan, bin_width=2.0)
     for row in rows:
         assert row.sigma_error > 0.0
         assert abs(row.sigma_hist - row.sigma_model) < 4.0 * row.sigma_error
@@ -188,7 +188,7 @@ def test_sweep_model_follows_the_budget_exponent(make_plan, ref_budget):
     # the exponent has one home, the budget: simulated and analytic widths both follow it
     budget = dataclasses.replace(ref_budget, rise_scaling_exponent=0.4)
     plan = dataclasses.replace(make_plan([1.0, 3.0, 10.0], 200_000, seed=42), budget=budget)
-    for row in sweep_total_width(plan, bin_width=2.0, n_bootstrap=50):
+    for row in sweep_total_width(plan, bin_width=2.0):
         assert row.sigma_error > 0.0
         assert abs(row.sigma_hist - row.sigma_model) < 3.0 * row.sigma_error
 
@@ -196,7 +196,7 @@ def test_sweep_model_follows_the_budget_exponent(make_plan, ref_budget):
 def test_merged_sweep_width_matches_merged_mixture(make_plan, ref_detector, ref_budget):
     plan = make_plan([1.0, 5.0, 20.0], 200_000, merge="occupied_elements", seed=8)
     m = ref_detector.grid.element_count
-    for row in sweep_total_width(plan, bin_width=2.0, n_bootstrap=200):
+    for row in sweep_total_width(plan, bin_width=2.0):
         fp = FixedParams.from_budget(ref_budget, ref_detector.mu_infinity, row.n_bar)
         mix = mixture_from_params(fp, (ref_detector.delta_mu, ref_budget.sigma_int, ref_budget.tau))
         merged_weights = mix.weights @ occupied_law(mix.n_max, m)[1:, 1:]  # w'_k = sum_n w_n P(k | n)
@@ -210,8 +210,8 @@ def test_merged_sweep_width_matches_merged_mixture(make_plan, ref_detector, ref_
 
 def test_sweep_is_reproducible(make_plan):
     plan = make_plan([1.5], 40_000, seed=4)
-    a = sweep_total_width(plan, n_bootstrap=30)
-    b = sweep_total_width(plan, n_bootstrap=30)
+    a = sweep_total_width(plan)
+    b = sweep_total_width(plan)
     assert a == b
 
 

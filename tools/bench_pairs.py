@@ -225,7 +225,7 @@ def main(argv=None) -> int:
                         f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
-                            "bootstrap errors combined in quadrature",
+                            "standard errors combined in quadrature",
             "geom": "the geom-mc workload's CLI `geom` flags, run once per seed on each side; z_change_vs_parent "
                     "is the change's sigma_ps minus the parent's over the two bootstrap errors combined in "
                     "quadrature; z_vs_exact is a side's sigma_ps minus the exact midrange spread over its "

@@ -126,7 +126,14 @@ def emg_sample(p: EmgParams, rng: np.random.Generator, count: int) -> np.ndarray
     """Draw ``count`` arrival times as Gaussian(mu, sigma) + Exponential(tau)."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    return rng.normal(p.mu, p.sigma, size=count) + rng.exponential(p.tau, size=count)
+    # the operations of rng.normal(mu, sigma) + rng.exponential(tau), in place
+    t = rng.standard_normal(count)
+    t *= p.sigma
+    t += p.mu
+    tail = rng.standard_exponential(count)
+    tail *= p.tau
+    t += tail
+    return t
 
 
 @dataclass(frozen=True)

@@ -55,12 +55,13 @@ class ArrivalHistogram:
         t = np.asarray(times, dtype=np.float64)
         if t.size == 0:
             raise ValueError("no events to bin")
-        if not np.all(np.isfinite(t)):
+        t_min, t_max = float(t.min()), float(t.max())  # a NaN propagates to both
+        if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValueError("event times must be finite")
         if not (math.isfinite(bin_width) and bin_width > 0.0):
             raise ValueError("bin_width must be positive and finite")
-        lo = math.floor(float(t.min()) / bin_width) * bin_width
-        hi = math.ceil(float(t.max()) / bin_width) * bin_width
+        lo = math.floor(t_min / bin_width) * bin_width
+        hi = math.ceil(t_max / bin_width) * bin_width
         if hi <= lo:
             hi = lo + bin_width
         n_bins = int(round((hi - lo) / bin_width))

@@ -7,7 +7,8 @@ The number K of distinct elements they occupy follows
 ``P(K=k | n, M) = C(M,k) S(n,k) k! / M^n`` with S the Stirling numbers of the
 second kind; ``occupied_law`` tabulates it exactly, and
 ``occupied_element_counts`` samples it with one uniform per event through a
-Walker/Vose alias table of each row.
+Walker/Vose alias table of each row, read with one flat gather per table at
+the row-major index of (n, slot).
 """
 
 from __future__ import annotations
@@ -94,14 +95,14 @@ def occupied_law(n_hi: int, M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _alias_table(n_hi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Walker/Vose alias tables of ``occupied_law`` rows 0..n_hi.
+def _alias_table(n_hi: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Walker/Vose alias tables of ``occupied_law`` rows 0..n_hi, and each row's slot count.
 
-    Row n has ``min(n, M)`` slots, slot j standing for k = j + 1: a draw that
-    lands in slot j keeps j + 1 when its fraction is below ``cut[n, j]`` and
-    takes ``alias[n, j]`` otherwise.  Row 0 has cut 0 and alias 0, so an
-    event without photons always yields 0.  Each row depends on n and M alone,
-    not on n_hi.
+    Row n has ``slots[n] = max(min(n, M), 1)`` slots, slot j standing for
+    k = j + 1: a draw that lands in slot j keeps j + 1 when its fraction is
+    below ``cut[n, j]`` and takes ``alias[n, j]`` otherwise.  Row 0 has one
+    slot with cut 0 and alias 0, so an event without photons always yields 0.
+    Each row depends on n and M alone, not on n_hi.
     """
     law = occupied_law(n_hi, M)
     cut = np.zeros((n_hi + 1, max(law.shape[1] - 1, 1)))
@@ -118,9 +119,10 @@ def _alias_table(n_hi: int, M: int) -> tuple[np.ndarray, np.ndarray]:
             (small if scaled[big] < 1.0 else large).append(big)
         for j in small + large:  # 1 up to rounding
             cut[n, j], alias[n, j] = 1.0, j + 1
-    cut.flags.writeable = False
-    alias.flags.writeable = False
-    return cut, alias
+    slots = np.maximum(np.minimum(np.arange(n_hi + 1), M), 1)
+    for table in (cut, alias, slots):
+        table.flags.writeable = False
+    return cut, alias, slots
 
 
 def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
@@ -142,8 +144,20 @@ def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Gen
         return np.zeros(0, dtype=np.int64)
     M = int(grid.element_count)
     n_hi = -(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS
-    cut, alias = _alias_table(n_hi, M)
-    slots = np.maximum(np.minimum(counts, M), 1)
-    x = rng.random(counts.size) * slots
-    j = np.minimum(x.astype(np.int64), slots - 1)  # u * slots may round up to slots
-    return np.where(x - j < cut[counts, j], j + 1, alias[counts, j])
+    cut, alias, slots = _alias_table(n_hi, M)
+    s = slots.take(counts)
+    x = rng.random(counts.size)
+    x *= s
+    j = x.astype(np.int64)
+    s -= 1
+    np.minimum(j, s, out=j)  # a guard: a 53-bit u < 1 already keeps u * slots below slots
+    x -= j
+    flat = np.multiply(counts, cut.shape[1], out=s)  # row-major index of (n, j)
+    flat += j
+    keep = x < cut.take(flat)
+    k = alias.take(flat)
+    j += 1  # j + 1 where keep, else the alias k: k + keep (j + 1 - k)
+    j -= k
+    j *= keep
+    j += k
+    return j

@@ -3,12 +3,14 @@
 Each event draws a photon number from the click-conditioned Poisson
 distribution, optionally collapses it to the number of distinct detector
 elements hit (domain-merge model), and draws an arrival time from the EMG
-component of that effective photon number.  Weights and components are the
-arrays of ``fit.mixture_from_params`` at the budget's (sigma_int, tau) and the
-detector's delta_mu, the same model the fit and the sweep evaluate.  Triggers
-sit on a fixed 9.5 kHz comb; the canonical event time is (trigger + arrival) -
-trigger evaluated in float64, so CSV round-trips reproduce in-memory results
-bit for bit.
+component of that effective photon number.  The photon number is a
+guide-table search of one uniform in the weights' CDF, the same number that
+``rng.choice(p=weights)`` draws from the same generator.  Weights and
+components are the arrays of ``fit.mixture_from_params`` at the budget's
+(sigma_int, tau) and the detector's delta_mu, the same model the fit and the
+sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb; the canonical event
+time is (trigger + arrival) - trigger evaluated in float64, so CSV round-trips
+reproduce in-memory results bit for bit.
 
 Generation is chunked, and every chunk seeds its own generator from
 (seed, bits(n_bar), chunk_index), so results are identical for any worker
@@ -80,6 +82,7 @@ class SourceTags:
     edge_ps: np.ndarray
     photon_number: np.ndarray   # drawn photon number n per event
     component: np.ndarray       # effective photon number after merging
+    mixture: MixtureModel       # the unmerged mixture n and the arrival times are drawn from
 
     @property
     def delta_ps(self) -> np.ndarray:
@@ -102,16 +105,35 @@ def _thread_count() -> int:
     return max(1, n)
 
 
-def _plan_mixture(plan: SimPlan, n_bar: float) -> MixtureModel:
-    """The unmerged photon-number mixture of ``plan`` at ``n_bar``."""
-    fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
-    return mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
+def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Photon numbers ``searchsorted(cdf, u, side="right") + 1`` for uniforms ``u``.
+
+    The ``cdf`` is formed exactly as ``rng.choice(np.arange(1, n_max + 1),
+    p=weights)`` forms it, so with ``u = rng.random(count)`` the result is
+    that call's draw bit for bit.  The search goes through a guide table
+    (Chen & Asau 1974) of G equal buckets, G a power of two of at least
+    16 n_max so that ``u * G`` is exact.  Every u in a bucket that no CDF
+    entry falls strictly inside has the same answer, the count of entries at
+    or below the bucket's lower edge; only the events in the other buckets (at
+    most n_max of the G, a few percent of the events) are searched.
+    """
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    size = 16 << (cdf.size - 1).bit_length()
+    edges = np.arange(size + 1) / size
+    lo = cdf.searchsorted(edges[:-1], side="right")
+    ambiguous = cdf.searchsorted(edges[1:], side="left") > lo
+    guide = np.where(ambiguous, 0, lo + 1)  # 0 marks a bucket that must be searched
+    ns = guide.take((u * size).astype(np.intp))
+    todo = np.flatnonzero(ns == 0)
+    ns[todo] = cdf.searchsorted(u[todo], side="right") + 1
+    return ns
 
 
 def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, start: int, count: int):
     seed_seq = np.random.SeedSequence((plan.seed, _nbar_entropy(n_bar), chunk_index))
     rng = np.random.default_rng(seed_seq)
-    ns = rng.choice(np.arange(1, mix.n_max + 1), size=count, p=mix.weights)
+    ns = _draw_photon_numbers(mix.weights, rng.random(count))
     if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
         ks = occupied_element_counts(plan.detector.grid, ns, rng)
     else:
@@ -134,7 +156,8 @@ def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     threads = _thread_count()
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
-        mix = _plan_mixture(plan, n_bar)
+        fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
+        mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
         total = plan.events_per_source
         chunks = []
         start = 0
@@ -154,11 +177,11 @@ def simulate_tags(plan: SimPlan) -> list[SourceTags]:
                 pieces = list(pool.map(run, chunks))
         else:
             pieces = [run(c) for c in chunks]
-        ns = np.concatenate([p[0] for p in pieces])
-        ks = np.concatenate([p[1] for p in pieces])
-        trigger = np.concatenate([p[2] for p in pieces])
-        edge = np.concatenate([p[3] for p in pieces])
-        out.append(SourceTags(n_bar, trigger, edge, ns, ks))
+        if len(pieces) == 1:
+            ns, ks, trigger, edge = pieces[0]
+        else:
+            ns, ks, trigger, edge = (np.concatenate(column) for column in zip(*pieces))
+        out.append(SourceTags(n_bar, trigger, edge, ns, ks, mix))
     return out
 
 
@@ -207,6 +230,6 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0) -> list[SweepRow]:
     for st in simulate_tags(plan):
         hist = ArrivalHistogram.from_events(st.delta_ps, bin_width, st.n_bar)
         sigma_hist, sigma_err = total_width(hist)
-        _, sigma_model = mixture_moments(_plan_mixture(plan, st.n_bar))
+        _, sigma_model = mixture_moments(st.mixture)
         rows.append(SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model))
     return rows

@@ -247,6 +247,16 @@ def test_sampling_ks_and_moments():
     assert x.std(ddof=1) == pytest.approx(p.std, rel=0.01)
 
 
+@pytest.mark.parametrize("mu, sigma, tau", [(433.0, 12.1, 6.0), (-1e3, 1e-3, 1e5), (0.1, 3.7, 0.2)])
+@pytest.mark.parametrize("count", [1, 7, 100_000])
+def test_sampling_is_normal_plus_exponential_bit_for_bit(mu, sigma, tau, count):
+    old_rng, new_rng = np.random.default_rng(77), np.random.default_rng(77)
+    old = old_rng.normal(mu, sigma, size=count) + old_rng.exponential(tau, size=count)
+    new = emg_sample(EmgParams(mu, sigma, tau), new_rng, count)
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert new_rng.random() == old_rng.random()
+
+
 def test_conditioned_weights_reference_values():
     n_max, w = conditioned_poisson_weights(PhotonSource(1.0))
     # P(N = n | N >= 1) = 1 / (n! (e - 1)) for a unit-mean Poisson source;

@@ -13,7 +13,7 @@ from snspd_pnr import (
     overlap_approx,
     overlap_exact,
 )
-from snspd_pnr.overlap import occupied_law
+from snspd_pnr.overlap import _LAW_ROWS, _alias_table, occupied_law
 
 
 def test_reference_values():
@@ -215,3 +215,27 @@ def test_occupied_counts_agree_with_sorting_sampler():
         table = np.array([np.bincount(new, minlength=25), np.bincount(old, minlength=25)])
         table = table[:, table.sum(axis=0) > 0]
         assert stats.chi2_contingency(table)[1] > 1e-4, f"n={n}"
+
+
+def _two_dimensional_lookup(grid, counts, rng):
+    """The alias lookup as a 2-D gather and ``np.where``: the reference for the flat lookup."""
+    m = grid.element_count
+    cut, alias, _ = _alias_table(-(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS, m)
+    slots = np.maximum(np.minimum(counts, m), 1)
+    x = rng.random(counts.size) * slots
+    j = np.minimum(x.astype(np.int64), slots - 1)
+    return np.where(x - j < cut[counts, j], j + 1, alias[counts, j])
+
+
+@pytest.mark.parametrize("m", [1, 2, 24, 50])
+def test_flat_alias_lookup_matches_two_dimensional_lookup_bit_for_bit(m):
+    rng = np.random.default_rng(9)
+    ns = np.concatenate([np.zeros(50, dtype=np.int64), np.arange(0, 3 * m + 40), rng.integers(0, 70, 200_000)])
+    rng.shuffle(ns)
+    for counts in (ns, np.zeros(10, dtype=np.int64), np.full(1000, m + 1), np.ones(3, dtype=np.int64)):
+        old_rng, new_rng = np.random.default_rng(31), np.random.default_rng(31)
+        old = _two_dimensional_lookup(ElementGrid(m), counts, old_rng)
+        new = occupied_element_counts(ElementGrid(m), counts, new_rng)
+        assert new.dtype == old.dtype == np.int64
+        assert np.array_equal(new, old)
+        assert new_rng.random() == old_rng.random()

@@ -26,8 +26,8 @@ from snspd_pnr import (
     tau_at,
     write_source_files,
 )
-from snspd_pnr.overlap import occupied_law
-from snspd_pnr.sim import TRIGGER_PERIOD_PS
+from snspd_pnr.overlap import _LAW_ROWS, _alias_table, occupied_law
+from snspd_pnr.sim import _CHUNK_EVENTS, TRIGGER_PERIOD_PS, _draw_photon_numbers
 
 
 @pytest.fixture
@@ -107,6 +107,75 @@ def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, re
     assert np.array_equal(mu, mix.mu[drawn])
     assert np.array_equal(sigma, mix.sigma[drawn])
     assert np.array_equal(tau, mix.tau[drawn])
+
+
+def _check_photon_number_draw(weights, count, seed):
+    old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    old = old_rng.choice(np.arange(1, weights.size + 1), size=count, p=weights)
+    new = _draw_photon_numbers(weights, new_rng.random(count))
+    assert new.dtype == old.dtype and np.array_equal(new, old)
+    assert new_rng.random() == old_rng.random()
+    # rng.choice searches the CDF it forms so; check uniforms on and one ulp below every entry
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+    assert np.array_equal(_draw_photon_numbers(weights, u), cdf.searchsorted(u, side="right") + 1)
+
+
+@pytest.mark.parametrize("n_bar", np.geomspace(1e-3, 500.0, 25))
+def test_photon_number_draw_is_rng_choice_bit_for_bit(n_bar):
+    _, weights = conditioned_poisson_weights(PhotonSource(float(n_bar)))
+    _check_photon_number_draw(weights, 100_000, 61)
+
+
+@pytest.mark.parametrize("weights", [(0.25, 0.25, 0.5), (0.5, 0.0, 0.5), (0.125,) * 8, (1.0,), (0.3, 0.3, 0.4)])
+def test_photon_number_draw_on_and_below_every_cdf_entry(weights):
+    # dyadic entries sit on bucket edges; 0.3 and 0.6 fall inside buckets that are searched
+    _check_photon_number_draw(np.array(weights), 10_000, 62)
+
+
+def _reference_simulation(plan):
+    """``simulate_tags`` drawn through ``rng.choice``, the 2-D alias lookup and ``normal + exponential``."""
+    out = []
+    for n_bar in plan.n_bar_values:
+        fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
+        mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
+        bits = int(np.float64(n_bar).view(np.uint64))
+        pieces = []
+        for index, start in enumerate(range(0, plan.events_per_source, _CHUNK_EVENTS)):
+            count = min(_CHUNK_EVENTS, plan.events_per_source - start)
+            rng = np.random.default_rng(np.random.SeedSequence((plan.seed, bits, index)))
+            ns = rng.choice(np.arange(1, mix.n_max + 1), size=count, p=mix.weights)
+            ks = ns.copy()
+            if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
+                m = plan.detector.grid.element_count
+                cut, alias, _ = _alias_table(-(-int(ns.max()) // _LAW_ROWS) * _LAW_ROWS, m)
+                slots = np.maximum(np.minimum(ns, m), 1)
+                x = rng.random(count) * slots
+                j = np.minimum(x.astype(np.int64), slots - 1)
+                ks = np.where(x - j < cut[ns, j], j + 1, alias[ns, j])
+            arrivals = np.empty(count)
+            for k in np.unique(ks):
+                idx = np.flatnonzero(ks == k)
+                arrivals[idx] = (rng.normal(mix.mu[k - 1], mix.sigma[k - 1], size=idx.size)
+                                 + rng.exponential(mix.tau[k - 1], size=idx.size))
+            trigger = (start + np.arange(count, dtype=np.float64)) * TRIGGER_PERIOD_PS
+            pieces.append((ns, ks, trigger, trigger + arrivals))
+        out.append(tuple(np.concatenate(column) for column in zip(*pieces)))
+    return out
+
+
+@pytest.mark.parametrize("merge", ["off", "occupied_elements"])
+def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, monkeypatch, merge):
+    # n_bar 0.5 fills one chunk and part of a second; 7.0 spans two chunks
+    plan = make_plan([0.5, 7.0], _CHUNK_EVENTS + 50_000, merge=merge, seed=17)
+    want = _reference_simulation(plan)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SNSPD_PNR_THREADS", threads)
+        for tags, (ns, ks, trigger, edge) in zip(simulate_tags(plan), want, strict=True):
+            for got, ref in ((tags.photon_number, ns), (tags.component, ks), (tags.trigger_ps, trigger),
+                             (tags.edge_ps, edge)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_trigger_comb_is_exact(make_plan):

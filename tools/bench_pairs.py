@@ -114,13 +114,13 @@ def _benchmark_modules(sides: dict):
 
 
 def merged_sweeps(sides: dict, seeds) -> dict:
-    """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows."""
+    """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows and bytes."""
     workloads, _ = _benchmark_modules(sides)  # the workload writes its own configuration
 
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         for seed in seeds:
-            rows = {}
+            rows, csv = {}, {}
             for side, root in sides.items():
                 workload = workloads.SweepMerge(seed, Path(tmp) / f"{side}-{seed}")
                 workload.setup()
@@ -128,6 +128,7 @@ def merged_sweeps(sides: dict, seeds) -> dict:
                 subprocess.run([sys.executable, "-c", CLI, "sweep", "-c", str(workload.config), "-o", str(sweep)],
                                cwd=root, env=_env(root), check=True, capture_output=True)
                 rows[side] = json.loads((sweep / "sweep.json").read_text())["rows"]
+                csv[side] = (sweep / "sweep.csv").read_bytes()
             per_n = []
             for old, new in zip(rows["parent"], rows["change"]):
                 combined = math.hypot(old["sigma_err_ps"], new["sigma_err_ps"])
@@ -137,7 +138,8 @@ def merged_sweeps(sides: dict, seeds) -> dict:
                               "combined_error_ps": combined,
                               "z": (new["sigma_hist_ps"] - old["sigma_hist_ps"]) / combined,
                               "sigma_model_ps_identical": old["sigma_model_ps"] == new["sigma_model_ps"]})
-            out[str(seed)] = {"max_abs_z": max(abs(r["z"]) for r in per_n), "rows": per_n}
+            out[str(seed)] = {"sweep_csv_identical": csv["parent"] == csv["change"],
+                              "max_abs_z": max(abs(r["z"]) for r in per_n), "rows": per_n}
     return out
 
 
@@ -225,7 +227,8 @@ def main(argv=None) -> int:
                         f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
-                            "standard errors combined in quadrature",
+                            "standard errors combined in quadrature; sweep_csv_identical compares the two sides' "
+                            "sweep.csv byte for byte",
             "geom": "the geom-mc workload's CLI `geom` flags, run once per seed on each side; z_change_vs_parent "
                     "is the change's sigma_ps minus the parent's over the two bootstrap errors combined in "
                     "quadrature; z_vs_exact is a side's sigma_ps minus the exact midrange spread over its "

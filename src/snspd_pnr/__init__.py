@@ -25,11 +25,8 @@ from .dist import (
     emg_cdf,
     emg_pdf,
     emg_sample,
-    emg_sf,
     mixture_bin_masses,
-    mixture_cdf,
     mixture_moments,
-    mixture_pdf,
 )
 from .fit import (
     FitResult,
@@ -40,7 +37,6 @@ from .fit import (
     ingest_time_tags,
     initial_guess,
     mixture_from_params,
-    poisson_nll,
     predict_histogram,
     total_width,
 )
@@ -73,7 +69,6 @@ from .pulse import (
     fall_and_reset,
     growth_rate,
     rise_time,
-    rising_edge_voltage,
     slew_noise_jitter,
     threshold_crossing,
 )
@@ -117,7 +112,6 @@ __all__ = [
     "emg_cdf",
     "emg_pdf",
     "emg_sample",
-    "emg_sf",
     "fall_and_reset",
     "fit_histogram",
     "fit_single_peak",
@@ -129,20 +123,16 @@ __all__ = [
     "initial_guess",
     "load_config",
     "mixture_bin_masses",
-    "mixture_cdf",
     "mixture_from_params",
     "mixture_moments",
-    "mixture_pdf",
     "mu_scaling",
     "occupied_element_counts",
     "overlap_approx",
     "overlap_exact",
-    "poisson_nll",
     "predict_histogram",
     "read_histogram_csv",
     "read_time_tags",
     "rise_time",
-    "rising_edge_voltage",
     "sigma_geom",
     "sigma_noise",
     "sigma_total",

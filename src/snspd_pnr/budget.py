@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 
 def _check_n(n) -> int:
-    if isinstance(n, bool) or int(n) != n:
+    if isinstance(n, bool) or not math.isfinite(n) or int(n) != n:
         raise ValueError("photon number n must be an integer")
     n = int(n)
     if n < 1:

@@ -1,7 +1,9 @@
 """Strict JSON run configuration mirroring the library value types.
 
 Unknown keys are rejected with their dotted path; numeric fields accept JSON
-numbers only.  Layout:
+numbers only.  The detector and budget sections are read from the fields of
+their value types, so keys, defaults and value checks live only there, and a
+value a type rejects is reported with its section path.  Layout:
 
     {
       "seed": 1,
@@ -21,12 +23,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Any, get_args, get_type_hints
 
 from .budget import JitterBudget
-from .geom import WireGeometry
-from .overlap import ElementGrid
 from .pulse import DetectorConfig
 from .sim import MergeModel
 
@@ -107,79 +107,35 @@ def _boolean(data: dict, key: str, path: str, default: bool) -> bool:
     return v
 
 
-def _build_wire(data: Any, path: str) -> WireGeometry:
+def _build(cls, data: Any, path: str):
+    """Build the value type ``cls`` from its section: its fields are the allowed keys.
+
+    A field without a default is required and an omitted one keeps its default.
+    A field typed ``int`` takes an integer, a dataclass-typed field a nested
+    section, and every other field a number.  A value the type rejects is
+    reported with the section's path.
+    """
     d = _mapping(data, path)
-    _check_keys(d, {"length", "signal_velocity", "ground_velocity"}, path)
-    return WireGeometry(
-        length=_number(d, "length", path),
-        signal_velocity=_number(d, "signal_velocity", path),
-        ground_velocity=_number(d, "ground_velocity", path, None),
-    )
-
-
-def _build_grid(data: Any, path: str) -> ElementGrid:
-    d = _mapping(data, path)
-    _check_keys(d, {"element_count", "element_length"}, path)
-    return ElementGrid(
-        element_count=_integer(d, "element_count", path),
-        element_length=_number(d, "element_length", path, None),
-    )
-
-
-def _build_detector(data: Any, path: str) -> DetectorConfig:
-    d = _mapping(data, path)
-    allowed = {
-        "kinetic_inductance",
-        "amplitude",
-        "noise_floor",
-        "delta_mu",
-        "mu_infinity",
-        "rise_time_1",
-        "load_resistance",
-        "domain_growth_rate",
-        "wire",
-        "grid",
-    }
-    _check_keys(d, allowed, path)
-    return DetectorConfig(
-        kinetic_inductance=_number(d, "kinetic_inductance", path),
-        amplitude=_number(d, "amplitude", path),
-        noise_floor=_number(d, "noise_floor", path),
-        delta_mu=_number(d, "delta_mu", path),
-        mu_infinity=_number(d, "mu_infinity", path),
-        rise_time_1=_number(d, "rise_time_1", path),
-        load_resistance=_number(d, "load_resistance", path, 50.0),
-        domain_growth_rate=_number(d, "domain_growth_rate", path, None),
-        wire=_build_wire(d["wire"], f"{path}.wire") if "wire" in d else None,
-        grid=_build_grid(d["grid"], f"{path}.grid") if "grid" in d else None,
-    )
-
-
-def _build_budget(data: Any, path: str) -> JitterBudget:
-    d = _mapping(data, path)
-    allowed = {
-        "sigma_inst",
-        "sigma_opt",
-        "sigma_int",
-        "tau",
-        "sigma_elec",
-        "slew_rate_1",
-        "sigma_geom_1",
-        "geom_exponent",
-        "rise_scaling_exponent",
-    }
-    _check_keys(d, allowed, path)
-    return JitterBudget(
-        sigma_inst=_number(d, "sigma_inst", path),
-        sigma_opt=_number(d, "sigma_opt", path),
-        sigma_int=_number(d, "sigma_int", path),
-        tau=_number(d, "tau", path),
-        sigma_elec=_number(d, "sigma_elec", path),
-        slew_rate_1=_number(d, "slew_rate_1", path),
-        sigma_geom_1=_number(d, "sigma_geom_1", path),
-        geom_exponent=_number(d, "geom_exponent", path, 0.75),
-        rise_scaling_exponent=_number(d, "rise_scaling_exponent", path, 0.5),
-    )
+    _check_keys(d, {f.name for f in fields(cls)}, path)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in d:
+            if f.default is MISSING:
+                raise ConfigError(f"{path}.{f.name}: required")
+            continue
+        kinds = get_args(hints[f.name]) or (hints[f.name],)
+        nested = next((k for k in kinds if is_dataclass(k)), None)
+        if nested is not None:
+            kwargs[f.name] = _build(nested, d[f.name], f"{path}.{f.name}")
+        elif int in kinds:
+            kwargs[f.name] = _integer(d, f.name, path)
+        else:
+            kwargs[f.name] = _number(d, f.name, path)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _build_fit(data: Any, path: str) -> FitSettings:
@@ -254,17 +210,14 @@ def load_config(path) -> RunConfig:
     output_dir = d.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a string")
-    try:
-        cfg = RunConfig(
-            seed=_integer(d, "seed", "config"),
-            detector=_build_detector(d["detector"], "config.detector"),
-            budget=_build_budget(d["budget"], "config.budget"),
-            fit=_build_fit(d["fit"], "config.fit") if "fit" in d else FitSettings(),
-            sim=_build_sim(d["sim"], "config.sim") if "sim" in d else None,
-            output_dir=output_dir,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cfg = RunConfig(
+        seed=_integer(d, "seed", "config"),
+        detector=_build(DetectorConfig, d["detector"], "config.detector"),
+        budget=_build(JitterBudget, d["budget"], "config.budget"),
+        fit=_build_fit(d["fit"], "config.fit") if "fit" in d else FitSettings(),
+        sim=_build_sim(d["sim"], "config.sim") if "sim" in d else None,
+        output_dir=output_dir,
+    )
     if cfg.sim is not None and cfg.sim.merge_model == MergeModel.OCCUPIED_ELEMENTS and cfg.detector.grid is None:
         raise ConfigError(f"config.sim.merge_model: {cfg.sim.merge_model!r} needs config.detector.grid")
     return cfg

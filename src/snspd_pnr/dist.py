@@ -115,13 +115,6 @@ def emg_cdf(p: EmgParams, t):
     return float(cdf[0]) if scalar else cdf
 
 
-def emg_sf(p: EmgParams, t):
-    """Survival function 1 - CDF, computed without cancellation."""
-    arr, scalar = _as_times(t)
-    sf = np.clip(_cdf_sf_grid(p.mu, p.sigma, p.tau, arr)[1], 0.0, 1.0)
-    return float(sf[0]) if scalar else sf
-
-
 def emg_sample(p: EmgParams, rng: np.random.Generator, count: int) -> np.ndarray:
     """Draw ``count`` arrival times as Gaussian(mu, sigma) + Exponential(tau)."""
     if count < 1:
@@ -214,22 +207,6 @@ class MixtureModel:
     @property
     def n_max(self) -> int:
         return self.weights.size
-
-
-def mixture_pdf(m: MixtureModel, t):
-    """Weighted sum of component densities at ``t``."""
-    arr, scalar = _as_times(t)
-    tau = m.tau[:, None]
-    out = m.weights @ (_emg_grid(m.mu[:, None], m.sigma[:, None], tau, arr)[1] / tau)
-    return float(out[0]) if scalar else out
-
-
-def mixture_cdf(m: MixtureModel, t):
-    """Weighted sum of component CDFs at ``t``."""
-    arr, scalar = _as_times(t)
-    cdf, _ = _cdf_sf_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
-    out = np.clip(m.weights @ cdf, 0.0, 1.0)
-    return float(out[0]) if scalar else out
 
 
 def mixture_bin_masses(m: MixtureModel, edges) -> np.ndarray:

@@ -180,11 +180,6 @@ def _poisson_objective(counts):
     return nll
 
 
-def poisson_nll(counts, expected) -> float:
-    """Per-bin Poisson negative log-likelihood, sum(m - c ln m) up to constants."""
-    return _poisson_objective(counts)(expected)
-
-
 def _find_peaks(x: np.ndarray, prominence: float, distance: int) -> np.ndarray:
     """Indices of the peaks of ``x`` that ``scipy.signal.find_peaks(x, prominence=prominence,
     distance=distance)`` returns, for finite ``x`` and ``distance`` >= 1.

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import _check_n
+
 
 @dataclass(frozen=True)
 class ElementGrid:
@@ -36,12 +38,6 @@ class ElementGrid:
             raise ValueError("element_length must be positive")
 
 
-def _check_mn(grid: ElementGrid, n) -> tuple[int, int]:
-    if int(n) != n or n < 1:
-        raise ValueError("photon number n must be an integer >= 1")
-    return int(grid.element_count), int(n)
-
-
 def overlap_exact(grid: ElementGrid, n) -> float:
     """P(any element absorbs more than one of n photons), exact product form.
 
@@ -49,7 +45,7 @@ def overlap_exact(grid: ElementGrid, n) -> float:
     count (pigeonhole).  Evaluated in integer arithmetic with a single final
     division, so the result is the correctly rounded probability.
     """
-    M, n = _check_mn(grid, n)
+    M, n = int(grid.element_count), _check_n(n)
     if n > M:
         return 1.0
     falling = 1
@@ -61,7 +57,7 @@ def overlap_exact(grid: ElementGrid, n) -> float:
 
 def overlap_approx(grid: ElementGrid, n) -> float:
     """Second-order approximation 1 - exp(-n(n-1) / (2M))."""
-    M, n = _check_mn(grid, n)
+    M, n = int(grid.element_count), _check_n(n)
     return float(-math.expm1(-n * (n - 1) / (2.0 * M))) + 0.0  # avoid -0.0 at n = 1
 
 

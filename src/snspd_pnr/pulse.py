@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .budget import _check_n
 from .geom import WireGeometry
 from .overlap import ElementGrid
@@ -60,16 +58,6 @@ def growth_rate(d: DetectorConfig) -> float:
     if d.domain_growth_rate is not None:
         return d.domain_growth_rate
     return 1.0 / (d.rise_time_1 * d.rise_time_1)
-
-
-def rising_edge_voltage(d: DetectorConfig, n, t) -> float | np.ndarray:
-    """Rising-edge voltage A (1 - exp(-t^2 n u)) at time t >= 0 (mV)."""
-    n = _check_n(n)
-    t_arr = np.asarray(t, dtype=np.float64)
-    if np.any(~np.isfinite(t_arr)) or np.any(t_arr < 0.0):
-        raise ValueError("t must be finite and >= 0")
-    v = d.amplitude * -np.expm1(-(t_arr**2) * n * growth_rate(d))
-    return float(v) if np.ndim(t) == 0 else v
 
 
 def threshold_crossing(d: DetectorConfig, n, fraction: float = 0.5) -> float:

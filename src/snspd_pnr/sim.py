@@ -26,7 +26,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,10 +224,13 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0) -> list[SweepRow]:
     Each width and its error come from ``total_width`` (delta-method standard
     error, no resampling).  The analytic column evaluates the law of total
     variance for the mixture the simulator draws from, before merging, so it
-    is the merge-off reference curve.
+    is the merge-off reference curve.  Sources are simulated one at a time,
+    so only one source's tags are held at once; a source's draws depend only
+    on (seed, n_bar, chunk), so they are those of one call for all sources.
     """
     rows = []
-    for st in simulate_tags(plan):
+    for n_bar in plan.n_bar_values:
+        st = simulate_tags(replace(plan, n_bar_values=(n_bar,)))[0]
         hist = ArrivalHistogram.from_events(st.delta_ps, bin_width, st.n_bar)
         sigma_hist, sigma_err = total_width(hist)
         _, sigma_model = mixture_moments(st.mixture)

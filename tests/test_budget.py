@@ -3,11 +3,14 @@ import math
 import pytest
 
 from snspd_pnr import (
+    ElementGrid,
     JitterBudget,
     mu_scaling,
+    overlap_exact,
     sigma_geom,
     sigma_noise,
     sigma_total,
+    threshold_crossing,
 )
 
 
@@ -95,3 +98,15 @@ def test_validation():
     for bad_n in (0, -1, 1.5, True):
         with pytest.raises(ValueError):
             sigma_total(b, bad_n)
+
+
+@pytest.mark.parametrize("n", [math.inf, math.nan, 2.5, 0])
+@pytest.mark.parametrize("which", ["sigma_total", "overlap_exact", "threshold_crossing"])
+def test_photon_number_is_checked_in_one_place(ref_budget, ref_detector, which, n):
+    call = {
+        "sigma_total": lambda: sigma_total(ref_budget, n),
+        "overlap_exact": lambda: overlap_exact(ElementGrid(24), n),
+        "threshold_crossing": lambda: threshold_crossing(ref_detector, n),
+    }[which]
+    with pytest.raises(ValueError, match="photon number n must be"):
+        call()

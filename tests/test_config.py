@@ -148,6 +148,23 @@ def test_domain_validation_becomes_config_error(tmp_path):
         load_config(write(tmp_path, payload))
 
 
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (lambda d: d["budget"].update(tau=-1), "config.budget"),
+        (lambda d: d["detector"].update(noise_floor=200), "config.detector"),
+        (lambda d: d["detector"]["wire"].update(length=-3), "config.detector.wire"),
+        (lambda d: d["detector"]["grid"].update(element_count=0), "config.detector.grid"),
+    ],
+)
+def test_value_type_rejections_name_their_section(tmp_path, mutate, path):
+    payload = json.loads(json.dumps(GOOD))
+    mutate(payload)
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, payload))
+    assert str(info.value).startswith(path + ":")
+
+
 def test_invalid_json_is_reported(tmp_path):
     path = tmp_path / "config.json"
     path.write_text("{not json", encoding="utf-8")

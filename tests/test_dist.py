@@ -16,12 +16,9 @@ from snspd_pnr import (
     emg_cdf,
     emg_pdf,
     emg_sample,
-    emg_sf,
     mixture_bin_masses,
-    mixture_cdf,
     mixture_from_params,
     mixture_moments,
-    mixture_pdf,
 )
 from snspd_pnr.dist import _cdf_partials_grid, _cdf_sf_grid, mixture_bin_mass_partials
 from snspd_pnr.fit import _mixture_law
@@ -54,6 +51,21 @@ def mixture_of(source, comps, weights):
     return MixtureModel(
         source, weights, [c.mu for c in comps], [c.sigma for c in comps], [c.tau for c in comps]
     )
+
+
+def weighted_pdf(m, t):
+    """The mixture's density, its components' ``emg_pdf`` weighted by the mixture."""
+    return sum(w * emg_pdf(EmgParams(*c), t) for w, *c in zip(m.weights, m.mu, m.sigma, m.tau))
+
+
+def weighted_cdf(m, t):
+    """The mixture's CDF, its components' ``emg_cdf`` weighted by the mixture."""
+    return sum(w * emg_cdf(EmgParams(*c), t) for w, *c in zip(m.weights, m.mu, m.sigma, m.tau))
+
+
+def kernel_sf(p, t):
+    """The kernel's survival function of one component, unclipped."""
+    return _cdf_sf_grid(p.mu, p.sigma, p.tau, np.asarray(t, dtype=np.float64))[1]
 
 
 def test_pdf_reference_value():
@@ -113,7 +125,7 @@ def test_cdf_sf_complement_and_reference():
     p = EmgParams(mu=10.0, sigma=3.0, tau=7.0)
     ts = np.linspace(-40.0, 150.0, 301)
     cdf = emg_cdf(p, ts)
-    sf = emg_sf(p, ts)
+    sf = kernel_sf(p, ts)
     assert np.all((cdf >= 0.0) & (cdf <= 1.0))
     assert np.all(np.diff(cdf) >= 0.0)
     assert np.allclose(cdf + sf, 1.0, atol=1e-12)
@@ -124,7 +136,7 @@ def test_cdf_sf_complement_and_reference():
 def test_sf_far_tail_no_underflow_to_garbage():
     p = EmgParams(mu=0.0, sigma=2.0, tau=5.0)
     ts = np.array([100.0, 300.0, 700.0])
-    sf = emg_sf(p, ts)
+    sf = kernel_sf(p, ts)
     want = np.array([float(1 - cdf_mp(t, 0.0, 2.0, 5.0)) for t in ts])
     assert np.all(sf > 0.0)
     assert np.allclose(sf, want, rtol=1e-9)
@@ -162,7 +174,7 @@ def test_mixture_bin_masses_match_per_component_differences():
     want = np.zeros(edges.size - 1)
     for w, mu, sigma, tau in zip(m.weights, m.mu, m.sigma, m.tau):
         p = EmgParams(mu, sigma, tau)
-        F, S = emg_cdf(p, edges), emg_sf(p, edges)
+        F, S = emg_cdf(p, edges), kernel_sf(p, edges)
         want += w * np.where(F[:-1] < 0.5, np.diff(F), -np.diff(S))
     got = mixture_bin_masses(m, edges)
     assert np.all(got > 0.0)
@@ -320,8 +332,7 @@ def test_single_component_mixture_collapses_to_emg():
     p = EmgParams(mu=5.0, sigma=2.0, tau=3.0)
     m = mixture_of(PhotonSource(1.0), (p,), np.array([1.0]))
     ts = np.linspace(-10.0, 40.0, 101)
-    assert np.allclose(mixture_pdf(m, ts), emg_pdf(p, ts), rtol=1e-14)
-    assert np.allclose(mixture_cdf(m, ts), emg_cdf(p, ts), rtol=1e-14)
+    assert np.allclose(mixture_bin_masses(m, ts), np.diff(emg_cdf(p, ts)), rtol=1e-14)
     mean, std = mixture_moments(m)
     assert mean == pytest.approx(p.mean, rel=1e-14)
     assert std == pytest.approx(p.std, rel=1e-14)
@@ -359,13 +370,13 @@ def test_bin_masses_match_cdf_and_quadrature():
     m = mixture_of(PhotonSource(1.0), comps, np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
     masses = mixture_bin_masses(m, edges)
-    want = np.diff(mixture_cdf(m, edges))
+    want = np.diff(weighted_cdf(m, edges))
     assert np.allclose(masses, want, rtol=1e-10, atol=1e-15)
     assert masses.sum() == pytest.approx(
-        float(mixture_cdf(m, edges[-1]) - mixture_cdf(m, edges[0])), rel=1e-12
+        float(weighted_cdf(m, edges[-1]) - weighted_cdf(m, edges[0])), rel=1e-12
     )
     for lo, hi in ((-3.0, -2.5), (0.25, 0.75), (12.0, 12.5)):
-        q, _ = integrate.quad(lambda t: mixture_pdf(m, t), lo, hi)
+        q, _ = integrate.quad(lambda t: weighted_pdf(m, t), lo, hi)
         got = mixture_bin_masses(m, np.array([lo, hi]))[0]
         assert got == pytest.approx(q, rel=1e-9)
 
@@ -393,10 +404,9 @@ def test_pdf_cdf_well_behaved_everywhere(mu, sigma, tau, u):
     t = mu + u * sigma
     pdf = emg_pdf(p, t)
     cdf = emg_cdf(p, t)
-    sf = emg_sf(p, t)
+    sf = kernel_sf(p, t)
     assert np.isfinite(pdf) and pdf >= 0.0
     assert 0.0 <= cdf <= 1.0
-    assert 0.0 <= sf <= 1.0
     assert abs(cdf + sf - 1.0) <= 1e-12
 
 

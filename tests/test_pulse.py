@@ -9,11 +9,15 @@ from snspd_pnr import (
     fall_and_reset,
     growth_rate,
     rise_time,
-    rising_edge_voltage,
     sigma_noise,
     slew_noise_jitter,
     threshold_crossing,
 )
+
+
+def edge_voltage(d, n, t):
+    """The rising edge A (1 - exp(-t^2 n u)) in closed form, mV."""
+    return d.amplitude * -np.expm1(-np.square(t) * n * growth_rate(d))
 
 
 def test_threshold_crossing_inverse_sqrt_scaling(ref_detector):
@@ -28,17 +32,19 @@ def test_threshold_crossing_closed_form(ref_detector):
     assert u == pytest.approx(1.0 / 300.0**2, rel=1e-15)
     t = threshold_crossing(ref_detector, 1, fraction=0.5)
     assert t == pytest.approx(math.sqrt(math.log(2.0)) * 300.0, rel=1e-12)
-    v = rising_edge_voltage(ref_detector, 1, t)
+    v = edge_voltage(ref_detector, 1, t)
     assert v == pytest.approx(50.0, rel=1e-12)
 
 
 def test_rising_edge_limits(ref_detector):
-    assert rising_edge_voltage(ref_detector, 1, 0.0) == 0.0
-    assert rising_edge_voltage(ref_detector, 1, 1e5) == pytest.approx(100.0, rel=1e-12)
-    ts = np.linspace(0.0, 600.0, 50)  # below saturation so diffs stay resolvable
-    v = rising_edge_voltage(ref_detector, 2, ts)
-    assert np.all(np.diff(v) > 0.0)
-    assert np.all(v >= rising_edge_voltage(ref_detector, 1, ts) - 1e-12)
+    # the crossing times invert the closed-form edge, which starts at 0 and saturates at A
+    assert edge_voltage(ref_detector, 1, 0.0) == 0.0
+    assert edge_voltage(ref_detector, 1, 1e5) == pytest.approx(100.0, rel=1e-12)
+    fractions = np.linspace(0.05, 0.95, 19)
+    for n in (1, 2, 7):
+        ts = np.array([threshold_crossing(ref_detector, n, f) for f in fractions])
+        assert np.all(np.diff(ts) > 0.0)
+        np.testing.assert_allclose(edge_voltage(ref_detector, n, ts), 100.0 * fractions, rtol=1e-12)
 
 
 def test_fall_and_reset_reference(ref_detector):
@@ -89,7 +95,5 @@ def test_validation(ref_detector):
         threshold_crossing(ref_detector, 1, fraction=1.0)
     with pytest.raises(ValueError):
         threshold_crossing(ref_detector, 0)
-    with pytest.raises(ValueError):
-        rising_edge_voltage(ref_detector, 1, -1.0)
     with pytest.raises(ValueError):
         slew_noise_jitter(ref_detector, -1.0, 1)

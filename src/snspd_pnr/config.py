@@ -76,15 +76,22 @@ def _check_keys(data: dict, allowed: set[str], path: str) -> None:
 _sentinel = object()
 
 
+def _float(v, path: str, expected: str = "a number") -> float:
+    """A JSON number as a float; any other value, or an integer beyond the float range, is reported at ``path``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{path}: expected {expected}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{path}: number too large for a float") from None
+
+
 def _number(data: dict, key: str, path: str, default=_sentinel):
     if key not in data:
         if default is _sentinel:
             raise ConfigError(f"{path}.{key}: required")
         return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    return float(v)
+    return _float(data[key], f"{path}.{key}")
 
 
 def _integer(data: dict, key: str, path: str, default=_sentinel):
@@ -144,13 +151,9 @@ def _build_fit(data: Any, path: str) -> FitSettings:
     theta0 = None
     if "theta0" in d:
         raw = d["theta0"]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 3
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw)
-        ):
+        if not isinstance(raw, list) or len(raw) != 3:
             raise ConfigError(f"{path}.theta0: expected a list of three numbers")
-        theta0 = (float(raw[0]), float(raw[1]), float(raw[2]))
+        theta0 = tuple(_float(v, f"{path}.theta0", "a list of three numbers") for v in raw)
         if not (theta0[1] > 0.0 and theta0[2] > 0.0):
             raise ConfigError(f"{path}.theta0: sigma_int and tau must be positive, got {raw}")
     n_bootstrap = _integer(d, "n_bootstrap", path, 0)
@@ -172,11 +175,10 @@ def _build_sim(data: Any, path: str) -> SimSettings:
     d = _mapping(data, path)
     _check_keys(d, {"n_bar_values", "events_per_source", "merge_model"}, path)
     raw = d.get("n_bar_values")
-    if not isinstance(raw, list) or not raw or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw
-    ):
+    if not isinstance(raw, list) or not raw:
         raise ConfigError(f"{path}.n_bar_values: expected a non-empty list of numbers")
-    if not all(math.isfinite(v) and v > 0.0 for v in raw):
+    values = tuple(_float(v, f"{path}.n_bar_values", "a non-empty list of numbers") for v in raw)
+    if not all(math.isfinite(v) and v > 0.0 for v in values):
         raise ConfigError(f"{path}.n_bar_values: must be positive and finite, got {raw}")
     events_per_source = _integer(d, "events_per_source", path)
     if events_per_source < 1:
@@ -189,7 +191,7 @@ def _build_sim(data: Any, path: str) -> SimSettings:
             f"{path}.merge_model: expected one of {[m.value for m in MergeModel]}, got {merge!r}"
         ) from None
     return SimSettings(
-        n_bar_values=tuple(float(v) for v in raw),
+        n_bar_values=values,
         events_per_source=events_per_source,
         merge_model=str(merge),
     )
@@ -200,7 +202,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable UTF-8, an integer of over 4300 digits
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     d = _mapping(data, "config")
     _check_keys(d, {"seed", "output_dir", "detector", "budget", "fit", "sim"}, "config")
@@ -210,8 +212,11 @@ def load_config(path) -> RunConfig:
     output_dir = d.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a string")
+    seed = _integer(d, "seed", "config")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("config.seed: must be a 64-bit unsigned integer")
     cfg = RunConfig(
-        seed=_integer(d, "seed", "config"),
+        seed=seed,
         detector=_build(DetectorConfig, d["detector"], "config.detector"),
         budget=_build(JitterBudget, d["budget"], "config.budget"),
         fit=_build_fit(d["fit"], "config.fit") if "fit" in d else FitSettings(),

@@ -7,7 +7,8 @@ Poissonian photon statistics produces a weighted sum of EMG components indexed
 by photon number, conditioned on at least one photon because only events that
 produce a click enter an arrival-time histogram.  A mixture is held as arrays
 over photon number (weights, mu, sigma, tau), and every mixture quantity is
-evaluated on a (component, time) grid by one broadcast kernel.
+evaluated on a (component, time) grid by one broadcast kernel, which gives bin
+masses and their partial derivatives in one pass.
 
 All times are picoseconds; densities are per picosecond.
 """
@@ -84,13 +85,13 @@ def _emg_grid(mu, sigma, tau, t):
 
 
 def _cdf_sf_grid(mu, sigma, tau, t):
-    """Broadcastable EMG CDF and survival function, from Phi(-|u|) and T by the sign of u.
+    """Broadcastable EMG CDF, survival function and cross term T, from Phi(-|u|) and T by the sign of u.
 
     Rounding can leave [0, 1] by an ulp; callers that return probabilities clip.
     """
     lo, tail, left = _emg_grid(mu, sigma, tau, t)
     hi = 1.0 - lo
-    return np.where(left, lo, hi) - tail, np.where(left, hi, lo) + tail
+    return np.where(left, lo, hi) - tail, np.where(left, hi, lo) + tail, tail
 
 
 def emg_pdf(p: EmgParams, t):
@@ -209,51 +210,43 @@ class MixtureModel:
         return self.weights.size
 
 
-def mixture_bin_masses(m: MixtureModel, edges) -> np.ndarray:
+def mixture_bin_masses(m: MixtureModel, edges, partials: bool = False):
     """Probability mass per bin on ``edges``: the weighted sum of component masses.
 
     Each component's mass is a CDF difference left of its median and a
     survival-function difference right of it, so neither deep-tail bins nor
     the valleys between components lose precision to cancellation.
-    """
-    arr = np.asarray(edges, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("edges must be a 1-d array with at least two entries")
-    cdf, sf = _cdf_sf_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
-    mass = cdf[:, 1:] - cdf[:, :-1]
-    np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
-    return np.maximum(m.weights @ mass, 0.0)
 
-
-def _cdf_partials_grid(mu, sigma, tau, t) -> np.ndarray:
-    """Broadcastable partials of the EMG CDF with respect to (mu, sigma, tau), stacked on axis 0.
-
-    From the kernel's T and phi(u) = exp(-u^2/2) / sqrt(2 pi), with no further erfcx call:
+    With ``partials`` it returns ``(masses, partials)`` from one kernel pass:
+    ``partials[k, i, j]``, of shape (3, n_max, bins), is the derivative of bin
+    j's mass with respect to parameter k (mu, sigma, tau) of component i, the
+    component weight times the change of the CDF's partial across the bin (both
+    branches of the mass have it).  With the kernel's T and phi(u) = exp(-u^2/2) / sqrt(2 pi):
 
         dF/dmu    = -T / tau
         dF/dsigma = phi(u) / tau - sigma T / tau^2
         dF/dtau   = -(T (t - mu - sigma^2 / tau) + sigma phi(u)) / tau^2
-
-    The survival function's partials are these negated.
-    """
-    d_mu = -_emg_grid(mu, sigma, tau, t)[1] / tau
-    phi = np.exp(-0.5 * ((t - mu) / sigma) ** 2) * _INV_SQRT_2PI
-    d_sigma = (phi + sigma * d_mu) / tau
-    d_tau = ((t - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau) / tau
-    return np.stack((d_mu, d_sigma, d_tau))
-
-
-def mixture_bin_mass_partials(m: MixtureModel, edges) -> np.ndarray:
-    """Partials of ``mixture_bin_masses(m, edges)`` with respect to each component's mu, sigma, tau.
-
-    Returns shape (3, n_max, bins): entry [k, i, j] is the derivative of bin j's
-    mass with respect to parameter k (mu, sigma, tau) of component i, the
-    difference of the CDF's partials across the bin times the component weight
-    (both branches of ``mixture_bin_masses`` have these partials).
     """
     arr = np.asarray(edges, dtype=np.float64)
-    grid = _cdf_partials_grid(m.mu[:, None], m.sigma[:, None], m.tau[:, None], arr)
-    return m.weights[:, None] * (grid[:, :, 1:] - grid[:, :, :-1])
+    if arr.ndim != 1 or arr.size < 2:
+        raise ValueError("edges must be a 1-d array with at least two entries")
+    mu, sigma, tau = m.mu[:, None], m.sigma[:, None], m.tau[:, None]
+    cdf, sf, tail = _cdf_sf_grid(mu, sigma, tau, arr)
+    mass = cdf[:, 1:] - cdf[:, :-1]
+    np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
+    masses = np.maximum(m.weights @ mass, 0.0)
+    if not partials:
+        return masses
+    # the formulas above, operation for operation, written into one (3, n_max, edges) buffer
+    grid = np.empty((3,) + tail.shape)
+    d_mu, d_sigma, d_tau = grid
+    np.divide(tail, -tau, out=d_mu)
+    phi = np.exp(-0.5 * np.square((arr - mu) / sigma)) * _INV_SQRT_2PI
+    np.divide(phi + sigma * d_mu, tau, out=d_sigma)
+    np.divide((arr - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau, tau, out=d_tau)
+    d_mass = grid[:, :, 1:] - grid[:, :, :-1]
+    d_mass *= m.weights[:, None]
+    return masses, d_mass
 
 
 def mixture_moments(m: MixtureModel) -> tuple[float, float]:

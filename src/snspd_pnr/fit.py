@@ -29,7 +29,6 @@ from .dist import (
     MixtureModel,
     PhotonSource,
     conditioned_poisson_weights,
-    mixture_bin_mass_partials,
     mixture_bin_masses,
 )
 from .histogram import ArrivalHistogram
@@ -128,8 +127,9 @@ def _mixture_law(fp: FixedParams):
     evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0 and tau = 1 (the tail
     scale is the same at every n); an evaluation only scales them:
     mu_n = mu_infinity + delta_mu / n**alpha, sigma_n = sqrt(fixed_n^2 + sigma_int^2),
-    tau_n = tau.  The Jacobian chains the per-component partials through these laws for
-    z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]): dmu_n/ddelta_mu = n**-alpha,
+    tau_n = tau.  The Jacobian chains the per-component partials that
+    ``mixture_bin_masses(mix, edges, partials=True)`` returns with the masses through these
+    laws for z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]): dmu_n/ddelta_mu = n**-alpha,
     dmu_n/dmu_infinity = 1, dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and
     dtau_n/dln tau = tau_n.
     """
@@ -143,9 +143,9 @@ def _mixture_law(fp: FixedParams):
         sigma = np.sqrt(fixed_var + sigma_int**2)
         return MixtureModel(source, weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
 
-    def jacobian(mix: MixtureModel, sigma_int, edges, with_mu_infinity: bool) -> np.ndarray:
-        """d(bin masses)/dz of ``mix`` (built at ``sigma_int``), shape (bins, 3 or 4)."""
-        d_mu, d_sigma, d_tau = mixture_bin_mass_partials(mix, edges)
+    def jacobian(mix: MixtureModel, sigma_int, partials, with_mu_infinity: bool) -> np.ndarray:
+        """d(bin masses)/dz of ``mix`` (built at ``sigma_int``) from its ``partials``, shape (bins, 3 or 4)."""
+        d_mu, d_sigma, d_tau = partials
         cols = [inv_n_alpha @ d_mu, (sigma_int**2 / mix.sigma) @ d_sigma, mix.tau @ d_tau]
         if with_mu_infinity:
             cols.append(d_mu.sum(axis=0))
@@ -387,7 +387,8 @@ def fit_histogram(
             return None
         sigma_int = math.exp(z[1])
         mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
-        return total * mixture_bin_masses(mix, edges), total * jacobian(mix, sigma_int, edges, fit_mu_infinity)
+        masses, partials = mixture_bin_masses(mix, edges, partials=True)
+        return total * masses, total * jacobian(mix, sigma_int, partials, fit_mu_infinity)
 
     def theta_of(z) -> np.ndarray:
         return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])

@@ -246,6 +246,30 @@ def test_bad_config_exit_2(runner, tmp_path):
     assert "unknown keys" in out_text(result)
 
 
+@pytest.mark.parametrize(
+    "section,key,path",
+    [("budget", "sigma_opt", "config.budget.sigma_opt"), ("fit", "bin_width", "config.fit.bin_width")],
+)
+def test_config_number_too_large_for_a_float_exit_2(runner, tmp_path, section, key, path):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg[section][key] = 10**400  # a JSON integer literal, a 1 and 400 zeros
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    result = runner.invoke(main, ["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert f"error: {path}: number too large for a float" in out_text(result)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_config_seed_out_of_range_exit_2(runner, tmp_path, seed):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**CONFIG, "seed": seed}), encoding="utf-8")
+    result = runner.invoke(main, ["simulate", "-c", str(cfg_path), "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert "error: config.seed: must be a 64-bit unsigned integer" in out_text(result)
+    assert not (tmp_path / "o").exists()
+
+
 def test_geom_cli(runner, tmp_path):
     out = tmp_path / "geom"
     result = runner.invoke(

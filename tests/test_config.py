@@ -170,3 +170,42 @@ def test_invalid_json_is_reported(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "mutate,path",
+    [
+        (lambda d: d["budget"].update(sigma_opt=10**400), "config.budget.sigma_opt"),
+        (lambda d: d["detector"]["wire"].update(length=-(10**400)), "config.detector.wire.length"),
+        (lambda d: d["fit"].update(theta0=[289, 10**400, 6]), "config.fit.theta0"),
+        (lambda d: d["sim"].update(n_bar_values=[1, 10**400]), "config.sim.n_bar_values"),
+    ],
+)
+def test_numbers_beyond_the_float_range_name_their_path(tmp_path, mutate, path):
+    payload = json.loads(json.dumps(GOOD))
+    mutate(payload)
+    with pytest.raises(ConfigError) as info:
+        load_config(write(tmp_path, payload))
+    assert str(info.value) == f"{path}: number too large for a float"
+
+
+@pytest.mark.parametrize("seed,ok", [(-1, False), (2**64, False), (0, True), (2**64 - 1, True)])
+def test_seed_is_a_64_bit_unsigned_integer(tmp_path, seed, ok):
+    path = write(tmp_path, {**GOOD, "seed": seed})
+    if ok:
+        assert load_config(path).seed == seed
+    else:
+        with pytest.raises(ConfigError, match=r"^config\.seed: must be a 64-bit unsigned integer$"):
+            load_config(path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"seed": 1' + b"0" * 5000 + b"}", b'{"seed": 1, "output_dir": "\xff"}'],
+    ids=["integer-over-4300-digits", "not-utf-8"],
+)
+def test_unreadable_json_is_reported(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="invalid JSON"):
+        load_config(path)

@@ -20,7 +20,7 @@ from snspd_pnr import (
     mixture_from_params,
     mixture_moments,
 )
-from snspd_pnr.dist import _cdf_partials_grid, _cdf_sf_grid, mixture_bin_mass_partials
+from snspd_pnr.dist import _cdf_sf_grid, _emg_grid
 from snspd_pnr.fit import _mixture_law
 
 mpmath.mp.dps = 50
@@ -66,6 +66,28 @@ def weighted_cdf(m, t):
 def kernel_sf(p, t):
     """The kernel's survival function of one component, unclipped."""
     return _cdf_sf_grid(p.mu, p.sigma, p.tau, np.asarray(t, dtype=np.float64))[1]
+
+
+def cdf_partials(us, tau):
+    """The CDF's partials (mu, sigma, tau) at each u for mu = 0, sigma = 1, read from
+    ``mixture_bin_masses``: component j sits at mu = -u_j, so the edge 0 is its u_j
+    exactly, and the edge -90 is at least 50 sigma left of every component, where each
+    partial is exactly 0; bin 0's partial for component j is then its weight times
+    the CDF's partial at u_j."""
+    w = np.full(us.size, 1.0 / us.size)
+    m = MixtureModel(None, w, -us, np.ones(us.size), np.full(us.size, tau))
+    return mixture_bin_masses(m, [-90.0, 0.0], partials=True)[1][:, :, 0] / w
+
+
+def two_pass_partials(m, edges):
+    """The bin-mass partials as a second kernel pass after the masses computed them."""
+    mu, sigma, tau, t = m.mu[:, None], m.sigma[:, None], m.tau[:, None], np.asarray(edges, dtype=np.float64)
+    d_mu = -_emg_grid(mu, sigma, tau, t)[1] / tau
+    phi = np.exp(-0.5 * ((t - mu) / sigma) ** 2) * (1.0 / math.sqrt(2.0 * math.pi))
+    d_sigma = (phi + sigma * d_mu) / tau
+    d_tau = ((t - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau) / tau
+    grid = np.stack((d_mu, d_sigma, d_tau))
+    return m.weights[:, None] * (grid[:, :, 1:] - grid[:, :, :-1])
 
 
 def test_pdf_reference_value():
@@ -147,7 +169,7 @@ def test_kernel_matches_high_precision_in_both_tail_branches():
     # float 1 / tau, so the oracle evaluates the inputs the kernel sees
     us = np.linspace(-35.0, 40.0, 61)
     taus = 1.0 / np.geomspace(0.05, 30.0, 13)
-    cdf, sf = _cdf_sf_grid(0.0, 1.0, taus[:, None], us[None, :])
+    cdf, sf, _ = _cdf_sf_grid(0.0, 1.0, taus[:, None], us[None, :])
     rs = 1.0 / taus
     assert np.all(np.isfinite(cdf)) and np.all(np.isfinite(sf))
     checked = {True: 0, False: 0}
@@ -187,7 +209,7 @@ def test_cdf_partials_match_high_precision_in_both_tails():
     # a 50-digit CDF would round its change away
     us = np.linspace(-35.0, 40.0, 31)
     taus = 1.0 / np.geomspace(0.05, 30.0, 7)
-    got = _cdf_partials_grid(0.0, 1.0, taus[:, None], us[None, :])
+    got = np.stack([cdf_partials(us, tau) for tau in taus], axis=1)
     assert got.shape == (3, taus.size, us.size) and np.all(np.isfinite(got))
     checked = {True: 0, False: 0}
     for i, tau in enumerate(taus):
@@ -213,7 +235,7 @@ def test_cdf_partials_match_high_precision_in_both_tails():
 def test_bin_mass_partials_match_central_differences():
     m = mixture_of(PhotonSource(1.0), (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0)), np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
-    got = mixture_bin_mass_partials(m, edges)
+    got = mixture_bin_masses(m, edges, partials=True)[1]
     assert got.shape == (3, 2, 80)
     h = 1e-5
     for k, name in enumerate(("mu", "sigma", "tau")):
@@ -225,6 +247,22 @@ def test_bin_mass_partials_match_central_differences():
             down = mixture_bin_masses(MixtureModel(m.source, m.weights, **arrays), edges)
             fd = (up - down) / (2.0 * h)
             assert np.max(np.abs(got[k, i] - fd)) <= 1e-8 * np.max(np.abs(got[k, i])), (name, i)
+
+
+@pytest.mark.parametrize(
+    "n_bar,theta,edges",
+    [
+        (3.0, (289.0, 6.0, 6.0), np.arange(100.0, 701.0, 2.0)),
+        (1.0, (300.0, 0.5, 2.0), np.arange(-400.0, 3001.0, 5.0)),  # tails deep enough to underflow
+        (20.0, (250.3, 3.7, 9.1), np.array([-1e4, 0.0, 150.0, 151.0, 1e4])),
+    ],
+)
+def test_fused_masses_and_partials_equal_the_two_pass_values(make_fixed_params, n_bar, theta, edges):
+    m = mixture_from_params(make_fixed_params(n_bar), theta)
+    masses, partials = mixture_bin_masses(m, edges, partials=True)
+    assert np.array_equal(masses, mixture_bin_masses(m, edges))
+    assert np.array_equal(partials, two_pass_partials(m, edges))
+    assert np.array_equal(np.signbit(partials), np.signbit(two_pass_partials(m, edges)))
 
 
 @pytest.mark.parametrize(
@@ -240,9 +278,11 @@ def test_fit_jacobian_matches_central_differences(make_fixed_params, n_bar, thet
         return mixture_bin_masses(mixture(z[0], math.exp(z[1]), math.exp(z[2]), z[3]), edges)
 
     z = np.array([theta[0], math.log(theta[1]), math.log(theta[2]), mu_infinity])
-    got = jacobian(mixture(*theta, mu_infinity), theta[1], edges, True)
+    mix = mixture(*theta, mu_infinity)
+    partials = mixture_bin_masses(mix, edges, partials=True)[1]
+    got = jacobian(mix, theta[1], partials, True)
     assert got.shape == (edges.size - 1, 4)
-    assert np.array_equal(jacobian(mixture(*theta, mu_infinity), theta[1], edges, False), got[:, :3])
+    assert np.array_equal(jacobian(mix, theta[1], partials, False), got[:, :3])
     h = 1e-4
     fd = np.column_stack([(masses(z + h * e) - masses(z - h * e)) / (2.0 * h) for e in np.eye(4)])
     assert np.all(np.max(np.abs(got - fd), axis=0) <= 2e-8 * np.max(np.abs(got), axis=0))

@@ -8,6 +8,7 @@ from scipy import integrate, stats
 from scipy.optimize import minimize
 from scipy.signal import find_peaks
 
+import snspd_pnr.dist
 import snspd_pnr.fit
 from snspd_pnr import (
     ArrivalHistogram,
@@ -441,10 +442,10 @@ def test_bootstrap_on_empty_far_bins_whose_mass_underflows(rt_hist, fp1, rt_fit)
 def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monkeypatch):
     seen = []
 
-    def spy(mix, edges):
-        masses = mixture_bin_masses(mix, edges)
-        seen.append((mix, masses))
-        return masses
+    def spy(mix, edges, **kwargs):
+        out = mixture_bin_masses(mix, edges, **kwargs)
+        seen.append((mix, out[0] if kwargs.get("partials") else out))
+        return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
     with monkeypatch.context() as mp:
@@ -459,6 +460,33 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
     assert hits
     for name in ("weights", "mu", "sigma", "tau"):
         assert np.array_equal(getattr(hits[0], name), getattr(ref, name))
+
+
+@pytest.mark.parametrize("fit_mu_infinity", [False, True])
+@pytest.mark.parametrize("n_bootstrap", [0, 4])
+def test_one_kernel_pass_per_model_evaluation(rt_hist, fp1, n_bootstrap, fit_mu_infinity, monkeypatch):
+    # every model evaluation of the fit and of its bootstrap refits takes its bin masses
+    # and their partials from one _emg_grid call, and no kernel call happens outside one
+    kernel_calls, per_eval = [0], []
+
+    def kernel(*args):
+        kernel_calls[0] += 1
+        return emg_grid(*args)
+
+    def evaluation(*args, **kwargs):
+        before = kernel_calls[0]
+        out = mixture_bin_masses(*args, **kwargs)
+        per_eval.append(kernel_calls[0] - before)
+        return out
+
+    emg_grid = snspd_pnr.dist._emg_grid
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.dist, "_emg_grid", kernel)
+        mp.setattr(snspd_pnr.fit, "mixture_bin_masses", evaluation)
+        res = fit_histogram(rt_hist, fp1, n_bootstrap=n_bootstrap, bootstrap_seed=3, fit_mu_infinity=fit_mu_infinity)
+    assert res.converged and res.bootstrap_converged == (n_bootstrap or None)
+    assert len(per_eval) > 3 * (n_bootstrap + 1)
+    assert set(per_eval) == {1} and kernel_calls[0] == len(per_eval)
 
 
 @pytest.mark.parametrize("n_bootstrap", [-1, 1])

@@ -5,8 +5,9 @@ Runs the unmodified ``benchmarks/run.py`` of two checkouts (say, a
 alternate which side goes first, summarises each end-to-end metric per side
 (median and linear quartiles), and counts the pairs the change wins.  It also
 times the criterion 2 and criterion 7 acceptance tests in each checkout, and
-compares the merged sweep of the ``sweep-merge`` workload and the ``geom`` run
-of the ``geom-mc`` workload between the two sides.
+compares the bootstrapped fit of the ``hist-bootstrap`` workload, the merged
+sweep of the ``sweep-merge`` workload and the ``geom`` run of the ``geom-mc``
+workload between the two sides.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
 
@@ -39,6 +40,7 @@ PAIRS = 10  # alternating parent/change pairs per workload
 SEED = 3
 SECONDS = 20.0  # the benchmark's run_seconds
 CRITERION_PAIRS = 5
+FIT_SEEDS = (1, 2, 3)  # seeds of the fit comparison
 SWEEP_SEEDS = (1, 2, 3)  # seeds of the merged sweep comparison
 GEOM_SEEDS = (1, 2, 3)  # seeds of the geom comparison
 
@@ -111,6 +113,37 @@ def _benchmark_modules(sides: dict):
     import workloads
 
     return workloads, reference
+
+
+def fit_runs(sides: dict, seeds) -> dict:
+    """Run the ``hist-bootstrap`` workload's CLI ``fit`` once per seed on both sides and compare outputs.
+
+    Both sides fit the same histogram CSV.  ``fit_result_identical`` compares
+    every field of ``fit_result.json`` but ``input.path``; ``fit_residuals_identical``
+    compares ``fit_residuals.csv`` byte for byte.
+    """
+    workloads, _ = _benchmark_modules(sides)
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            workload = workloads.HistBootstrap(seed, Path(tmp) / f"fit-{seed}")
+            workload.setup()
+            results, residuals = {}, {}
+            for side, root in sides.items():
+                fit = workload.work / f"fit-{side}"
+                subprocess.run([sys.executable, "-c", CLI, "fit", str(workload.hist), "-c", str(workload.config),
+                                "-o", str(fit), "--bootstrap", str(workloads.FIT_BOOTSTRAP)],
+                               cwd=root, env=_env(root), check=True, capture_output=True)
+                results[side] = json.loads((fit / "fit_result.json").read_text())
+                results[side]["input"].pop("path")
+                residuals[side] = (fit / "fit_residuals.csv").read_bytes()
+            old, new = results["parent"], results["change"]
+            out[str(seed)] = {"fit_result_identical": old == new,
+                              "fields_differing": sorted(k for k in old.keys() | new.keys()
+                                                         if old.get(k) != new.get(k)),
+                              "fit_residuals_identical": residuals["parent"] == residuals["change"],
+                              "bootstrap_converged": [old["bootstrap_converged"], new["bootstrap_converged"]]}
+    return out
 
 
 def merged_sweeps(sides: dict, seeds) -> dict:
@@ -215,7 +248,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     report = {
         "what": "End-to-end benchmark metrics of the parent commit and of this change (median, quartiles, IQR), "
-                "the criterion 2 and 7 wall times, and the merged sweep widths and geom spreads of both sides.",
+                "the criterion 2 and 7 wall times, and the bootstrapped fits, merged sweep widths and geom spreads "
+                "of both sides.",
         "hardware": args.hardware,
         "parent_commit": args.parent_commit,
         "method": {
@@ -225,6 +259,10 @@ def main(argv=None) -> int:
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
             "criteria": f"python -m pytest -q TEST in each checkout, timed from outside (interpreter start "
                         f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
+            "fit": f"the hist-bootstrap workload's histogram CSV and configuration at seeds {list(FIT_SEEDS)}, "
+                   "fitted once per seed through the CLI `fit --bootstrap 100` of each side; fit_result_identical "
+                   "compares every fit_result.json field but input.path, fit_residuals_identical compares "
+                   "fit_residuals.csv byte for byte",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
                             "standard errors combined in quadrature; sweep_csv_identical compares the two sides' "
@@ -258,6 +296,7 @@ def main(argv=None) -> int:
         report[f"{name}_s"] = compare(runs, "wall_s")
         report[f"{name}_s"]["all_passed"] = all(r["passed"] for r in runs)
         report["runs"] += runs
+    report["fit"] = fit_runs(sides, FIT_SEEDS)
     report["merged_sweep"] = merged_sweeps(sides, SWEEP_SEEDS)
     report["geom"] = geom_runs(sides, GEOM_SEEDS)
     args.out.write_text(json.dumps(report, indent=1) + "\n")

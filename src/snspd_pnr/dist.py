@@ -8,7 +8,9 @@ by photon number, conditioned on at least one photon because only events that
 produce a click enter an arrival-time histogram.  A mixture is held as arrays
 over photon number (weights, mu, sigma, tau), and every mixture quantity is
 evaluated on a (component, time) grid by one broadcast kernel, which gives bin
-masses and their partial derivatives in one pass.
+masses and their partial derivatives in one pass.  ``scipy.special`` is
+imported by the two functions that use it, on their first call, so importing
+this module (and the CLI) loads no scipy.
 
 All times are picoseconds; densities are per picosecond.
 """
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfcx, gammaln, pdtrc, xlogy
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -75,6 +76,8 @@ def _emg_grid(mu, sigma, tau, t):
     Two erfcx calls per cell and no factor that can overflow: erfcx <= 1 on
     non-negative arguments and r^2/2 - u r <= 0 where r <= u.
     """
+    from scipy.special import erfcx  # on first use: the import is slow, and geom, overlap and pulse never need it
+
     v = (t - mu) / (sigma * _SQRT2)  # u / sqrt 2
     q = sigma / (tau * _SQRT2)  # r / sqrt 2, so r^2/2 - u r = q^2 - 2 q v
     half_g = 0.5 * np.exp(-v * v)
@@ -152,6 +155,8 @@ def conditioned_poisson_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
     whose conditioned tail mass falls below the source's truncation setting;
     the retained weights are renormalized to sum to exactly 1.
     """
+    from scipy.special import gammaln, pdtrc, xlogy
+
     nbar = source.mean_photon_number
     if nbar <= 0.0:
         raise ValueError("no detectable events: mean photon number is zero")

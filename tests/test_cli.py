@@ -36,6 +36,7 @@ CONFIG = {
     "fit": {"bin_width": 2.0},
     "sim": {"n_bar_values": [1.0], "events_per_source": 40_000, "merge_model": "off"},
 }
+CLI = "from snspd_pnr.cli import main; main()"  # the console script, for fresh interpreters
 
 
 @pytest.fixture
@@ -308,13 +309,12 @@ def test_geom_too_few_bootstrap_resamples_exit_2(runner, tmp_path, resamples):
 def test_geom_output_does_not_depend_on_blas_threads(tmp_path):
     # the bootstrap sums are BLAS matrix products; reruns must be byte-identical at any thread count
     src = str(Path(snspd_pnr.__file__).resolve().parent.parent)
-    code = "from snspd_pnr.cli import main; main()"
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-c", code, "geom", "--length", "200um", "--signal-velocity", "6",
+        subprocess.run([sys.executable, "-c", CLI, "geom", "--length", "200um", "--signal-velocity", "6",
                         "--n-values", "1,2,3,4", "--samples", "20000", "--bootstrap", "20",
                         "--histogram-bins", "10", "--seed", "5", "-o", str(out)],
                        env=env, capture_output=True, text=True, timeout=120, check=True)
@@ -393,12 +393,46 @@ def test_sweep_bad_bin_width_exit_2(runner, config_path, tmp_path, width):
     assert not (out / "sweep.json").exists()
 
 
-def test_cli_import_leaves_unused_scipy_modules_out():
-    # importing scipy.stats, scipy.signal and scipy.optimize costs more than half a second,
-    # and the CLI computes nothing with them
-    heavy = ("scipy.stats", "scipy.signal", "scipy.optimize")
-    code = f"import sys, snspd_pnr.cli; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+def _scipy_modules_loaded_by(code: str, *args: str) -> list[str]:
+    """Run ``code`` with ``args`` in a fresh interpreter; return the scipy modules loaded when it exits."""
+    report = ("import atexit, sys; atexit.register(lambda: print(' '.join(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.'))))\n")
     src = str(Path(snspd_pnr.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == ""
+    done = subprocess.run([sys.executable, "-c", report + code, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_cli_import_leaves_unused_scipy_modules_out():
+    # importing scipy.special takes about 0.3 s (numpy.f2py comes with it), and scipy.stats,
+    # scipy.signal and scipy.optimize more; the import computes nothing, so none of them may load
+    assert _scipy_modules_loaded_by("import snspd_pnr, snspd_pnr.cli") == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--version"],
+        ["geom", "--length", "200um", "--signal-velocity", "6", "--ground-velocity", "140", "--n-values", "1,2",
+         "--samples", "10000", "--bootstrap", "2", "--histogram-bins", "5", "--seed", "3", "-o", "{out}"],
+        ["overlap", "--elements", "24"],
+        ["pulse", "--kinetic-inductance", "500nH", "--amplitude", "100mV", "--noise-floor", "10mV",
+         "--rise-time", "300ps"],
+    ],
+    ids=["version", "geom", "overlap", "pulse"],
+)
+def test_commands_without_a_mixture_load_no_scipy(tmp_path, args):
+    # these commands evaluate no EMG kernel and no Poisson weight, so scipy.special never loads
+    args = [a.format(out=tmp_path / "out") for a in args]
+    assert _scipy_modules_loaded_by(CLI, *args) == []
+
+
+def test_fit_loads_scipy_special_and_no_other_scipy_subpackage(config_path, tag_file, tmp_path):
+    hist_path = tmp_path / "hist.csv"
+    write_histogram_csv(hist_path, ingest_time_tags(tag_file))
+    loaded = _scipy_modules_loaded_by(CLI, "fit", str(hist_path), "-c", config_path, "-o", str(tmp_path / "fit"),
+                                      "--bootstrap", "0")
+    assert "scipy.special" in loaded
+    assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(loaded)
+    assert json.loads((tmp_path / "fit" / "fit_result.json").read_text())["converged"] is True

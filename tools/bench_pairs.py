@@ -7,9 +7,14 @@ alternate which side goes first, summarises each end-to-end metric per side
 times the criterion 2 and criterion 7 acceptance tests in each checkout, and
 compares the bootstrapped fit of the ``hist-bootstrap`` workload, the merged
 sweep of the ``sweep-merge`` workload and the ``geom`` run of the ``geom-mc``
-workload between the two sides.
+workload between the two sides.  Its ``startup`` block times whole CLI
+processes that do little work beyond starting up, on both sides.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
+    python3 tools/bench_pairs.py --parent ../parent --change . --seed 11 --out BENCH_10_seed11.json
+
+``--seed`` sets the seed of the workload runs and of the startup inputs, so a
+held-out-seed series is one more run with its own output file.
 
 Both checkouts need the same benchmark code; the script reads nothing else
 from them.  Wall times depend on the host: record it with ``--hardware``.
@@ -36,8 +41,8 @@ CRITERIA = {  # acceptance tests timed in each checkout
     "criterion_7": "tests/test_acceptance.py::test_criterion_7_one_photon_peak_drift",
 }
 CLI = "from snspd_pnr.cli import main; main()"
-PAIRS = 10  # alternating parent/change pairs per workload
-SEED = 3
+PAIRS = 10  # alternating parent/change pairs per workload and per startup command
+SEED = 3  # default workload seed
 SECONDS = 20.0  # the benchmark's run_seconds
 CRITERION_PAIRS = 5
 FIT_SEEDS = (1, 2, 3)  # seeds of the fit comparison
@@ -52,6 +57,7 @@ def parse_args(argv=None):
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
     p.add_argument("--hardware", default="", help="host description stored in the output")
     p.add_argument("--parent-commit", default="", help="parent commit id stored in the output")
+    p.add_argument("--seed", type=int, default=SEED, help="seed of the workload runs and the startup inputs")
     return p.parse_args(argv)
 
 
@@ -61,8 +67,8 @@ def _env(root: Path) -> dict:
     return env
 
 
-def bench_run(root: Path, workload: str) -> dict:
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(SEED),
+def bench_run(root: Path, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{SECONDS:g}", "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
@@ -76,6 +82,12 @@ def criterion_run(root: Path, test: str) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=_env(root))
     return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
+
+
+def process_run(root: Path, args: list[str]) -> dict:
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-c", CLI, *args], cwd=root, env=_env(root), capture_output=True)
+    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode}
 
 
 def quartiles(values) -> dict:
@@ -144,6 +156,38 @@ def fit_runs(sides: dict, seeds) -> dict:
                               "fit_residuals_identical": residuals["parent"] == residuals["change"],
                               "bootstrap_converged": [old["bootstrap_converged"], new["bootstrap_converged"]]}
     return out
+
+
+def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
+    """Time whole CLI processes of both sides in alternating pairs: start-up cost with little work behind it.
+
+    ``--version`` and ``overlap --elements 24`` are nearly pure start-up; the
+    ``geom-mc`` workload's ``geom`` command adds its Monte Carlo; ``fit
+    --bootstrap 0`` of the ``hist-bootstrap`` histogram evaluates the mixture,
+    so it loads ``scipy.special`` on either side.
+    """
+    workloads, _ = _benchmark_modules(sides)
+    summary, all_runs = {}, []
+    with tempfile.TemporaryDirectory() as tmp:
+        hist = workloads.HistBootstrap(seed, Path(tmp) / "fit")
+        hist.setup()
+        (geom,) = workloads.GeomMc(seed, Path(tmp) / "geom").round_ops()
+        commands = {
+            "version": ["--version"],
+            "overlap": ["overlap", "--elements", "24"],
+            "geom": geom.args,
+            "fit_bootstrap_0": ["fit", str(hist.hist), "-c", str(hist.config), "-o", str(Path(tmp) / "fit-out"),
+                                "--bootstrap", "0"],
+        }
+        for name, args in commands.items():
+            runs = alternate(PAIRS, sides, lambda root: process_run(root, args))
+            for r in runs:
+                r["kind"] = f"startup_{name}"
+            summary[name] = compare(runs, "wall_s")
+            summary[name]["all_exit_0"] = all(r["exit_code"] == 0 for r in runs)
+            summary[name]["args"] = [a.replace(tmp, "<tmp>") for a in args]
+            all_runs += runs
+    return summary, all_runs
 
 
 def merged_sweeps(sides: dict, seeds) -> dict:
@@ -248,17 +292,22 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     report = {
         "what": "End-to-end benchmark metrics of the parent commit and of this change (median, quartiles, IQR), "
-                "the criterion 2 and 7 wall times, and the bootstrapped fits, merged sweep widths and geom spreads "
-                "of both sides.",
+                "the criterion 2 and 7 wall times, whole-process CLI start-up times, and the bootstrapped fits, "
+                "merged sweep widths and geom spreads of both sides.",
         "hardware": args.hardware,
         "parent_commit": args.parent_commit,
         "method": {
-            "benchmark": f"python3 benchmarks/run.py --workload W --seed {SEED} --seconds {SECONDS:g} "
+            "benchmark": f"python3 benchmarks/run.py --workload W --seed {args.seed} --seconds {SECONDS:g} "
                          f"--trace 0, unmodified, from a checkout of each commit; {PAIRS} pairs per workload, "
                          "alternating which side runs first; numpy linear percentiles over the runs of each side; "
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
             "criteria": f"python -m pytest -q TEST in each checkout, timed from outside (interpreter start "
                         f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
+            "startup": f"wall time of one fresh `python -c '{CLI}' ARGS` "
+                       f"process per run, timed from outside, in {PAIRS} alternating pairs per command; "
+                       f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
+                       f"command at seed {args.seed}; fit_bootstrap_0: fit --bootstrap 0 of the hist-bootstrap "
+                       f"histogram CSV and configuration at seed {args.seed}",
             "fit": f"the hist-bootstrap workload's histogram CSV and configuration at seeds {list(FIT_SEEDS)}, "
                    "fitted once per seed through the CLI `fit --bootstrap 100` of each side; fit_result_identical "
                    "compares every fit_result.json field but input.path, fit_residuals_identical compares "
@@ -280,9 +329,9 @@ def main(argv=None) -> int:
         "runs": [],
     }
     for workload in WORKLOADS:
-        runs = alternate(PAIRS, sides, lambda root: bench_run(root, workload))
+        runs = alternate(PAIRS, sides, lambda root: bench_run(root, workload, args.seed))
         for r in runs:
-            r.update(kind="bench", workload=workload, seed=SEED)
+            r.update(kind="bench", workload=workload, seed=args.seed)
         summary = {m: compare(runs, m) for m in METRICS}
         summary["all_runs_correct"] = all(r["correct"] for r in runs)
         summary["failed_operations"] = sum(r["failed"] for r in runs)
@@ -296,6 +345,8 @@ def main(argv=None) -> int:
         report[f"{name}_s"] = compare(runs, "wall_s")
         report[f"{name}_s"]["all_passed"] = all(r["passed"] for r in runs)
         report["runs"] += runs
+    report["startup"], runs = startup_runs(sides, args.seed)
+    report["runs"] += runs
     report["fit"] = fit_runs(sides, FIT_SEEDS)
     report["merged_sweep"] = merged_sweeps(sides, SWEEP_SEEDS)
     report["geom"] = geom_runs(sides, GEOM_SEEDS)

@@ -8,7 +8,7 @@ by photon number, conditioned on at least one photon because only events that
 produce a click enter an arrival-time histogram.  A mixture is held as arrays
 over photon number (weights, mu, sigma, tau), and every mixture quantity is
 evaluated on a (component, time) grid by one broadcast kernel, which gives bin
-masses and their partial derivatives in one pass.  ``scipy.special`` is
+masses and their Jacobian in one pass.  ``scipy.special`` is
 imported by the two functions that use it, on their first call, so importing
 this module (and the CLI) loads no scipy.
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # phi(u) = sqrt(2/pi) g/2
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def _as_times(t) -> tuple[np.ndarray, bool]:
 
 
 def _emg_grid(mu, sigma, tau, t):
-    """Broadcastable EMG parts (Phi(-|u|), T, u < 0), stable in both tails.
+    """Broadcastable EMG parts (Phi(-|u|), T, u < 0, g/2), stable in both tails.
 
     With u = (t - mu)/sigma, r = sigma/tau and g = exp(-u^2/2), the EMG has
     CDF F = Phi(u) - T, survival function 1 - F = Phi(-u) + T and density
@@ -84,17 +84,18 @@ def _emg_grid(mu, sigma, tau, t):
     d = q - v
     h = half_g * erfcx(np.abs(d))
     tail = np.where(d > 0.0, h, np.exp(np.minimum(q * q - (2.0 * q) * v, 0.0)) - h)
-    return half_g * erfcx(np.abs(v)), tail, v < 0.0
+    return half_g * erfcx(np.abs(v)), tail, v < 0.0, half_g
 
 
 def _cdf_sf_grid(mu, sigma, tau, t):
-    """Broadcastable EMG CDF, survival function and cross term T, from Phi(-|u|) and T by the sign of u.
+    """Broadcastable EMG CDF and survival function, from Phi(-|u|) and T by the sign of u,
+    followed by the kernel's T and g/2.
 
     Rounding can leave [0, 1] by an ulp; callers that return probabilities clip.
     """
-    lo, tail, left = _emg_grid(mu, sigma, tau, t)
+    lo, tail, left, half_g = _emg_grid(mu, sigma, tau, t)
     hi = 1.0 - lo
-    return np.where(left, lo, hi) - tail, np.where(left, hi, lo) + tail, tail
+    return np.where(left, lo, hi) - tail, np.where(left, hi, lo) + tail, tail, half_g
 
 
 def emg_pdf(p: EmgParams, t):
@@ -215,43 +216,47 @@ class MixtureModel:
         return self.weights.size
 
 
-def mixture_bin_masses(m: MixtureModel, edges, partials: bool = False):
+def mixture_bin_masses(m: MixtureModel, edges, dz=None):
     """Probability mass per bin on ``edges``: the weighted sum of component masses.
 
     Each component's mass is a CDF difference left of its median and a
     survival-function difference right of it, so neither deep-tail bins nor
     the valleys between components lose precision to cancellation.
 
-    With ``partials`` it returns ``(masses, partials)`` from one kernel pass:
-    ``partials[k, i, j]``, of shape (3, n_max, bins), is the derivative of bin
-    j's mass with respect to parameter k (mu, sigma, tau) of component i, the
-    component weight times the change of the CDF's partial across the bin (both
-    branches of the mass have it).  With the kernel's T and phi(u) = exp(-u^2/2) / sqrt(2 pi):
+    With ``dz``, of shape (p, 3, n_max), the derivatives of every component's
+    (mu, sigma, tau) with respect to p coordinates z, it returns ``(masses, J)``
+    from one kernel pass, where ``J[j, k]``, of shape (bins, p), is the derivative
+    of bin j's mass with respect to z_k.  Both branches of a bin's mass change
+    with the CDF, whose partials, with the kernel's T and g/2 and
+    phi(u) = exp(-u^2/2) / sqrt(2 pi) = sqrt(2/pi) g/2, are
 
         dF/dmu    = -T / tau
         dF/dsigma = phi(u) / tau - sigma T / tau^2
         dF/dtau   = -(T (t - mu - sigma^2 / tau) + sigma phi(u)) / tau^2
+
+    So dF/dz_k, summed over components with their weights, is a sum over n of
+    coefficients times three grids, T, g/2 and (t - mu) T; it is contracted
+    over components at the edges first and differenced over bins last.  A
+    one-hot ``dz`` (p = 3 n_max) gives each component's weighted partials.
     """
     arr = np.asarray(edges, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
     mu, sigma, tau = m.mu[:, None], m.sigma[:, None], m.tau[:, None]
-    cdf, sf, tail = _cdf_sf_grid(mu, sigma, tau, arr)
+    cdf, sf, tail, half_g = _cdf_sf_grid(mu, sigma, tau, arr)
     mass = cdf[:, 1:] - cdf[:, :-1]
     np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
     masses = np.maximum(m.weights @ mass, 0.0)
-    if not partials:
+    if dz is None:
         return masses
-    # the formulas above, operation for operation, written into one (3, n_max, edges) buffer
-    grid = np.empty((3,) + tail.shape)
-    d_mu, d_sigma, d_tau = grid
-    np.divide(tail, -tau, out=d_mu)
-    phi = np.exp(-0.5 * np.square((arr - mu) / sigma)) * _INV_SQRT_2PI
-    np.divide(phi + sigma * d_mu, tau, out=d_sigma)
-    np.divide((arr - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau, tau, out=d_tau)
-    d_mass = grid[:, :, 1:] - grid[:, :, :-1]
-    d_mass *= m.weights[:, None]
-    return masses, d_mass
+    d_mu, d_sigma, d_tau = dz[:, 0], dz[:, 1], dz[:, 2]  # each (p, n_max)
+    w_tau, r = m.weights / m.tau, m.sigma / m.tau
+    # w dF = (w / tau) ((d_sigma - r d_tau) (phi - r T) - d_mu T - d_tau (t - mu) T / tau)
+    shared = w_tau * (d_sigma - r * d_tau)
+    on_tail = -r * shared - w_tau * d_mu
+    on_cross = (-w_tau / m.tau) * d_tau
+    at_edges = on_tail @ tail + (_SQRT_2_OVER_PI * shared) @ half_g + on_cross @ ((arr - mu) * tail)
+    return masses, (at_edges[:, 1:] - at_edges[:, :-1]).T
 
 
 def mixture_moments(m: MixtureModel) -> tuple[float, float]:

@@ -120,18 +120,18 @@ class FitResult:
 
 def _mixture_law(fp: FixedParams):
     """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget,
-    and the Jacobian of that mixture's bin masses in the fit's coordinates.
+    and the derivatives of that mixture's components with respect to the fit's coordinates.
 
     This is the one photon-number model of the package: the fit and the sweep evaluate
     it, and ``sim.simulate_tags`` draws its events from it.  The budget's laws are
     evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0 and tau = 1 (the tail
     scale is the same at every n); an evaluation only scales them:
     mu_n = mu_infinity + delta_mu / n**alpha, sigma_n = sqrt(fixed_n^2 + sigma_int^2),
-    tau_n = tau.  The Jacobian chains the per-component partials that
-    ``mixture_bin_masses(mix, edges, partials=True)`` returns with the masses through these
-    laws for z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]): dmu_n/ddelta_mu = n**-alpha,
-    dmu_n/dmu_infinity = 1, dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and
-    dtau_n/dln tau = tau_n.
+    tau_n = tau.  The second map gives the chain through these laws for
+    z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]), as the (p, 3, n_max) ``dz`` that
+    ``mixture_bin_masses(mix, edges, dz=...)`` contracts into the Jacobian of the bin
+    masses: dmu_n/ddelta_mu = n**-alpha, dmu_n/dmu_infinity = 1,
+    dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and dtau_n/dln tau = tau_n.
     """
     source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
     n_max, weights = conditioned_poisson_weights(source)
@@ -143,15 +143,17 @@ def _mixture_law(fp: FixedParams):
         sigma = np.sqrt(fixed_var + sigma_int**2)
         return MixtureModel(source, weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
 
-    def jacobian(mix: MixtureModel, sigma_int, partials, with_mu_infinity: bool) -> np.ndarray:
-        """d(bin masses)/dz of ``mix`` (built at ``sigma_int``) from its ``partials``, shape (bins, 3 or 4)."""
-        d_mu, d_sigma, d_tau = partials
-        cols = [inv_n_alpha @ d_mu, (sigma_int**2 / mix.sigma) @ d_sigma, mix.tau @ d_tau]
+    def dz(mix: MixtureModel, sigma_int, with_mu_infinity: bool) -> np.ndarray:
+        """d(mu_n, sigma_n, tau_n)/dz of ``mix`` (built at ``sigma_int``), shape (3 or 4, 3, n_max)."""
+        out = np.zeros((4 if with_mu_infinity else 3, 3, n_max))
+        out[0, 0] = inv_n_alpha
+        out[1, 1] = sigma_int**2 / mix.sigma
+        out[2, 2] = mix.tau
         if with_mu_infinity:
-            cols.append(d_mu.sum(axis=0))
-        return np.column_stack(cols)
+            out[3, 0] = 1.0
+        return out
 
-    return mixture, jacobian
+    return mixture, dz
 
 
 def mixture_from_params(fp: FixedParams, theta, mu_infinity: float | None = None) -> MixtureModel:
@@ -371,7 +373,7 @@ def fit_histogram(
     edges = hist.bin_edges
     total = int(hist.total_events)
 
-    mixture, jacobian = _mixture_law(fp)
+    mixture, dz = _mixture_law(fp)
 
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
     # so the heuristic start from the peak structure runs as well
@@ -387,8 +389,8 @@ def fit_histogram(
             return None
         sigma_int = math.exp(z[1])
         mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
-        masses, partials = mixture_bin_masses(mix, edges, partials=True)
-        return total * masses, total * jacobian(mix, sigma_int, partials, fit_mu_infinity)
+        masses, J = mixture_bin_masses(mix, edges, dz=dz(mix, sigma_int, fit_mu_infinity))
+        return total * masses, total * J
 
     def theta_of(z) -> np.ndarray:
         return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])

@@ -121,8 +121,9 @@ def write_time_tags(path, table: TimeTagTable) -> None:
         lines.append(f"# n_bar={_fmt(table.n_bar)}")
     lines.append("# unit=ps")
     lines.append(TAG_COLUMNS)
-    for t, e in zip(table.trigger_ps, table.edge_ps):
-        lines.append(f"{_fmt(t)},{_fmt(e)}")
+    # "%.17g" of a Python float is ``_fmt``'s text; one format call per row, on floats from tolist()
+    trigger, edge = (np.asarray(a, dtype=np.float64).tolist() for a in (table.trigger_ps, table.edge_ps))
+    lines += map("%.17g,%.17g".__mod__, zip(trigger, edge))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -145,6 +146,5 @@ def write_histogram_csv(path, hist: ArrivalHistogram) -> None:
         lines.append(f"# n_bar={_fmt(hist.mean_photon_number)}")
     lines.append("# unit=ps")
     lines.append(HIST_COLUMNS)
-    for c, k in zip(hist.bin_centers, hist.counts):
-        lines.append(f"{_fmt(c)},{int(k)}")
+    lines += map("%.17g,%d".__mod__, zip(hist.bin_centers.tolist(), hist.counts.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -68,6 +68,13 @@ def kernel_sf(p, t):
     return _cdf_sf_grid(p.mu, p.sigma, p.tau, np.asarray(t, dtype=np.float64))[1]
 
 
+def component_partials(m, edges):
+    """Each component's weighted bin-mass partials (mu, sigma, tau), shape (3, n_max, bins),
+    read from ``mixture_bin_masses`` through a one-hot ``dz``."""
+    n = m.n_max
+    return mixture_bin_masses(m, edges, dz=np.eye(3 * n).reshape(3 * n, 3, n))[1].T.reshape(3, n, -1)
+
+
 def cdf_partials(us, tau):
     """The CDF's partials (mu, sigma, tau) at each u for mu = 0, sigma = 1, read from
     ``mixture_bin_masses``: component j sits at mu = -u_j, so the edge 0 is its u_j
@@ -76,18 +83,25 @@ def cdf_partials(us, tau):
     the CDF's partial at u_j."""
     w = np.full(us.size, 1.0 / us.size)
     m = MixtureModel(None, w, -us, np.ones(us.size), np.full(us.size, tau))
-    return mixture_bin_masses(m, [-90.0, 0.0], partials=True)[1][:, :, 0] / w
+    return component_partials(m, [-90.0, 0.0])[:, :, 0] / w
 
 
 def two_pass_partials(m, edges):
-    """The bin-mass partials as a second kernel pass after the masses computed them."""
+    """The per-component bin-mass partials as a second kernel pass after the masses computed
+    them, and the sizes of their terms (the sum of both edges' absolute terms), each
+    weighted and of shape (3, n_max, bins)."""
     mu, sigma, tau, t = m.mu[:, None], m.sigma[:, None], m.tau[:, None], np.asarray(edges, dtype=np.float64)
-    d_mu = -_emg_grid(mu, sigma, tau, t)[1] / tau
+    tail = _emg_grid(mu, sigma, tau, t)[1]
+    d_mu = -tail / tau
     phi = np.exp(-0.5 * ((t - mu) / sigma) ** 2) * (1.0 / math.sqrt(2.0 * math.pi))
     d_sigma = (phi + sigma * d_mu) / tau
     d_tau = ((t - mu - sigma * sigma / tau) * d_mu - sigma * phi / tau) / tau
     grid = np.stack((d_mu, d_sigma, d_tau))
-    return m.weights[:, None] * (grid[:, :, 1:] - grid[:, :, :-1])
+    size = np.stack(
+        (-d_mu, (phi - sigma * d_mu) / tau, (np.abs(t - mu - sigma * sigma / tau) * -d_mu + sigma * phi / tau) / tau)
+    )
+    w = m.weights[:, None]
+    return w * (grid[:, :, 1:] - grid[:, :, :-1]), w * (size[:, :, 1:] + size[:, :, :-1])
 
 
 def test_pdf_reference_value():
@@ -169,7 +183,7 @@ def test_kernel_matches_high_precision_in_both_tail_branches():
     # float 1 / tau, so the oracle evaluates the inputs the kernel sees
     us = np.linspace(-35.0, 40.0, 61)
     taus = 1.0 / np.geomspace(0.05, 30.0, 13)
-    cdf, sf, _ = _cdf_sf_grid(0.0, 1.0, taus[:, None], us[None, :])
+    cdf, sf = _cdf_sf_grid(0.0, 1.0, taus[:, None], us[None, :])[:2]
     rs = 1.0 / taus
     assert np.all(np.isfinite(cdf)) and np.all(np.isfinite(sf))
     checked = {True: 0, False: 0}
@@ -235,7 +249,7 @@ def test_cdf_partials_match_high_precision_in_both_tails():
 def test_bin_mass_partials_match_central_differences():
     m = mixture_of(PhotonSource(1.0), (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0)), np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
-    got = mixture_bin_masses(m, edges, partials=True)[1]
+    got = component_partials(m, edges)
     assert got.shape == (3, 2, 80)
     h = 1e-5
     for k, name in enumerate(("mu", "sigma", "tau")):
@@ -258,11 +272,64 @@ def test_bin_mass_partials_match_central_differences():
     ],
 )
 def test_fused_masses_and_partials_equal_the_two_pass_values(make_fixed_params, n_bar, theta, edges):
-    m = mixture_from_params(make_fixed_params(n_bar), theta)
-    masses, partials = mixture_bin_masses(m, edges, partials=True)
+    # the masses are those of the mass-only call; J is the per-component partials of a
+    # second kernel pass chained through the same dz, to rounding.  Both cancel terms of
+    # the tau partial in a component's left tail (T (u - r) + phi -> phi / (r - u)^2), so
+    # the difference is judged against the size of those terms, as in the mpmath test
+    mixture, dz_of = _mixture_law(make_fixed_params(n_bar))
+    m = mixture(*theta, 144.0)
+    dz = dz_of(m, theta[1], True)
+    masses, got = mixture_bin_masses(m, edges, dz=dz)
     assert np.array_equal(masses, mixture_bin_masses(m, edges))
-    assert np.array_equal(partials, two_pass_partials(m, edges))
-    assert np.array_equal(np.signbit(partials), np.signbit(two_pass_partials(m, edges)))
+    partials, sizes = two_pass_partials(m, edges)
+    want = np.einsum("kib,pki->bp", partials, dz)
+    scale = np.einsum("kib,pki->bp", sizes, np.abs(dz))
+    assert got.shape == want.shape == (edges.size - 1, 4)
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * np.max(scale, axis=0))
+
+
+def test_jacobian_where_the_tau_partial_cancels_matches_high_precision(make_fixed_params):
+    # the edge at 150 ps sits 6 to 22 sigma left of the n_bar = 20 components, where the tau
+    # partial T (u - r) + phi cancels to phi / (r - u)^2; the oracle takes the partials'
+    # formulas at 50 digits on the same float inputs
+    mixture, dz_of = _mixture_law(make_fixed_params(20.0))
+    m = mixture(250.3, 3.7, 9.1, 144.0)
+    dz = dz_of(m, 3.7, True)
+    edges = np.array([-1e4, 0.0, 150.0, 151.0, 1e4])
+    got = mixture_bin_masses(m, edges, dz=dz)[1]
+    at_edges = []
+    for t in edges:
+        d = mpmath.zeros(3, m.n_max)
+        for i, (mu, sigma, tau) in enumerate(zip(m.mu, m.sigma, m.tau)):
+            mu, sigma, tau = (mpmath.mpf(float(v)) for v in (mu, sigma, tau))
+            x = mpmath.mpf(float(t)) - mu
+            u, r = x / sigma, sigma / tau
+            cross, phi = mpmath.exp(r * r / 2 - u * r) * mpmath.ncdf(u - r), mpmath.npdf(u)
+            d[0, i], d[1, i] = -cross / tau, phi / tau - sigma * cross / tau**2
+            d[2, i] = -(cross * (x - sigma * sigma / tau) + sigma * phi) / tau**2
+        at_edges.append([
+            mpmath.fsum(m.weights[i] * dz[k, j, i] * d[j, i] for j in range(3) for i in range(m.n_max))
+            for k in range(dz.shape[0])
+        ])
+    want = np.array([[float(b - a) for a, b in zip(lo, hi)] for lo, hi in zip(at_edges[:-1], at_edges[1:])])
+    assert np.all(np.max(np.abs(got - want), axis=0) <= 1e-13 * np.max(np.abs(want), axis=0))
+
+
+def assert_fit_jacobian_matches_central_differences(fp, theta, mu_infinity, edges):
+    """The chain through the scaling laws, in the fit's z = (delta_mu, ln sigma_int, ln tau, mu_infinity)."""
+    mixture, dz = _mixture_law(fp)
+
+    def masses(z):
+        return mixture_bin_masses(mixture(z[0], math.exp(z[1]), math.exp(z[2]), z[3]), edges)
+
+    z = np.array([theta[0], math.log(theta[1]), math.log(theta[2]), mu_infinity])
+    mix = mixture(*theta, mu_infinity)
+    got = mixture_bin_masses(mix, edges, dz=dz(mix, theta[1], True))[1]
+    assert got.shape == (edges.size - 1, 4)
+    assert np.array_equal(mixture_bin_masses(mix, edges, dz=dz(mix, theta[1], False))[1], got[:, :3])
+    h = 1e-4
+    fd = np.column_stack([(masses(z + h * e) - masses(z - h * e)) / (2.0 * h) for e in np.eye(4)])
+    assert np.all(np.max(np.abs(got - fd), axis=0) <= 2e-8 * np.max(np.abs(got), axis=0))
 
 
 @pytest.mark.parametrize(
@@ -270,22 +337,19 @@ def test_fused_masses_and_partials_equal_the_two_pass_values(make_fixed_params, 
     [(3.0, (289.0, 6.0, 6.0), 144.0), (3.0, (250.3, 3.7, 9.1), 140.0), (1.0, (300.0, 0.5, 2.0), 150.0)],
 )
 def test_fit_jacobian_matches_central_differences(make_fixed_params, n_bar, theta, mu_infinity):
-    # the chain through the scaling laws, in the fit's z = (delta_mu, ln sigma_int, ln tau, mu_infinity)
-    mixture, jacobian = _mixture_law(make_fixed_params(n_bar))
-    edges = np.arange(100.0, 701.0, 2.0)
+    assert_fit_jacobian_matches_central_differences(
+        make_fixed_params(n_bar), theta, mu_infinity, np.arange(100.0, 701.0, 2.0)
+    )
 
-    def masses(z):
-        return mixture_bin_masses(mixture(z[0], math.exp(z[1]), math.exp(z[2]), z[3]), edges)
 
-    z = np.array([theta[0], math.log(theta[1]), math.log(theta[2]), mu_infinity])
-    mix = mixture(*theta, mu_infinity)
-    partials = mixture_bin_masses(mix, edges, partials=True)[1]
-    got = jacobian(mix, theta[1], partials, True)
-    assert got.shape == (edges.size - 1, 4)
-    assert np.array_equal(jacobian(mix, theta[1], partials, False), got[:, :3])
-    h = 1e-4
-    fd = np.column_stack([(masses(z + h * e) - masses(z - h * e)) / (2.0 * h) for e in np.eye(4)])
-    assert np.all(np.max(np.abs(got - fd), axis=0) <= 2e-8 * np.max(np.abs(got), axis=0))
+def test_fit_jacobian_matches_central_differences_where_the_tails_underflow(make_fixed_params):
+    # edges 850 ps left and 2550 ps right of the one-photon peak, where masses and partials are 0
+    edges = np.arange(-400.0, 3001.0, 5.0)
+    fp = make_fixed_params(1.0)
+    m = mixture_from_params(fp, (300.0, 0.5, 2.0), mu_infinity=150.0)
+    masses = mixture_bin_masses(m, edges)
+    assert masses[0] == 0.0 and masses[-1] == 0.0
+    assert_fit_jacobian_matches_central_differences(fp, (300.0, 0.5, 2.0), 150.0, edges)
 
 
 def test_sampling_ks_and_moments():

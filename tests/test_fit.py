@@ -33,6 +33,7 @@ from snspd_pnr import (
     simulate_tags,
     tau_at,
     total_width,
+    write_histogram_csv,
     write_time_tags,
 )
 from snspd_pnr.fit import _poisson_objective
@@ -444,7 +445,7 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
 
     def spy(mix, edges, **kwargs):
         out = mixture_bin_masses(mix, edges, **kwargs)
-        seen.append((mix, out[0] if kwargs.get("partials") else out))
+        seen.append((mix, out[0] if kwargs.get("dz") is not None else out))
         return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
@@ -646,6 +647,31 @@ def test_tag_rows_read_back_exactly_with_headers_and_blank_lines_among_them(tmp_
     np.testing.assert_array_equal(table.trigger_ps, trig)
     np.testing.assert_array_equal(table.edge_ps, edge)
     assert table.n_bar == 4.0
+
+
+def _fmt_rows_file(header_n_bar, columns, rows) -> str:
+    """A CSV in the per-row form the writers had: every value through ``format(float(x), ".17g")``."""
+    lines = [] if header_n_bar is None else [f"# n_bar={format(float(header_n_bar), '.17g')}"]
+    lines += ["# unit=ps", columns]
+    lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n_bar", [None, 2.5, 1e-310])
+def test_csv_writers_match_the_per_row_format(tmp_path, n_bar):
+    tiny = np.finfo(np.float64).smallest_subnormal
+    trig = np.array([-0.0, 0.0, tiny, 3.0 * tiny, 1e300, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 433.0])
+    edge = np.array([5e-324, -0.0, -tiny, 2.2e-308, 1.2345678901234567e300, 1e-300, -0.1, 400.5, 1e16 + 2.0])
+    path = tmp_path / "tags.csv"
+    write_time_tags(path, TimeTagTable(trig, edge, n_bar=n_bar))
+    assert path.read_bytes() == _fmt_rows_file(n_bar, "trigger_ps,edge_ps", zip(trig, edge)).encode()
+    for edges in (np.array([1e300, 2e300, 3e300]), tiny * np.arange(1.0, 5.0), np.array([-3.0, -1.0, 1.0, 3.0])):
+        counts = np.arange(edges.size - 1, dtype=np.int64) * 2**40
+        hist = ArrivalHistogram(edges, counts, int(counts.sum()), n_bar)
+        write_histogram_csv(path, hist)
+        rows = ((c, str(int(k))) for c, k in zip(hist.bin_centers, counts))
+        want = _fmt_rows_file(n_bar, "bin_center_ps,count", rows)
+        assert path.read_bytes() == want.encode()
 
 
 def test_bad_nbar_header_reports_line(tmp_path):

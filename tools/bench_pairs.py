@@ -45,7 +45,7 @@ PAIRS = 10  # alternating parent/change pairs per workload and per startup comma
 SEED = 3  # default workload seed
 SECONDS = 20.0  # the benchmark's run_seconds
 CRITERION_PAIRS = 5
-FIT_SEEDS = (1, 2, 3)  # seeds of the fit comparison
+FIT_RUNS = ((1, False), (2, False), (3, False), (3, True))  # (seed, fit mu_infinity) of the fit comparison
 SWEEP_SEEDS = (1, 2, 3)  # seeds of the merged sweep comparison
 GEOM_SEEDS = (1, 2, 3)  # seeds of the geom comparison
 
@@ -127,34 +127,81 @@ def _benchmark_modules(sides: dict):
     return workloads, reference
 
 
-def fit_runs(sides: dict, seeds) -> dict:
-    """Run the ``hist-bootstrap`` workload's CLI ``fit`` once per seed on both sides and compare outputs.
+def _leaves(value, path=""):
+    """(path, value) of every leaf of a JSON value; list positions are left out of the path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _leaves(item, path)
+    else:
+        yield path, value
+
+
+def _rel_diff(old: float, new: float) -> float:
+    return 0.0 if old == new else abs(new - old) / abs(old) if old != 0.0 else math.inf
+
+
+def _residual_columns(text: str) -> dict:
+    header, *rows = text.splitlines()
+    return dict(zip(header.split(","), np.array([row.split(",") for row in rows], dtype=np.float64).T))
+
+
+def fit_runs(sides: dict, runs) -> dict:
+    """Run the ``hist-bootstrap`` workload's CLI ``fit`` once per (seed, fit mu_infinity) on both sides
+    and compare outputs.
 
     Both sides fit the same histogram CSV.  ``fit_result_identical`` compares
     every field of ``fit_result.json`` but ``input.path``; ``fit_residuals_identical``
-    compares ``fit_residuals.csv`` byte for byte.
+    compares ``fit_residuals.csv`` byte for byte.  ``max_rel_diff`` is the largest
+    relative difference of each float field of ``fit_result.json`` (over the entries
+    of a list field), ``non_float_fields_equal`` says whether every integer, boolean,
+    string and null field is equal, and ``expected_max_rel_diff`` and
+    ``pearson_max_abs_diff`` compare those ``fit_residuals.csv`` columns.
     """
     workloads, _ = _benchmark_modules(sides)
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            workload = workloads.HistBootstrap(seed, Path(tmp) / f"fit-{seed}")
+        for seed, fit_mu_infinity in runs:
+            name = f"{seed}-fit_mu_infinity" if fit_mu_infinity else str(seed)
+            workload = workloads.HistBootstrap(seed, Path(tmp) / f"fit-{name}")
             workload.setup()
             results, residuals = {}, {}
             for side, root in sides.items():
                 fit = workload.work / f"fit-{side}"
                 subprocess.run([sys.executable, "-c", CLI, "fit", str(workload.hist), "-c", str(workload.config),
-                                "-o", str(fit), "--bootstrap", str(workloads.FIT_BOOTSTRAP)],
+                                "-o", str(fit), "--bootstrap", str(workloads.FIT_BOOTSTRAP),
+                                *(["--fit-mu-infinity"] if fit_mu_infinity else [])],
                                cwd=root, env=_env(root), check=True, capture_output=True)
                 results[side] = json.loads((fit / "fit_result.json").read_text())
                 results[side]["input"].pop("path")
                 residuals[side] = (fit / "fit_residuals.csv").read_bytes()
             old, new = results["parent"], results["change"]
-            out[str(seed)] = {"fit_result_identical": old == new,
-                              "fields_differing": sorted(k for k in old.keys() | new.keys()
-                                                         if old.get(k) != new.get(k)),
-                              "fit_residuals_identical": residuals["parent"] == residuals["change"],
-                              "bootstrap_converged": [old["bootstrap_converged"], new["bootstrap_converged"]]}
+            old_leaves, new_leaves = list(_leaves(old)), list(_leaves(new))
+            if [k for k, _ in old_leaves] != [k for k, _ in new_leaves]:
+                raise ValueError(f"fit {name}: fit_result.json fields differ in structure")
+            max_rel, other_equal = {}, True
+            for (key, a), (_, b) in zip(old_leaves, new_leaves):
+                if type(a) is float and type(b) is float:
+                    max_rel[key] = max(max_rel.get(key, 0.0), _rel_diff(a, b))
+                else:
+                    other_equal &= a == b
+            columns = {side: _residual_columns(text.decode()) for side, text in residuals.items()}
+            old_cols, new_cols = columns["parent"], columns["change"]
+            expected_rel = [_rel_diff(a, b) for a, b in zip(old_cols["expected"], new_cols["expected"])]
+            out[name] = {"fit_result_identical": old == new,
+                         "fields_differing": sorted(k for k in old.keys() | new.keys()
+                                                    if old.get(k) != new.get(k)),
+                         "max_rel_diff": max_rel,
+                         "max_rel_diff_any_float_field": max(max_rel.values()),
+                         "non_float_fields_equal": other_equal,
+                         "converged_iterations_bootstrap_converged_equal":
+                             all(old[k] == new[k] for k in ("converged", "iterations", "bootstrap_converged")),
+                         "fit_residuals_identical": residuals["parent"] == residuals["change"],
+                         "expected_max_rel_diff": max(expected_rel),
+                         "pearson_max_abs_diff": float(np.abs(new_cols["pearson"] - old_cols["pearson"]).max()),
+                         "bootstrap_converged": [old["bootstrap_converged"], new["bootstrap_converged"]]}
     return out
 
 
@@ -308,10 +355,15 @@ def main(argv=None) -> int:
                        f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
                        f"command at seed {args.seed}; fit_bootstrap_0: fit --bootstrap 0 of the hist-bootstrap "
                        f"histogram CSV and configuration at seed {args.seed}",
-            "fit": f"the hist-bootstrap workload's histogram CSV and configuration at seeds {list(FIT_SEEDS)}, "
-                   "fitted once per seed through the CLI `fit --bootstrap 100` of each side; fit_result_identical "
+            "fit": "the hist-bootstrap workload's histogram CSV and configuration at seeds "
+                   f"{sorted({seed for seed, _ in FIT_RUNS})}, fitted once per seed through the CLI "
+                   "`fit --bootstrap 100` of each side, and with --fit-mu-infinity too at seeds "
+                   f"{[seed for seed, four in FIT_RUNS if four]} (keys SEED-fit_mu_infinity); fit_result_identical "
                    "compares every fit_result.json field but input.path, fit_residuals_identical compares "
-                   "fit_residuals.csv byte for byte",
+                   "fit_residuals.csv byte for byte; max_rel_diff is |change - parent| / |parent| of each float "
+                   "field, the largest over the entries of a list field (components, covariance_proxy, "
+                   "bootstrap_errors_ps); non_float_fields_equal compares every other field exactly; "
+                   "expected_max_rel_diff and pearson_max_abs_diff compare the fit_residuals.csv columns",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
                             "standard errors combined in quadrature; sweep_csv_identical compares the two sides' "
@@ -347,7 +399,7 @@ def main(argv=None) -> int:
         report["runs"] += runs
     report["startup"], runs = startup_runs(sides, args.seed)
     report["runs"] += runs
-    report["fit"] = fit_runs(sides, FIT_SEEDS)
+    report["fit"] = fit_runs(sides, FIT_RUNS)
     report["merged_sweep"] = merged_sweeps(sides, SWEEP_SEEDS)
     report["geom"] = geom_runs(sides, GEOM_SEEDS)
     args.out.write_text(json.dumps(report, indent=1) + "\n")

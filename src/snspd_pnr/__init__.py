@@ -16,11 +16,10 @@ from .budget import (
     sigma_total,
     tau_at,
 )
-from .config import ConfigError, FitSettings, RunConfig, SimSettings, load_config
+from .config import ConfigError, FitSettings, RunConfig, load_config
 from .dist import (
     EmgParams,
     MixtureModel,
-    PhotonSource,
     conditioned_poisson_weights,
     emg_cdf,
     emg_pdf,
@@ -97,10 +96,8 @@ __all__ = [
     "JitterBudget",
     "MergeModel",
     "MixtureModel",
-    "PhotonSource",
     "RunConfig",
     "SimPlan",
-    "SimSettings",
     "SinglePeakFit",
     "SourceTags",
     "SweepRow",

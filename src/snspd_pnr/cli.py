@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -39,6 +40,7 @@ from .sim import SimPlan, simulate_tags, sweep_total_width, write_source_files
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
+SEED = click.IntRange(0, 2**64 - 1)  # the range config.seed accepts
 
 
 def _fail(code: int, message) -> None:
@@ -160,17 +162,7 @@ def _svg_plot(series, x_label: str, y_label: str, title: str) -> str:
 def _build_plan(cfg: RunConfig, seed: int | None) -> SimPlan:
     if cfg.sim is None:
         _fail(EXIT_CONFIG, "config.sim: required for this command")
-    try:
-        return SimPlan(
-            detector=cfg.detector,
-            budget=cfg.budget,
-            n_bar_values=cfg.sim.n_bar_values,
-            events_per_source=cfg.sim.events_per_source,
-            merge_model=cfg.sim.merge_model,
-            seed=cfg.seed if seed is None else seed,
-        )
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    return cfg.sim if seed is None else replace(cfg.sim, seed=seed)
 
 
 @click.group()
@@ -182,7 +174,7 @@ def main() -> None:
 @main.command()
 @click.option("-c", "--config", "config_path", required=True, help="Run configuration JSON.")
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (overrides config).")
-@click.option("--seed", type=int, default=None, help="Override the configured seed.")
+@click.option("--seed", type=SEED, default=None, help="Override the configured seed.")
 def simulate(config_path, out_dir, seed):
     """Generate time-tag CSV files, one per configured mean photon number."""
     cfg = _read_config(config_path)
@@ -224,7 +216,7 @@ def _sniff_format(path) -> str:
 @click.option("--n-bar", type=float, default=None, help="Mean photon number (overrides config and tag header).")
 @click.option("--bootstrap", "n_bootstrap", type=int, default=None, help="Bootstrap resamples for errors (0 or >= 2).")
 @click.option("--fit-mu-infinity", is_flag=True, help="Also fit the many-photon delay asymptote.")
-@click.option("--seed", type=int, default=None, help="Override the configured seed (bootstrap stream).")
+@click.option("--seed", type=SEED, default=None, help="Override the configured seed (bootstrap stream).")
 @click.option("--svg", "want_svg", is_flag=True, help="Write a data/model overlay plot.")
 def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, seed, want_svg):
     """Fit the three-parameter mixture model to a time-tag or histogram CSV."""
@@ -330,7 +322,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 @click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples, shared by all n (>= 2).")
 @click.option("--histogram-bins", type=click.IntRange(min=0), default=0,
               help="Also write a per-n timing histogram with this many bins (0: none).")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=SEED, default=0, show_default=True)
 @click.option("-o", "--out", "out_dir", required=True, help="Output directory.")
 def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator, bootstrap, histogram_bins, seed, out_dir):
     """Monte Carlo geometric timing jitter versus photon number."""
@@ -462,7 +454,7 @@ def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistan
 @main.command()
 @click.option("-c", "--config", "config_path", required=True, help="Run configuration JSON.")
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (overrides config).")
-@click.option("--seed", type=int, default=None, help="Override the configured seed.")
+@click.option("--seed", type=SEED, default=None, help="Override the configured seed.")
 @click.option("--bin-width", type=float, default=2.0, show_default=True, help="Histogram bin width, ps.")
 @click.option("--svg", "want_svg", is_flag=True, help="Write a width-versus-n_bar plot.")
 def sweep(config_path, out_dir, seed, bin_width, want_svg):

@@ -3,7 +3,10 @@
 Unknown keys are rejected with their dotted path; numeric fields accept JSON
 numbers only.  The detector and budget sections are read from the fields of
 their value types, so keys, defaults and value checks live only there, and a
-value a type rejects is reported with its section path.  Layout:
+value a type rejects is reported with its section path.  The sim section, with
+the detector, budget and seed, is the ``sim.SimPlan`` it describes: this module
+checks its JSON types, the plan its values, and a value the plan rejects is
+reported as ``config.sim.<field>: ...``.  Layout:
 
     {
       "seed": 1,
@@ -28,7 +31,7 @@ from typing import Any, get_args, get_type_hints
 
 from .budget import JitterBudget
 from .pulse import DetectorConfig
-from .sim import MergeModel
+from .sim import MergeModel, SimPlan
 
 
 class ConfigError(Exception):
@@ -45,19 +48,12 @@ class FitSettings:
 
 
 @dataclass(frozen=True)
-class SimSettings:
-    n_bar_values: tuple[float, ...]
-    events_per_source: int
-    merge_model: str = "off"
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int
     detector: DetectorConfig
     budget: JitterBudget
     fit: FitSettings
-    sim: SimSettings | None
+    sim: SimPlan | None
     output_dir: str | None
 
 
@@ -86,12 +82,8 @@ def _float(v, path: str, expected: str = "a number") -> float:
         raise ConfigError(f"{path}: number too large for a float") from None
 
 
-def _number(data: dict, key: str, path: str, default=_sentinel):
-    if key not in data:
-        if default is _sentinel:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    return _float(data[key], f"{path}.{key}")
+def _number(data: dict, key: str, path: str, default=None):
+    return _float(data[key], f"{path}.{key}") if key in data else default
 
 
 def _integer(data: dict, key: str, path: str, default=_sentinel):
@@ -171,30 +163,19 @@ def _build_fit(data: Any, path: str) -> FitSettings:
     )
 
 
-def _build_sim(data: Any, path: str) -> SimSettings:
+def _build_sim(data: Any, path: str, detector: DetectorConfig, budget: JitterBudget, seed: int) -> SimPlan:
+    """The ``sim`` section as the ``SimPlan`` it describes: JSON types are checked here, values by the plan."""
     d = _mapping(data, path)
     _check_keys(d, {"n_bar_values", "events_per_source", "merge_model"}, path)
     raw = d.get("n_bar_values")
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}.n_bar_values: expected a non-empty list of numbers")
-    values = tuple(_float(v, f"{path}.n_bar_values", "a non-empty list of numbers") for v in raw)
-    if not all(math.isfinite(v) and v > 0.0 for v in values):
-        raise ConfigError(f"{path}.n_bar_values: must be positive and finite, got {raw}")
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}.n_bar_values: expected a list of numbers")
+    values = tuple(_float(v, f"{path}.n_bar_values", "a list of numbers") for v in raw)
     events_per_source = _integer(d, "events_per_source", path)
-    if events_per_source < 1:
-        raise ConfigError(f"{path}.events_per_source: must be >= 1, got {events_per_source}")
-    merge = d.get("merge_model", "off")
     try:
-        MergeModel(merge)
-    except ValueError:
-        raise ConfigError(
-            f"{path}.merge_model: expected one of {[m.value for m in MergeModel]}, got {merge!r}"
-        ) from None
-    return SimSettings(
-        n_bar_values=values,
-        events_per_source=events_per_source,
-        merge_model=str(merge),
-    )
+        return SimPlan(detector, budget, values, events_per_source, d.get("merge_model", MergeModel.OFF), seed)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -215,14 +196,13 @@ def load_config(path) -> RunConfig:
     seed = _integer(d, "seed", "config")
     if not 0 <= seed < 2**64:
         raise ConfigError("config.seed: must be a 64-bit unsigned integer")
-    cfg = RunConfig(
+    detector = _build(DetectorConfig, d["detector"], "config.detector")
+    budget = _build(JitterBudget, d["budget"], "config.budget")
+    return RunConfig(
         seed=seed,
-        detector=_build(DetectorConfig, d["detector"], "config.detector"),
-        budget=_build(JitterBudget, d["budget"], "config.budget"),
+        detector=detector,
+        budget=budget,
         fit=_build_fit(d["fit"], "config.fit") if "fit" in d else FitSettings(),
-        sim=_build_sim(d["sim"], "config.sim") if "sim" in d else None,
+        sim=_build_sim(d["sim"], "config.sim", detector, budget, seed) if "sim" in d else None,
         output_dir=output_dir,
     )
-    if cfg.sim is not None and cfg.sim.merge_model == MergeModel.OCCUPIED_ELEMENTS and cfg.detector.grid is None:
-        raise ConfigError(f"config.sim.merge_model: {cfg.sim.merge_model!r} needs config.detector.grid")
-    return cfg

@@ -5,8 +5,9 @@ EMG: a Gaussian timing core of width ``sigma`` convolved with an exponential
 delay tail of scale ``tau``, offset by ``mu``.  Pulsed illumination with
 Poissonian photon statistics produces a weighted sum of EMG components indexed
 by photon number, conditioned on at least one photon because only events that
-produce a click enter an arrival-time histogram.  A mixture is held as arrays
-over photon number (weights, mu, sigma, tau), and every mixture quantity is
+produce a click enter an arrival-time histogram; a source is its mean photon
+number n_bar.  A mixture is held as four arrays over photon number (weights,
+mu, sigma, tau), and every mixture quantity is
 evaluated on a (component, time) grid by one broadcast kernel, which gives bin
 masses and their Jacobian in one pass.  ``scipy.special`` is
 imported by the two functions that use it, on their first call, so importing
@@ -134,45 +135,34 @@ def emg_sample(p: EmgParams, rng: np.random.Generator, count: int) -> np.ndarray
     return t
 
 
-@dataclass(frozen=True)
-class PhotonSource:
-    """Poissonian source: mean photon number and mixture truncation tail mass."""
-
-    mean_photon_number: float
-    truncation_tail_mass: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number >= 0.0):
-            raise ValueError("mean_photon_number must be finite and >= 0")
-        if not (0.0 < self.truncation_tail_mass <= 1e-6):
-            raise ValueError("truncation_tail_mass must be in (0, 1e-6]")
-
-
-def conditioned_poisson_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
-    """Photon-number weights conditioned on detecting at least one photon.
+def conditioned_poisson_weights(n_bar: float, tail_mass: float = 1e-9) -> tuple[int, np.ndarray]:
+    """Photon-number weights of a Poissonian source of mean ``n_bar``, given at least one photon.
 
     Returns ``(n_max, weights)`` where ``weights[i]`` is the probability of
     ``n = i + 1`` photons given ``n >= 1``.  ``n_max`` is the smallest cutoff
-    whose conditioned tail mass falls below the source's truncation setting;
-    the retained weights are renormalized to sum to exactly 1.
+    whose conditioned tail mass falls below ``tail_mass``, in (0, 1e-6]; the
+    retained weights are renormalized to sum to exactly 1.
     """
+    if not math.isfinite(n_bar):
+        raise ValueError(f"n_bar must be finite, got {n_bar}")
+    if not n_bar > 0.0:
+        raise ValueError(f"no detectable events: n_bar must be > 0, got {n_bar}")
+    if not 0.0 < tail_mass <= 1e-6:
+        raise ValueError(f"tail_mass must be in (0, 1e-6], got {tail_mass}")
     from scipy.special import gammaln, pdtrc, xlogy
 
-    nbar = source.mean_photon_number
-    if nbar <= 0.0:
-        raise ValueError("no detectable events: mean photon number is zero")
-    click_mass = -math.expm1(-nbar)
-    hi = int(math.ceil(nbar + 12.0 * math.sqrt(nbar) + 40.0))
+    click_mass = -math.expm1(-n_bar)
+    hi = int(math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 40.0))
     while True:
         ns = np.arange(1, hi + 1)
-        tail = pdtrc(ns, nbar) / click_mass  # P(N > n)
-        below = tail < source.truncation_tail_mass
+        tail = pdtrc(ns, n_bar) / click_mass  # P(N > n)
+        below = tail < tail_mass
         if below.any():
             n_max = int(ns[np.argmax(below)])
             break
         hi *= 2
     ns = np.arange(1, n_max + 1)
-    w = np.exp(xlogy(ns, nbar) - gammaln(ns + 1) - nbar) / click_mass  # P(N = n)
+    w = np.exp(xlogy(ns, n_bar) - gammaln(ns + 1) - n_bar) / click_mass  # P(N = n)
     return n_max, w / w.sum()
 
 
@@ -181,11 +171,10 @@ class MixtureModel:
     """Poisson-weighted EMG mixture over photon numbers 1..n_max, as arrays over n.
 
     ``weights[i]``, ``mu[i]``, ``sigma[i]`` and ``tau[i]`` describe the
-    component of photon number n = i + 1 (ps).  ``source`` is the source the
-    weights were drawn from, None for a single peak (one unit weight).
+    component of photon number n = i + 1 (ps).  A single peak is one
+    component of unit weight.
     """
 
-    source: PhotonSource | None
     weights: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray

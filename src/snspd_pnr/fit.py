@@ -27,7 +27,6 @@ from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
 from .dist import (
     EmgParams,
     MixtureModel,
-    PhotonSource,
     conditioned_poisson_weights,
     mixture_bin_masses,
 )
@@ -60,7 +59,6 @@ class FixedParams:
     n_bar: float
     geom_exponent: float = 0.75
     rise_scaling_exponent: float = 0.5
-    truncation_tail_mass: float = 1e-9
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
@@ -133,15 +131,14 @@ def _mixture_law(fp: FixedParams):
     masses: dmu_n/ddelta_mu = n**-alpha, dmu_n/dmu_infinity = 1,
     dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and dtau_n/dln tau = tau_n.
     """
-    source = PhotonSource(fp.n_bar, fp.truncation_tail_mass)
-    n_max, weights = conditioned_poisson_weights(source)
+    n_max, weights = conditioned_poisson_weights(fp.n_bar)
     b, alpha = fp.jitter_budget(0.0, 1.0), fp.rise_scaling_exponent
     unit = np.array([(mu_scaling(0.0, 1.0, n, alpha), sigma_total(b, n), tau_at(b, n)) for n in range(1, n_max + 1)])
     inv_n_alpha, fixed_var, unit_tau = unit[:, 0], unit[:, 1] ** 2, unit[:, 2]
 
     def mixture(delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel:
         sigma = np.sqrt(fixed_var + sigma_int**2)
-        return MixtureModel(source, weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
+        return MixtureModel(weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
 
     def dz(mix: MixtureModel, sigma_int, with_mu_infinity: bool) -> np.ndarray:
         """d(mu_n, sigma_n, tau_n)/dz of ``mix`` (built at ``sigma_int``), shape (3 or 4, 3, n_max)."""
@@ -490,7 +487,7 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
     pos = c > 0.0
 
     def masses(mu, sigma, tau):
-        return mixture_bin_masses(MixtureModel(None, [1.0], [mu], [sigma], [tau]), sub_edges)
+        return mixture_bin_masses(MixtureModel([1.0], [mu], [sigma], [tau]), sub_edges)
 
     def nll_z(z):
         if abs(z[1]) > 50.0 or abs(z[2]) > 50.0:

@@ -56,7 +56,7 @@ def _read_header(line: str, lineno: int, n_bar: float | None) -> float | None:
 
 def _parse_rows(path, columns: str, kinds: tuple) -> tuple[float | None, list[tuple]]:
     """Parse a CSV line by line: headers, blank lines and the ``columns`` line may
-    appear anywhere, and a malformed row raises with its line number."""
+    appear anywhere, and a malformed row or an integer beyond int64 raises with its line number."""
     n_bar = None
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -71,9 +71,12 @@ def _parse_rows(path, columns: str, kinds: tuple) -> tuple[float | None, list[tu
             if len(parts) != len(kinds):
                 raise ValueError(f"line {lineno}: expected two comma-separated values, got {line!r}")
             try:
-                rows.append(tuple(kind(part) for kind, part in zip(kinds, parts)))
+                row = tuple(kind(part) for kind, part in zip(kinds, parts))
             except ValueError:
                 raise ValueError(f"line {lineno}: malformed row {line!r}") from None
+            if any(kind is int and not -(2**63) <= v < 2**63 for kind, v in zip(kinds, row)):
+                raise ValueError(f"line {lineno}: integer outside the 64-bit range in {line!r}")
+            rows.append(row)
     return n_bar, rows
 
 

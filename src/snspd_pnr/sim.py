@@ -51,6 +51,12 @@ class MergeModel(str, enum.Enum):
 
 @dataclass(frozen=True)
 class SimPlan:
+    """Sources, events per source, merge model and seed of a simulation; the config's ``sim`` section.
+
+    ``__post_init__`` is the one home of its checks.  Each ValueError message starts with
+    the offending field's name, so ``load_config`` reports it as ``config.sim.<message>``.
+    """
+
     detector: DetectorConfig
     budget: JitterBudget
     n_bar_values: tuple[float, ...]
@@ -60,17 +66,19 @@ class SimPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_bar_values", tuple(float(v) for v in self.n_bar_values))
-        object.__setattr__(self, "merge_model", MergeModel(self.merge_model))
-        if not self.n_bar_values:
-            raise ValueError("n_bar_values must not be empty")
-        if any(not (math.isfinite(v) and v > 0.0) for v in self.n_bar_values):
-            raise ValueError("n_bar values must be positive")
+        if not (self.n_bar_values and all(math.isfinite(v) and v > 0.0 for v in self.n_bar_values)):
+            raise ValueError(f"n_bar_values: must be non-empty, positive and finite, got {list(self.n_bar_values)}")
         if self.events_per_source < 1:
-            raise ValueError("events_per_source must be >= 1")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise ValueError(f"events_per_source: must be >= 1, got {self.events_per_source}")
+        try:
+            object.__setattr__(self, "merge_model", MergeModel(self.merge_model))
+        except ValueError:
+            expected = [m.value for m in MergeModel]
+            raise ValueError(f"merge_model: expected one of {expected}, got {self.merge_model!r}") from None
         if self.merge_model is MergeModel.OCCUPIED_ELEMENTS and self.detector.grid is None:
-            raise ValueError("merge model needs detector.grid")
+            raise ValueError(f"merge_model: {self.merge_model.value!r} needs detector.grid")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed: must be a 64-bit unsigned integer")
 
 
 @dataclass(frozen=True)
@@ -154,19 +162,12 @@ def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index:
 def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     """Generate one tag table per n_bar value, deterministically from the plan seed."""
     threads = _thread_count()
+    starts = range(0, plan.events_per_source, _CHUNK_EVENTS)
+    chunks = [(i, start, min(_CHUNK_EVENTS, plan.events_per_source - start)) for i, start in enumerate(starts)]
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
         mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
-        total = plan.events_per_source
-        chunks = []
-        start = 0
-        index = 0
-        while start < total:
-            count = min(_CHUNK_EVENTS, total - start)
-            chunks.append((index, start, count))
-            index += 1
-            start += count
 
         def run(chunk, _n_bar=n_bar, _mix=mix):
             ci, st, m = chunk

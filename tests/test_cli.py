@@ -436,3 +436,29 @@ def test_fit_loads_scipy_special_and_no_other_scipy_subpackage(config_path, tag_
     assert "scipy.special" in loaded
     assert not {"scipy.stats", "scipy.signal", "scipy.optimize"} & set(loaded)
     assert json.loads((tmp_path / "fit" / "fit_result.json").read_text())["converged"] is True
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", ["simulate", "fit", "sweep", "geom"])
+def test_seed_flag_outside_64_bits_exit_2_naming_the_flag(runner, config_path, tmp_path, command, seed):
+    hist = tmp_path / "hist.csv"
+    hist.write_text("# n_bar=1\nbin_center_ps,count\n1,5\n3,7\n", encoding="utf-8")
+    out = tmp_path / "o"
+    args = {
+        "simulate": ["simulate", "-c", config_path],
+        "fit": ["fit", str(hist), "-c", config_path, "--bootstrap", "0"],
+        "sweep": ["sweep", "-c", config_path],
+        "geom": ["geom", "--length", "200um", "--signal-velocity", "6", "--samples", "10000"],
+    }[command]
+    result = runner.invoke(main, args + ["-o", str(out), "--seed", seed])
+    assert result.exit_code == 2, out_text(result)
+    assert "'--seed'" in out_text(result)
+    assert not out.exists()
+
+
+def test_fit_count_beyond_int64_exit_2_naming_the_line(runner, config_path, tmp_path):
+    bad = tmp_path / "hist.csv"
+    bad.write_text(f"# n_bar=1\nbin_center_ps,count\n1,5\n3,{2**63}\n5,2\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", str(bad), "-c", config_path, "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert "line 4: integer outside the 64-bit range" in out_text(result)

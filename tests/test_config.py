@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from snspd_pnr import ConfigError, load_config
+from snspd_pnr import ConfigError, SimPlan, load_config
 
 GOOD = {
     "seed": 7,
@@ -209,3 +210,40 @@ def test_unreadable_json_is_reported(tmp_path, raw):
     path.write_bytes(raw)
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"n_bar_values": []}, "n_bar_values"),
+        ({"n_bar_values": [1, -1.0]}, "n_bar_values"),
+        ({"n_bar_values": [0]}, "n_bar_values"),
+        ({"n_bar_values": [2, math.inf]}, "n_bar_values"),
+        ({"n_bar_values": [math.nan]}, "n_bar_values"),
+        ({"events_per_source": 0}, "events_per_source"),
+        ({"events_per_source": -3}, "events_per_source"),
+        ({"merge_model": "merge-everything"}, "merge_model"),
+        ({"merge_model": 1}, "merge_model"),
+        ({"merge_model": "occupied_elements", "grid": None}, "merge_model"),
+    ],
+)
+def test_each_sim_check_is_the_plans_and_loads_as_config_sim(tmp_path, change, field):
+    good = load_config(write(tmp_path, GOOD))
+    change, detector, payload = dict(change), good.detector, json.loads(json.dumps(GOOD))
+    if "grid" in change:  # the grid leaves both the plan's detector and the config
+        del change["grid"], payload["detector"]["grid"]
+        detector = dataclasses.replace(detector, grid=None)
+    sim = {**GOOD["sim"], **change}
+    with pytest.raises(ValueError) as plan_info:
+        SimPlan(detector, good.budget, seed=good.seed, **sim)
+    message = str(plan_info.value)
+    assert message.startswith(field + ": ")
+    payload["sim"] = sim
+    with pytest.raises(ConfigError) as config_info:
+        load_config(write(tmp_path, payload))
+    assert str(config_info.value) == f"config.sim.{message}"
+
+
+def test_the_sim_section_is_the_plan(tmp_path):
+    cfg = load_config(write(tmp_path, GOOD))
+    assert cfg.sim == SimPlan(cfg.detector, cfg.budget, (1.0, 2.0, 3.0), 1000, "off", 7)

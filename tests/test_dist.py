@@ -11,7 +11,6 @@ from snspd_pnr import (
     EmgParams,
     FixedParams,
     MixtureModel,
-    PhotonSource,
     conditioned_poisson_weights,
     emg_cdf,
     emg_pdf,
@@ -46,11 +45,9 @@ def sf_mp(t, mu, sigma, tau):
     return mpmath.ncdf(-u) + mpmath.exp(r * r / 2 - u * r) * mpmath.ncdf(u - r)
 
 
-def mixture_of(source, comps, weights):
+def mixture_of(comps, weights):
     """The mixture of the given EmgParams components, as arrays over n."""
-    return MixtureModel(
-        source, weights, [c.mu for c in comps], [c.sigma for c in comps], [c.tau for c in comps]
-    )
+    return MixtureModel(weights, [c.mu for c in comps], [c.sigma for c in comps], [c.tau for c in comps])
 
 
 def weighted_pdf(m, t):
@@ -82,7 +79,7 @@ def cdf_partials(us, tau):
     partial is exactly 0; bin 0's partial for component j is then its weight times
     the CDF's partial at u_j."""
     w = np.full(us.size, 1.0 / us.size)
-    m = MixtureModel(None, w, -us, np.ones(us.size), np.full(us.size, tau))
+    m = MixtureModel(w, -us, np.ones(us.size), np.full(us.size, tau))
     return component_partials(m, [-90.0, 0.0])[:, :, 0] / w
 
 
@@ -247,7 +244,7 @@ def test_cdf_partials_match_high_precision_in_both_tails():
 
 
 def test_bin_mass_partials_match_central_differences():
-    m = mixture_of(PhotonSource(1.0), (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0)), np.array([0.7, 0.3]))
+    m = mixture_of((EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0)), np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
     got = component_partials(m, edges)
     assert got.shape == (3, 2, 80)
@@ -256,9 +253,9 @@ def test_bin_mass_partials_match_central_differences():
         for i in range(2):
             arrays = {a: getattr(m, a).copy() for a in ("mu", "sigma", "tau")}
             arrays[name][i] += h
-            up = mixture_bin_masses(MixtureModel(m.source, m.weights, **arrays), edges)
+            up = mixture_bin_masses(MixtureModel(m.weights, **arrays), edges)
             arrays[name][i] -= 2.0 * h
-            down = mixture_bin_masses(MixtureModel(m.source, m.weights, **arrays), edges)
+            down = mixture_bin_masses(MixtureModel(m.weights, **arrays), edges)
             fd = (up - down) / (2.0 * h)
             assert np.max(np.abs(got[k, i] - fd)) <= 1e-8 * np.max(np.abs(got[k, i])), (name, i)
 
@@ -374,7 +371,7 @@ def test_sampling_is_normal_plus_exponential_bit_for_bit(mu, sigma, tau, count):
 
 
 def test_conditioned_weights_reference_values():
-    n_max, w = conditioned_poisson_weights(PhotonSource(1.0))
+    n_max, w = conditioned_poisson_weights(1.0)
     # P(N = n | N >= 1) = 1 / (n! (e - 1)) for a unit-mean Poisson source;
     # renormalizing over the truncated support shifts weights by up to the
     # discarded tail mass, so the tolerance is the truncation epsilon
@@ -388,7 +385,7 @@ def test_conditioned_weights_reference_values():
 @pytest.mark.parametrize("n_bar", [0.05, 0.7, 1.0, 5.0, 50.0, 713.0])
 def test_conditioned_weights_tail_property(n_bar):
     eps = 1e-9
-    n_max, w = conditioned_poisson_weights(PhotonSource(n_bar, eps))
+    n_max, w = conditioned_poisson_weights(n_bar, eps)
     norm = -math.expm1(-n_bar)
     assert stats.poisson.sf(n_max, n_bar) / norm < eps
     if n_max > 1:
@@ -397,14 +394,13 @@ def test_conditioned_weights_tail_property(n_bar):
     assert np.all(np.isfinite(w))
 
 
-def _scipy_stats_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
+def _scipy_stats_weights(nbar: float, tail_mass: float) -> tuple[int, np.ndarray]:
     """``conditioned_poisson_weights`` written on ``scipy.stats.poisson``: the reference it must equal."""
-    nbar = source.mean_photon_number
     click_mass = -math.expm1(-nbar)
     hi = int(math.ceil(nbar + 12.0 * math.sqrt(nbar) + 40.0))
     while True:
         ns = np.arange(1, hi + 1)
-        below = stats.poisson.sf(ns, nbar) / click_mass < source.truncation_tail_mass
+        below = stats.poisson.sf(ns, nbar) / click_mass < tail_mass
         if below.any():
             n_max = int(ns[np.argmax(below)])
             break
@@ -416,25 +412,37 @@ def _scipy_stats_weights(source: PhotonSource) -> tuple[int, np.ndarray]:
 @pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-14])
 def test_conditioned_weights_equal_scipy_stats_bit_for_bit(eps):
     for n_bar in np.geomspace(1e-3, 500.0, 805):
-        source = PhotonSource(float(n_bar), eps)
-        n_max, w = conditioned_poisson_weights(source)
-        ref_n_max, ref_w = _scipy_stats_weights(source)
+        n_max, w = conditioned_poisson_weights(float(n_bar), eps)
+        ref_n_max, ref_w = _scipy_stats_weights(float(n_bar), eps)
         assert n_max == ref_n_max
         np.testing.assert_array_equal(w, ref_w)
 
 
 def test_zero_rate_source_rejected():
     with pytest.raises(ValueError, match="no detectable events"):
-        conditioned_poisson_weights(PhotonSource(0.0))
+        conditioned_poisson_weights(0.0)
     with pytest.raises(ValueError):
-        PhotonSource(1.0, truncation_tail_mass=1e-3)
+        conditioned_poisson_weights(1.0, tail_mass=1e-3)
     with pytest.raises(ValueError):
-        PhotonSource(1.0, truncation_tail_mass=0.0)
+        conditioned_poisson_weights(1.0, tail_mass=0.0)
+
+
+@pytest.mark.parametrize("n_bar", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300])
+def test_weights_reject_a_mean_that_is_not_finite_and_positive(n_bar):
+    with pytest.raises(ValueError, match=r"^(n_bar must be finite|no detectable events: n_bar must be > 0)"):
+        conditioned_poisson_weights(n_bar)
+
+
+@pytest.mark.parametrize("tail_mass", [0.0, -1e-9, 1.0000000000000002e-6, 1e-3, 1.0, math.nan, math.inf])
+def test_weights_reject_a_tail_mass_outside_zero_to_one_in_a_million(tail_mass):
+    with pytest.raises(ValueError, match=r"^tail_mass must be in \(0, 1e-6\]"):
+        conditioned_poisson_weights(1.0, tail_mass)
+    conditioned_poisson_weights(1.0, 1e-6)  # the upper end is allowed
 
 
 def test_single_component_mixture_collapses_to_emg():
     p = EmgParams(mu=5.0, sigma=2.0, tau=3.0)
-    m = mixture_of(PhotonSource(1.0), (p,), np.array([1.0]))
+    m = mixture_of((p,), np.array([1.0]))
     ts = np.linspace(-10.0, 40.0, 101)
     assert np.allclose(mixture_bin_masses(m, ts), np.diff(emg_cdf(p, ts)), rtol=1e-14)
     mean, std = mixture_moments(m)
@@ -446,7 +454,7 @@ def test_two_component_moments_closed_form():
     a = EmgParams(mu=0.0, sigma=2.0, tau=1.0)
     b = EmgParams(mu=50.0, sigma=3.0, tau=4.0)
     w = np.array([0.4, 0.6])
-    m = mixture_of(PhotonSource(1.0), (a, b), w)
+    m = mixture_of((a, b), w)
     means = np.array([a.mean, b.mean])
     variances = np.array([a.std**2, b.std**2])
     want_mean = float(w @ means)
@@ -459,7 +467,7 @@ def test_two_component_moments_closed_form():
 def test_mixture_moments_against_sampling():
     comps = (EmgParams(433.0, 12.1, 6.0), EmgParams(348.4, 9.2, 6.0), EmgParams(310.9, 8.3, 6.0))
     w = np.array([0.6, 0.3, 0.1])
-    m = mixture_of(PhotonSource(1.0), comps, w)
+    m = mixture_of(comps, w)
     mean, std = mixture_moments(m)
     rng = np.random.default_rng(7)
     n = 2_000_000
@@ -471,7 +479,7 @@ def test_mixture_moments_against_sampling():
 
 def test_bin_masses_match_cdf_and_quadrature():
     comps = (EmgParams(0.0, 1.0, 2.0), EmgParams(10.0, 2.0, 1.0))
-    m = mixture_of(PhotonSource(1.0), comps, np.array([0.7, 0.3]))
+    m = mixture_of(comps, np.array([0.7, 0.3]))
     edges = np.linspace(-10.0, 30.0, 81)
     masses = mixture_bin_masses(m, edges)
     want = np.diff(weighted_cdf(m, edges))
@@ -488,7 +496,7 @@ def test_bin_masses_match_cdf_and_quadrature():
 def test_bin_masses_far_tail_positive():
     # survival-function differencing keeps tail bins from cancelling to zero
     p = EmgParams(0.0, 1.0, 3.0)
-    m = mixture_of(PhotonSource(1.0), (p,), np.array([1.0]))
+    m = mixture_of((p,), np.array([1.0]))
     edges = np.array([90.0, 93.0, 96.0, 99.0])
     masses = mixture_bin_masses(m, edges)
     assert np.all(masses > 0.0)
@@ -527,4 +535,4 @@ def test_input_validation():
     with pytest.raises(ValueError):
         emg_sample(p, np.random.default_rng(0), 0)
     with pytest.raises(ValueError):
-        mixture_of(PhotonSource(1.0), (p,), np.array([0.5, 0.5]))
+        mixture_of((p,), np.array([0.5, 0.5]))

@@ -629,6 +629,16 @@ def test_malformed_row_in_the_middle_is_named_by_its_line(tmp_path):
         read_histogram_csv(hist)
 
 
+@pytest.mark.parametrize("count", [2**63, -(2**63) - 1, 10**30])
+def test_histogram_count_beyond_int64_is_rejected_with_its_line(tmp_path, count):
+    hist = tmp_path / "hist.csv"
+    hist.write_text(f"# unit=ps\nbin_center_ps,count\n1,5\n3,{count}\n5,2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^line 4: integer outside the 64-bit range in '3,{count}'$"):
+        read_histogram_csv(hist)
+    hist.write_text(f"# unit=ps\nbin_center_ps,count\n1,0\n3,{2**63 - 1}\n", encoding="utf-8")
+    assert read_histogram_csv(hist).counts[1] == 2**63 - 1
+
+
 def test_tag_rows_read_back_exactly_with_headers_and_blank_lines_among_them(tmp_path):
     rng = np.random.default_rng(3)
     trig = np.cumsum(rng.exponential(1e8, size=3000))

@@ -11,7 +11,6 @@ from snspd_pnr import (
     FixedParams,
     MergeModel,
     MixtureModel,
-    PhotonSource,
     SimPlan,
     conditioned_poisson_weights,
     emg_cdf,
@@ -48,7 +47,7 @@ def make_plan(ref_detector, ref_budget):
 def test_stratum_proportions(make_plan):
     plan = make_plan([1.0], 120_000, seed=10)
     (tags,) = simulate_tags(plan)
-    n_max, weights = conditioned_poisson_weights(PhotonSource(1.0))
+    n_max, weights = conditioned_poisson_weights(1.0)
     counts = np.bincount(tags.photon_number.astype(int), minlength=n_max + 1)[1:]
     sel = weights * tags.photon_number.size >= 5
     chi2 = float(
@@ -124,7 +123,7 @@ def _check_photon_number_draw(weights, count, seed):
 
 @pytest.mark.parametrize("n_bar", np.geomspace(1e-3, 500.0, 25))
 def test_photon_number_draw_is_rng_choice_bit_for_bit(n_bar):
-    _, weights = conditioned_poisson_weights(PhotonSource(float(n_bar)))
+    _, weights = conditioned_poisson_weights(float(n_bar))
     _check_photon_number_draw(weights, 100_000, 61)
 
 
@@ -270,7 +269,7 @@ def test_merged_sweep_width_matches_merged_mixture(make_plan, ref_detector, ref_
         mix = mixture_from_params(fp, (ref_detector.delta_mu, ref_budget.sigma_int, ref_budget.tau))
         merged_weights = mix.weights @ occupied_law(mix.n_max, m)[1:, 1:]  # w'_k = sum_n w_n P(k | n)
         k = merged_weights.size
-        merged = MixtureModel(None, merged_weights, mix.mu[:k], mix.sigma[:k], mix.tau[:k])
+        merged = MixtureModel(merged_weights, mix.mu[:k], mix.sigma[:k], mix.tau[:k])
         _, width = mixture_moments(merged)
         binned = math.sqrt(width**2 + 2.0**2 / 12.0)  # Sheppard's correction for 2 ps bins
         assert row.sigma_error > 0.0
@@ -303,3 +302,9 @@ def test_plan_validation(ref_detector, ref_budget, make_plan):
         make_plan([1.0], 100, merge="bogus")
     with pytest.raises(ValueError):
         make_plan([1.0], 100, seed=-1)
+
+
+def test_plan_seed_rejection_starts_with_the_field_name(ref_detector, ref_budget):
+    # the other fields' messages are checked against load_config in test_config
+    with pytest.raises(ValueError, match=r"^seed: must be a 64-bit unsigned integer$"):
+        SimPlan(ref_detector, ref_budget, [1.0], 100, seed=2**64)

@@ -9,7 +9,8 @@ produce a click enter an arrival-time histogram; a source is its mean photon
 number n_bar.  A mixture is held as four arrays over photon number (weights,
 mu, sigma, tau), and every mixture quantity is
 evaluated on a (component, time) grid by one broadcast kernel, which gives bin
-masses and their Jacobian in one pass.  ``scipy.special`` is
+masses and their Jacobian in one pass; R mixtures of the same weights, held as
+(R, n_max) rows, share one pass over a (row, component, time) grid.  ``scipy.special`` is
 imported by the two functions that use it, on their first call, so importing
 this module (and the CLI) loads no scipy.
 
@@ -170,9 +171,11 @@ def conditioned_poisson_weights(n_bar: float, tail_mass: float = 1e-9) -> tuple[
 class MixtureModel:
     """Poisson-weighted EMG mixture over photon numbers 1..n_max, as arrays over n.
 
-    ``weights[i]``, ``mu[i]``, ``sigma[i]`` and ``tau[i]`` describe the
-    component of photon number n = i + 1 (ps).  A single peak is one
-    component of unit weight.
+    ``weights[i]``, ``mu[..., i]``, ``sigma[..., i]`` and ``tau[..., i]`` describe
+    the component of photon number n = i + 1 (ps).  ``mu``, ``sigma`` and ``tau``
+    are (n_max,), or (R, n_max) for R mixtures of the same weights, one per row,
+    which ``mixture_bin_masses`` evaluates in one kernel pass.  A single peak is
+    one component of unit weight.
     """
 
     weights: np.ndarray
@@ -186,7 +189,7 @@ class MixtureModel:
         w, mu, sigma, tau = self.weights, self.mu, self.sigma, self.tau
         if w.ndim != 1 or w.size == 0:
             raise ValueError("mixture needs at least one component")
-        if not (mu.shape == sigma.shape == tau.shape == w.shape):
+        if not (mu.shape == sigma.shape == tau.shape and mu.shape[-1:] == w.shape and mu.ndim <= 2):
             raise ValueError("one weight per component required")
         # min/max reductions propagate NaN, which fails every comparison below
         if not (-math.inf < mu.min() and mu.max() < math.inf):
@@ -206,16 +209,18 @@ class MixtureModel:
 
 
 def mixture_bin_masses(m: MixtureModel, edges, dz=None):
-    """Probability mass per bin on ``edges``: the weighted sum of component masses.
+    """Probability mass per bin on ``edges``: the weighted sum of component masses,
+    of shape (bins,), or (R, bins) for a mixture of R rows.
 
     Each component's mass is a CDF difference left of its median and a
     survival-function difference right of it, so neither deep-tail bins nor
     the valleys between components lose precision to cancellation.
 
-    With ``dz``, of shape (p, 3, n_max), the derivatives of every component's
-    (mu, sigma, tau) with respect to p coordinates z, it returns ``(masses, J)``
-    from one kernel pass, where ``J[j, k]``, of shape (bins, p), is the derivative
-    of bin j's mass with respect to z_k.  Both branches of a bin's mass change
+    With ``dz``, of shape (p, 3, n_max) (or (R, p, 3, n_max) for R rows), the
+    derivatives of every component's (mu, sigma, tau) with respect to p
+    coordinates z, it returns ``(masses, J)`` from one kernel pass, where
+    ``J[..., j, k]``, of shape (bins, p) per row, is the derivative of bin j's
+    mass with respect to z_k.  Both branches of a bin's mass change
     with the CDF, whose partials, with the kernel's T and g/2 and
     phi(u) = exp(-u^2/2) / sqrt(2 pi) = sqrt(2/pi) g/2, are
 
@@ -231,25 +236,25 @@ def mixture_bin_masses(m: MixtureModel, edges, dz=None):
     arr = np.asarray(edges, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("edges must be a 1-d array with at least two entries")
-    mu, sigma, tau = m.mu[:, None], m.sigma[:, None], m.tau[:, None]
+    mu, sigma, tau = m.mu[..., None], m.sigma[..., None], m.tau[..., None]
     cdf, sf, tail, half_g = _cdf_sf_grid(mu, sigma, tau, arr)
-    mass = cdf[:, 1:] - cdf[:, :-1]
-    np.copyto(mass, sf[:, :-1] - sf[:, 1:], where=cdf[:, :-1] >= 0.5)
+    mass = cdf[..., 1:] - cdf[..., :-1]
+    np.copyto(mass, sf[..., :-1] - sf[..., 1:], where=cdf[..., :-1] >= 0.5)
     masses = np.maximum(m.weights @ mass, 0.0)
     if dz is None:
         return masses
-    d_mu, d_sigma, d_tau = dz[:, 0], dz[:, 1], dz[:, 2]  # each (p, n_max)
-    w_tau, r = m.weights / m.tau, m.sigma / m.tau
+    d_mu, d_sigma, d_tau = dz[..., 0, :], dz[..., 1, :], dz[..., 2, :]  # each (..., p, n_max)
+    w_tau, r = (m.weights / m.tau)[..., None, :], (m.sigma / m.tau)[..., None, :]
     # w dF = (w / tau) ((d_sigma - r d_tau) (phi - r T) - d_mu T - d_tau (t - mu) T / tau)
     shared = w_tau * (d_sigma - r * d_tau)
     on_tail = -r * shared - w_tau * d_mu
-    on_cross = (-w_tau / m.tau) * d_tau
+    on_cross = (-w_tau / m.tau[..., None, :]) * d_tau
     at_edges = on_tail @ tail + (_SQRT_2_OVER_PI * shared) @ half_g + on_cross @ ((arr - mu) * tail)
-    return masses, (at_edges[:, 1:] - at_edges[:, :-1]).T
+    return masses, np.swapaxes(at_edges[..., 1:] - at_edges[..., :-1], -1, -2)
 
 
 def mixture_moments(m: MixtureModel) -> tuple[float, float]:
-    """Mixture mean and standard deviation by the law of total variance.
+    """Mean and standard deviation of a one-row mixture by the law of total variance.
 
     mean = sum w_n (mu_n + tau_n)
     var  = sum w_n (sigma_n^2 + tau_n^2) + sum w_n (mu_n + tau_n - mean)^2

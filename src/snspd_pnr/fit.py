@@ -9,8 +9,11 @@ on the analytic Jacobian of the bin masses, run from a heuristic start read
 off the histogram's peaks and from the caller's start when one is given.  The
 covariance is the inverse expected information at the optimum.  Bootstrap
 errors come from multinomial resamples, each refitted by the same scoring
-from the optimum.  Bin masses come from analytic CDF differences, never
-midpoint sampling.
+from the optimum.  The solver runs many fits in lockstep, one row each (the
+main fit's starts, or a block of resamples): every row keeps its own
+parameters, damping and step count, and each pass evaluates the trial points
+of all rows still running through one bin-mass call over a leading row axis.
+Bin masses come from analytic CDF differences, never midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
 its delta-method standard error, and time-tag ingestion.
@@ -40,6 +43,7 @@ _DAMPING_START = 1e-3
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _LARGEST = np.finfo(np.float64).max
 _PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
+_CELLS_PER_CALL = 2**16  # (row, component, edge) cells per bootstrap kernel call, about 5 MB of transients
 
 
 @dataclass(frozen=True)
@@ -118,18 +122,21 @@ class FitResult:
 
 def _mixture_law(fp: FixedParams):
     """The map (delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel under ``fp``'s budget,
-    and the derivatives of that mixture's components with respect to the fit's coordinates.
+    the derivatives of that mixture's components with respect to the fit's coordinates,
+    and the number of components n_max.
 
     This is the one photon-number model of the package: the fit and the sweep evaluate
     it, and ``sim.simulate_tags`` draws its events from it.  The budget's laws are
     evaluated once per n = 1..n_max at delta_mu = 1, sigma_int = 0 and tau = 1 (the tail
     scale is the same at every n); an evaluation only scales them:
     mu_n = mu_infinity + delta_mu / n**alpha, sigma_n = sqrt(fixed_n^2 + sigma_int^2),
-    tau_n = tau.  The second map gives the chain through these laws for
-    z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]), as the (p, 3, n_max) ``dz`` that
-    ``mixture_bin_masses(mix, edges, dz=...)`` contracts into the Jacobian of the bin
-    masses: dmu_n/ddelta_mu = n**-alpha, dmu_n/dmu_infinity = 1,
-    dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and dtau_n/dln tau = tau_n.
+    tau_n = tau.  Scalar parameters give a one-row mixture; (R,) arrays give R rows.
+    The second map gives the chain through these laws for
+    z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]), as the (p, 3, n_max) ``dz``
+    (with the mixture's row axis in front) that ``mixture_bin_masses(mix, edges, dz=...)``
+    contracts into the Jacobian of the bin masses: dmu_n/ddelta_mu = n**-alpha,
+    dmu_n/dmu_infinity = 1, dsigma_n/dln sigma_int = sigma_int^2 / sigma_n and
+    dtau_n/dln tau = tau_n.
     """
     n_max, weights = conditioned_poisson_weights(fp.n_bar)
     b, alpha = fp.jitter_budget(0.0, 1.0), fp.rise_scaling_exponent
@@ -137,20 +144,22 @@ def _mixture_law(fp: FixedParams):
     inv_n_alpha, fixed_var, unit_tau = unit[:, 0], unit[:, 1] ** 2, unit[:, 2]
 
     def mixture(delta_mu, sigma_int, tau, mu_infinity) -> MixtureModel:
+        delta_mu, sigma_int, tau, mu_infinity = (np.asarray(v)[..., None]
+                                                 for v in (delta_mu, sigma_int, tau, mu_infinity))
         sigma = np.sqrt(fixed_var + sigma_int**2)
         return MixtureModel(weights, mu_infinity + delta_mu * inv_n_alpha, sigma, tau * unit_tau)
 
     def dz(mix: MixtureModel, sigma_int, with_mu_infinity: bool) -> np.ndarray:
-        """d(mu_n, sigma_n, tau_n)/dz of ``mix`` (built at ``sigma_int``), shape (3 or 4, 3, n_max)."""
-        out = np.zeros((4 if with_mu_infinity else 3, 3, n_max))
-        out[0, 0] = inv_n_alpha
-        out[1, 1] = sigma_int**2 / mix.sigma
-        out[2, 2] = mix.tau
+        """d(mu_n, sigma_n, tau_n)/dz of ``mix`` (built at ``sigma_int``), shape (..., 3 or 4, 3, n_max)."""
+        out = np.zeros((*mix.sigma.shape[:-1], 4 if with_mu_infinity else 3, 3, n_max))
+        out[..., 0, 0, :] = inv_n_alpha
+        out[..., 1, 1, :] = np.asarray(sigma_int)[..., None] ** 2 / mix.sigma
+        out[..., 2, 2, :] = mix.tau
         if with_mu_infinity:
-            out[3, 0] = 1.0
+            out[..., 3, 0, :] = 1.0
         return out
 
-    return mixture, dz
+    return mixture, dz, n_max
 
 
 def mixture_from_params(fp: FixedParams, theta, mu_infinity: float | None = None) -> MixtureModel:
@@ -165,18 +174,14 @@ def predict_histogram(fp: FixedParams, theta, hist: ArrivalHistogram) -> np.ndar
     return hist.total_events * mixture_bin_masses(mix, hist.bin_edges)
 
 
-def _poisson_objective(counts):
-    """``expected -> sum(m - c ln m)`` for fixed counts, with the c > 0 mask taken once."""
-    c = np.asarray(counts, dtype=np.float64)
-    pos = c > 0.0
-    c_pos = c[pos]
-
-    def nll(expected) -> float:
-        m = np.asarray(expected, dtype=np.float64)
-        m_pos = m[pos]
-        return math.inf if np.any(m_pos <= 0.0) else float(m.sum() - np.dot(c_pos, np.log(m_pos)))
-
-    return nll
+def _poisson_nll(counts, expected):
+    """sum(m - c ln m) over the last axis of counts c and expected counts m, which broadcast
+    against each other: inf where a bin with c > 0 has m <= 0, NaN where m is NaN."""
+    pos = counts > 0.0
+    log_m = np.log(expected, out=np.zeros(np.broadcast_shapes(pos.shape, np.shape(expected))),
+                   where=pos & (expected > 0.0))
+    nll = expected.sum(axis=-1) - (counts * log_m).sum(axis=-1)
+    return np.where(np.any(pos & (expected <= 0.0), axis=-1), np.inf, nll)
 
 
 def _find_peaks(x: np.ndarray, prominence: float, distance: int) -> np.ndarray:
@@ -287,59 +292,93 @@ def _fd_hessian(fun, x, rel_step=1e-4):
 
 
 def _score_and_information(counts, m, J):
-    """The score g = J^T (1 - c/m) and the expected information I = J^T diag(1/m) J.
+    """The score g = J^T (1 - c/m) and the expected information I = J^T diag(1/m) J, per row
+    of counts c (..., bins), masses m (..., bins) and Jacobian J (..., bins, p), which broadcast.
 
     1/m is taken as 0, so the bin carries no information, where m is not a normal
     float or where the bin's terms, at most s_i max(s_i, c_i) / m_i with
     s_i = sum_k |J_ik|, could exceed the largest float over twice the number of bins:
     neither sum can then overflow.  Such a bin's mass has all but underflowed.
     """
-    s = np.abs(J) @ np.ones(J.shape[1])
-    bounded = s * (np.maximum(s, counts) * (2.0 * m.size / _LARGEST)) < m
-    inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=(m > _SMALLEST_NORMAL) & bounded)
-    return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
+    s = np.abs(J) @ np.ones(J.shape[-1])
+    bounded = s * (np.maximum(s, counts) * (2.0 * m.shape[-1] / _LARGEST)) < m
+    inv_m = np.divide(1.0, m, out=np.zeros(bounded.shape), where=(m > _SMALLEST_NORMAL) & bounded)
+    J_t = np.swapaxes(J, -1, -2)
+    return (J_t @ (1.0 - counts * inv_m)[..., None])[..., 0], np.swapaxes(J * inv_m[..., None], -1, -2) @ J
+
+
+def _solve_rows(a, b):
+    """x[r] with a[r] x[r] = b[r] for each row r, and which rows were solved (a singular a[r]
+    leaves NaN): one singular matrix fails a stacked solve, so then the rows are solved one by one."""
+    try:
+        return np.linalg.solve(a, b[..., None])[..., 0], np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        x, solved = np.full(b.shape, np.nan), np.zeros(len(a), dtype=bool)
+        for r in range(len(a)):
+            try:
+                x[r], solved[r] = np.linalg.solve(a[r], b[r]), True
+            except np.linalg.LinAlgError:
+                pass
+        return x, solved
 
 
 def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
-    """Minimize the Poisson NLL of ``counts`` by damped Fisher scoring from ``z``.
+    """Minimize the Poisson NLL of each row of ``counts`` (R, bins) by damped Fisher scoring,
+    all rows in lockstep.
 
-    ``model(z)`` gives the expected counts m and their Jacobian J = dm/dz, or None
-    outside the objective's domain; ``at_z`` is ``model(z)`` at the start.  Each
-    iteration steps z <- z - s with (I + lam diag(I)) s = g, from the score and the
-    expected information of ``_score_and_information`` (Marquardt damping).  A trial
-    step is rejected while the NLL rises by more than its summation rounding (1e-14
-    relative) or leaves the domain; each rejection multiplies lam by 10 (from 0 to
-    1e-3) and each accepted step divides it by 10 (back to 0 below 1e-3).  The fit has
-    converged once the undamped step (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|),
-    within ``max_iter`` accepted steps; a damped step that small while the undamped
-    one is not stops it unconverged.  Returns (z, converged, NLL at z, accepted steps).
+    ``z`` holds the starts and ``at_z`` = (m, J) the expected counts and their Jacobian
+    J = dm/dz there; both broadcast against the rows of ``counts``.  ``model(z)`` gives m
+    (k, bins) and J (k, bins, p) for k rows z (k, p) in one call, with NaN rows outside the
+    objective's domain.  Each row runs its own fit: each iteration steps z <- z - s with
+    (I + lam diag(I)) s = g, from the score and the expected information of
+    ``_score_and_information`` (Marquardt damping).  A trial step is rejected while the
+    NLL rises by more than its summation rounding (1e-14 relative) or leaves the domain;
+    each rejection multiplies the row's lam by 10 (from 0 to 1e-3) and each accepted step
+    divides it by 10 (back to 0 below 1e-3).  A row has converged once the undamped step
+    (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|), within ``max_iter`` accepted steps;
+    a singular information matrix, a non-finite step, or a damped step that small while
+    the undamped one is not stops it unconverged.  Each pass evaluates the trial points
+    of all rows still running through one ``model`` call.  Returns, per row, (z, converged,
+    NLL at z, accepted steps).
     """
-    nll = _poisson_objective(counts)
-    m, J = at_z
-    f = nll(m)
-    lam = 0.0
-    g, info = _score_and_information(counts, m, J)
-    for it in range(max_iter):
+    rows = len(counts)
+    z = np.array(np.broadcast_to(z, (rows, np.shape(z)[-1])), dtype=np.float64, order="C")
+    f = _poisson_nll(counts, at_z[0])
+    g, info = _score_and_information(counts, *at_z)
+    lam, steps = np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    converged, running = np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool)
+    fresh = np.ones(rows, dtype=bool)  # at the start of an iteration: the last trial was accepted
+    diagonal = np.arange(z.shape[1])
+    while True:
+        running &= ~(fresh & (steps >= max_iter))
         tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z))
-        try:
-            step = np.linalg.solve(info, g)
-        except np.linalg.LinAlgError:
-            return z, False, f, it
-        if np.all(np.abs(step) <= tol):
-            return z, True, f, it
-        while True:
-            if lam > 0.0:  # I solved above, so I + lam diag(I) is not singular either
-                step = np.linalg.solve(info + lam * np.diag(np.diag(info)), g)
-            if not np.all(np.isfinite(step)) or np.all(np.abs(step) <= tol):
-                return z, False, f, it
-            trial = model(z - step)
-            if trial is not None and (f_trial := nll(trial[0])) <= f + _NLL_ROUNDING * abs(f):
-                break
-            lam = max(10.0 * lam, _DAMPING_START)
-        z, (m, J), f = z - step, trial, f_trial
-        g, info = _score_and_information(counts, m, J)
-        lam = lam / 10.0 if lam > _DAMPING_START else 0.0
-    return z, False, f, max_iter
+        step = np.zeros_like(z)
+        new = np.flatnonzero(running & fresh)
+        step[new], solved = _solve_rows(info[new], g[new])
+        done = np.all(np.abs(step[new]) <= tol[new], axis=1)
+        converged[new[done]] = True
+        running[new[done | ~solved]] = False
+        damped = np.flatnonzero(running & (lam > 0.0))  # I solved above, so I + lam diag(I) is not singular either
+        a = info[damped]
+        a[:, diagonal, diagonal] += lam[damped, None] * a[:, diagonal, diagonal]
+        step[damped] = _solve_rows(a, g[damped])[0]
+        go = np.flatnonzero(running)
+        stop = ~np.all(np.isfinite(step[go]), axis=1) | np.all(np.abs(step[go]) <= tol[go], axis=1)
+        running[go[stop]] = False
+        go = go[~stop]
+        if go.size == 0:
+            return z, converged, f, steps
+        trial = z[go] - step[go]
+        m, J = model(trial)
+        f_trial = _poisson_nll(counts[go], m)
+        ok = f_trial <= f[go] + _NLL_ROUNDING * np.abs(f[go])
+        acc, rej = go[ok], go[~ok]
+        z[acc], f[acc], steps[acc] = trial[ok], f_trial[ok], steps[acc] + 1
+        g[acc], info[acc] = _score_and_information(counts[acc], m[ok], J[ok])
+        lam[acc] = np.where(lam[acc] > _DAMPING_START, lam[acc] / 10.0, 0.0)
+        lam[rej] = np.maximum(10.0 * lam[rej], _DAMPING_START)
+        fresh[:] = False
+        fresh[acc] = True
 
 
 def fit_histogram(
@@ -359,7 +398,10 @@ def fit_histogram(
     ``initial_guess`` and, when ``theta0`` is given, from ``theta0`` too; the
     start with the lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
     least 2 multinomial resamples, each refitted by the same scoring from the
-    optimum.  Deterministic for fixed inputs; bootstrap resampling is seeded.
+    optimum; the starts run as rows of one lockstep solve, and the resamples in
+    blocks of rows sized to about ``_CELLS_PER_CALL`` kernel cells per call.
+    Deterministic for fixed inputs (whatever the block size); bootstrap
+    resampling is seeded.
     """
     _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
@@ -370,7 +412,8 @@ def fit_histogram(
     edges = hist.bin_edges
     total = int(hist.total_events)
 
-    mixture, dz = _mixture_law(fp)
+    mixture, dz, n_max = _mixture_law(fp)
+    p = 4 if fit_mu_infinity else 3
 
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
     # so the heuristic start from the peak structure runs as well
@@ -379,59 +422,64 @@ def fit_histogram(
         raise ValueError("theta0 sigma_int and tau must be positive")
     starts.append(initial_guess(hist, fp))
 
+    def in_box(z) -> np.ndarray:
+        """Which rows of z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]) lie in the box the fit searches."""
+        return (np.abs(z[:, 1]) <= 50.0) & (np.abs(z[:, 2]) <= 50.0) & (np.abs(z[:, 0]) <= 1e7)
+
     def model_z(z):
-        """Expected counts and their Jacobian in z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]),
-        or None outside the box the fit searches."""
-        if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
-            return None
-        sigma_int = math.exp(z[1])
-        mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
-        masses, J = mixture_bin_masses(mix, edges, dz=dz(mix, sigma_int, fit_mu_infinity))
-        return total * masses, total * J
+        """Expected counts (k, bins) and their Jacobian (k, bins, p) in z for k rows of z, from
+        one kernel pass; NaN rows where z is outside the box."""
+        inside = in_box(z)
+        m, J = np.full((len(z), counts.size), np.nan), np.full((len(z), counts.size, p), np.nan)
+        if inside.any():
+            z_in = z[inside]
+            sigma_int = np.exp(z_in[:, 1])
+            mix = mixture(z_in[:, 0], sigma_int, np.exp(z_in[:, 2]), z_in[:, 3] if fit_mu_infinity else fp.mu_infinity)
+            masses, J_in = mixture_bin_masses(mix, edges, dz=dz(mix, sigma_int, fit_mu_infinity))
+            m[inside], J[inside] = total * masses, total * J_in
+        return m, J
 
     def theta_of(z) -> np.ndarray:
-        return np.array([z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]])
+        theta = np.array(z, dtype=np.float64)
+        theta[..., 1:3] = np.exp(theta[..., 1:3])
+        return theta
 
-    runs = []
-    for dmu, sigma_int, tau in starts:
-        z = np.array([dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][: 4 if fit_mu_infinity else 3])
-        if (at := model_z(z)) is not None:
-            runs.append(_fisher_refit(model_z, counts, z, at))
-    finite = [r for r in runs if math.isfinite(r[2])]
-    if not finite:
+    z0 = np.array([[dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][:p] for dmu, sigma_int, tau in starts])
+    z0 = z0[in_box(z0)]
+    z_runs, converged, nll, steps = _fisher_refit(model_z, np.broadcast_to(counts, (len(z0), counts.size)), z0,
+                                                  model_z(z0))
+    if not np.isfinite(nll).any():
         raise ValueError("fit objective is not finite anywhere near theta0")
-    z_hat, converged, nll_hat, _ = min(finite, key=lambda r: r[2])
+    best = int(np.argmin(nll))
+    z_hat = z_runs[best]
     theta_hat = theta_of(z_hat)
 
     # I(z_hat)^-1 carried to theta by dtheta/dz = diag(1, sigma_int, tau[, 1])
-    at_hat = model_z(z_hat)
-    scale = np.ones(z_hat.size)
+    at_hat = model_z(z_hat[None])
+    scale = np.ones(p)
     scale[1:3] = theta_hat[1:3]
     try:
-        cov = scale[:, None] * np.linalg.inv(_score_and_information(counts, *at_hat)[1]) * scale[None, :]
+        cov = scale[:, None] * np.linalg.inv(_score_and_information(counts, *at_hat)[1][0]) * scale[None, :]
     except np.linalg.LinAlgError:
-        cov = np.full((scale.size, scale.size), np.nan)
+        cov = np.full((p, p), np.nan)
 
     boot_errors = boot_converged = None
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
-        p = counts / counts.sum()
-        draws = np.empty((n_bootstrap, scale.size))
-        boot_converged = 0
-        for b in range(n_bootstrap):
-            c_b = rng.multinomial(total, p).astype(np.float64)
-            z_b, ok, _, _ = _fisher_refit(model_z, c_b, z_hat, at_hat)
-            boot_converged += ok
-            draws[b] = theta_of(z_b)
+        resamples = rng.multinomial(total, counts / counts.sum(), size=n_bootstrap).astype(np.float64)
+        block = max(1, _CELLS_PER_CALL // (n_max * edges.size))
+        refits = [_fisher_refit(model_z, resamples[i : i + block], z_hat, at_hat) for i in range(0, n_bootstrap, block)]
+        boot_converged = int(sum(r[1].sum() for r in refits))
+        draws = theta_of(np.concatenate([r[0] for r in refits]))
         boot_errors = tuple(float(v) for v in draws.std(axis=0, ddof=1))
 
     return FitResult(
         delta_mu=float(theta_hat[0]),
         sigma_int=float(theta_hat[1]),
         tau=float(theta_hat[2]),
-        negative_log_likelihood=float(nll_hat),
-        converged=bool(converged),
-        iterations=int(sum(r[3] for r in runs)),
+        negative_log_likelihood=float(nll[best]),
+        converged=bool(converged[best]),
+        iterations=int(steps.sum()),
         bootstrap_errors=boot_errors,
         covariance_proxy=cov,
         mu_infinity=float(theta_hat[3]) if fit_mu_infinity else None,

@@ -36,7 +36,7 @@ class ArrivalHistogram:
             raise ValueError("bins must have uniform width")
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if int(counts.sum()) != int(self.total_events):
+        if sum(counts.tolist()) != int(self.total_events):  # the exact sum, which an int64 sum can wrap
             raise ValueError("total_events must equal the sum of counts")
 
     @property

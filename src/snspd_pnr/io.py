@@ -131,7 +131,8 @@ def write_time_tags(path, table: TimeTagTable) -> None:
 
 
 def read_histogram_csv(path) -> ArrivalHistogram:
-    """Parse a histogram CSV and rebuild edges from the uniform bin centers."""
+    """Parse a histogram CSV and rebuild edges from the uniform bin centers; counts whose
+    total exceeds the 64-bit range are rejected."""
     n_bar, (c, counts_arr) = _read_columns(path, HIST_COLUMNS, (float, int))
     if c.size < 2:
         raise ValueError(f"{path}: need at least two histogram rows to infer the bin width")
@@ -140,7 +141,10 @@ def read_histogram_csv(path) -> ArrivalHistogram:
         raise ValueError(f"{path}: bin centers must be uniformly spaced and increasing")
     w = float(widths[0])
     edges = (c[0] - w / 2.0) + w * np.arange(c.size + 1)
-    return ArrivalHistogram(edges, counts_arr, int(counts_arr.sum()), n_bar)
+    total = sum(counts_arr.tolist())  # exact: an int64 sum of counts that each fit int64 can wrap
+    if total >= 2**63:
+        raise ValueError(f"{path}: total count {total} is beyond the 64-bit range")
+    return ArrivalHistogram(edges, counts_arr, total, n_bar)
 
 
 def write_histogram_csv(path, hist: ArrivalHistogram) -> None:

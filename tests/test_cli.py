@@ -462,3 +462,11 @@ def test_fit_count_beyond_int64_exit_2_naming_the_line(runner, config_path, tmp_
     result = runner.invoke(main, ["fit", str(bad), "-c", config_path, "-o", str(tmp_path / "o")])
     assert result.exit_code == 2, out_text(result)
     assert "line 4: integer outside the 64-bit range" in out_text(result)
+
+
+def test_fit_total_beyond_int64_exit_2_naming_the_file(runner, config_path, tmp_path):
+    bad = tmp_path / "hist.csv"
+    bad.write_text(f"# n_bar=1\nbin_center_ps,count\n1,{2**62}\n3,{2**62}\n5,2\n", encoding="utf-8")
+    result = runner.invoke(main, ["fit", str(bad), "-c", config_path, "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert f"{bad}: total count {2**63 + 2} is beyond the 64-bit range" in out_text(result)

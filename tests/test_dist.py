@@ -273,7 +273,7 @@ def test_fused_masses_and_partials_equal_the_two_pass_values(make_fixed_params, 
     # second kernel pass chained through the same dz, to rounding.  Both cancel terms of
     # the tau partial in a component's left tail (T (u - r) + phi -> phi / (r - u)^2), so
     # the difference is judged against the size of those terms, as in the mpmath test
-    mixture, dz_of = _mixture_law(make_fixed_params(n_bar))
+    mixture, dz_of, _ = _mixture_law(make_fixed_params(n_bar))
     m = mixture(*theta, 144.0)
     dz = dz_of(m, theta[1], True)
     masses, got = mixture_bin_masses(m, edges, dz=dz)
@@ -289,7 +289,7 @@ def test_jacobian_where_the_tau_partial_cancels_matches_high_precision(make_fixe
     # the edge at 150 ps sits 6 to 22 sigma left of the n_bar = 20 components, where the tau
     # partial T (u - r) + phi cancels to phi / (r - u)^2; the oracle takes the partials'
     # formulas at 50 digits on the same float inputs
-    mixture, dz_of = _mixture_law(make_fixed_params(20.0))
+    mixture, dz_of, _ = _mixture_law(make_fixed_params(20.0))
     m = mixture(250.3, 3.7, 9.1, 144.0)
     dz = dz_of(m, 3.7, True)
     edges = np.array([-1e4, 0.0, 150.0, 151.0, 1e4])
@@ -314,7 +314,7 @@ def test_jacobian_where_the_tau_partial_cancels_matches_high_precision(make_fixe
 
 def assert_fit_jacobian_matches_central_differences(fp, theta, mu_infinity, edges):
     """The chain through the scaling laws, in the fit's z = (delta_mu, ln sigma_int, ln tau, mu_infinity)."""
-    mixture, dz = _mixture_law(fp)
+    mixture, dz, _ = _mixture_law(fp)
 
     def masses(z):
         return mixture_bin_masses(mixture(z[0], math.exp(z[1]), math.exp(z[2]), z[3]), edges)

@@ -36,7 +36,7 @@ from snspd_pnr import (
     write_histogram_csv,
     write_time_tags,
 )
-from snspd_pnr.fit import _poisson_objective
+from snspd_pnr.fit import _poisson_nll
 from snspd_pnr.io import TimeTagTable
 
 TRUTH = (289.0, 6.0, 6.0)
@@ -221,11 +221,9 @@ def test_covariance_matches_the_curvature_of_the_objective(rt_hist, fp1, rt_fit,
     res = fit_histogram(rt_hist, fp1, fit_mu_infinity=True) if fit_mu_infinity else rt_fit
     theta = np.array([res.delta_mu, res.sigma_int, res.tau] + ([res.mu_infinity] if fit_mu_infinity else []))
 
-    objective = _poisson_objective(rt_hist.counts)
-
     def nll(t):
         fp = dataclasses.replace(fp1, mu_infinity=t[3]) if fit_mu_infinity else fp1
-        return objective(predict_histogram(fp, t[:3], rt_hist))
+        return _poisson_nll(rt_hist.counts, predict_histogram(fp, t[:3], rt_hist))
 
     h = 1e-4 * np.maximum(np.abs(theta), 1.0)
     e = np.diag(h)
@@ -315,10 +313,9 @@ def test_poisson_nll_values():
     counts = np.array([0.0, 2.0, 5.0])
     expected = np.array([1.5, 2.0, 4.0])
     want = expected.sum() - (2.0 * math.log(2.0) + 5.0 * math.log(4.0))
-    nll = _poisson_objective(counts)
-    assert nll(expected) == pytest.approx(want, rel=1e-14)
-    assert nll(np.array([1.0, 0.0, 1.0])) == math.inf
-    assert math.isfinite(_poisson_objective(np.zeros(3))(np.array([1.0, 0.0, 1.0])))
+    assert _poisson_nll(counts, expected) == pytest.approx(want, rel=1e-14)
+    assert _poisson_nll(counts, np.array([1.0, 0.0, 1.0])) == math.inf
+    assert math.isfinite(_poisson_nll(np.zeros(3), np.array([1.0, 0.0, 1.0])))
 
 
 def test_bootstrap_errors_are_reproducible(rt_hist, fp1, rt_fit):
@@ -355,8 +352,9 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
 
     def spy(model, counts, z, at_z, **kwargs):
         out = real(model, counts, z, at_z, **kwargs)
-        if not np.array_equal(counts, rt_hist.counts):  # the main fit's starts run on the data itself
-            seen.append((counts.copy(), np.array(z), out))
+        if not np.all(counts == rt_hist.counts):  # the main fit's starts run on the data itself
+            starts = np.broadcast_to(z, out[0].shape)
+            seen.extend((counts[r].copy(), starts[r].copy(), tuple(o[r] for o in out)) for r in range(len(counts)))
         return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
@@ -371,7 +369,7 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
 
     def nll(z, counts):
         fp = dataclasses.replace(fp1, mu_infinity=z[3]) if fit_mu_infinity else fp1
-        return _poisson_objective(counts)(predict_histogram(fp, theta_of(z)[:3], rt_hist))
+        return _poisson_nll(counts, predict_histogram(fp, theta_of(z)[:3], rt_hist))
 
     dmu0, s0, t0 = initial_guess(rt_hist, fp1)
     z0 = [dmu0, math.log(s0), math.log(t0)] + ([fp1.mu_infinity] if fit_mu_infinity else [])
@@ -391,23 +389,56 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
         assert nll(z_fisher, counts) <= simplex.fun + 1e-6
 
 
+def _exp_model(box: float = math.inf):
+    """One bin per parameter with m = exp(z) for each row of z, whose optimum is z = ln c;
+    NaN rows where some |z_k| exceeds ``box``."""
+
+    def model(z):
+        m = np.exp(np.minimum(z, 700.0))
+        J = m[:, :, None] * np.eye(z.shape[1])
+        outside = np.abs(z).max(axis=1) > box
+        m[outside], J[outside] = np.nan, np.nan
+        return m, J
+
+    return model
+
+
 def test_refit_within_tolerance_under_carried_damping_is_converged():
-    # one bin per parameter with m = exp(z), whose optimum is z = ln c: the first two trials are
-    # refused, so the one accepted step is damped (lam = 1e-2) and lam = 1e-3 is carried into an
-    # iteration that starts within the step tolerance of the optimum
-    counts = np.array([2.0, 5.0, 9.0])
+    # m = exp(z): the first two trials are refused, so the one accepted step is damped
+    # (lam = 1e-2) and lam = 1e-3 is carried into an iteration that starts within the step
+    # tolerance of the optimum
+    counts = np.array([[2.0, 5.0, 9.0]])
     refused = [2]
 
     def model(z):
         if refused[0]:
             refused[0] -= 1
-            return None
-        return np.exp(z), np.diag(np.exp(z))
+            return np.full(z.shape, np.nan), np.full((*z.shape, z.shape[1]), np.nan)
+        return _exp_model()(z)
 
     z0 = np.log(counts) + 1e-9
-    z, converged, _, steps = snspd_pnr.fit._fisher_refit(model, counts, z0, (np.exp(z0), np.diag(np.exp(z0))))
-    assert refused == [0] and steps == 1 and converged
+    z, converged, _, steps = snspd_pnr.fit._fisher_refit(model, counts, z0, _exp_model()(z0))
+    assert refused == [0] and steps.tolist() == [1] and converged.tolist() == [True]
     np.testing.assert_allclose(z, np.log(counts), rtol=0.0, atol=1e-10)
+
+
+def test_rows_that_stop_leave_their_batch_mates_alone():
+    # row 1 starts with a singular information matrix, row 2's optimum ln 40 lies outside the
+    # box |z_k| <= 3.5: both stop unconverged, and rows 0 and 3 end where they end alone
+    counts = np.array([[2.0, 5.0, 9.0], [3.0, 4.0, 8.0], [40.0, 7.0, 1.0], [6.0, 6.0, 6.0]])
+    model = _exp_model(box=3.5)
+    z0 = np.zeros((4, 3))
+    m0, J0 = model(z0)
+    J0[1, :, 2] = 0.0
+    z, converged, nll, steps = snspd_pnr.fit._fisher_refit(model, counts, z0, (m0, J0))
+    assert converged.tolist() == [True, False, False, True]
+    assert steps[1] == 0 and np.array_equal(z[1], z0[1])
+    assert steps[2] > 0 and np.all(np.abs(z[2]) <= 3.5) and z[2, 0] > 3.0
+    np.testing.assert_allclose(z[[0, 3]], np.log(counts[[0, 3]]), rtol=0.0, atol=1e-9)
+    for r in (0, 2, 3):
+        alone = snspd_pnr.fit._fisher_refit(model, counts[r : r + 1], z0[r], (m0[r], J0[r]))
+        assert np.array_equal(alone[0][0], z[r]) and alone[1][0] == converged[r]
+        assert alone[2][0] == nll[r] and alone[3][0] == steps[r]
 
 
 def test_refit_held_to_one_iteration_is_not_converged(rt_hist, fp1, rt_fit, monkeypatch):
@@ -415,7 +446,7 @@ def test_refit_held_to_one_iteration_is_not_converged(rt_hist, fp1, rt_fit, monk
     real = snspd_pnr.fit._fisher_refit
 
     def capped(model, counts, z, at_z, **kwargs):
-        if np.array_equal(counts, rt_hist.counts):  # the main fit's starts run uncapped
+        if np.all(counts == rt_hist.counts):  # the main fit's starts run uncapped
             return real(model, counts, z, at_z, **kwargs)
         return real(model, counts, z, at_z, max_iter=1)
 
@@ -441,11 +472,12 @@ def test_bootstrap_on_empty_far_bins_whose_mass_underflows(rt_hist, fp1, rt_fit)
 
 
 def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monkeypatch):
-    seen = []
+    seen = []  # (mixture, row, masses of that row)
 
     def spy(mix, edges, **kwargs):
         out = mixture_bin_masses(mix, edges, **kwargs)
-        seen.append((mix, out[0] if kwargs.get("dz") is not None else out))
+        masses = out[0] if kwargs.get("dz") is not None else out
+        seen.extend((mix, r, row) for r, row in enumerate(np.atleast_2d(masses)))
         return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
@@ -456,28 +488,32 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
     want = predict_histogram(fp1, theta_res, rt_hist)
     ref = mixture_from_params(fp1, theta_res)
     hits = [
-        mix for mix, masses in seen if np.array_equal(rt_hist.total_events * masses, want)
+        (mix, r) for mix, r, masses in seen if np.array_equal(rt_hist.total_events * masses, want)
     ]
     assert hits
-    for name in ("weights", "mu", "sigma", "tau"):
-        assert np.array_equal(getattr(hits[0], name), getattr(ref, name))
+    mix, r = hits[0]
+    assert np.array_equal(mix.weights, ref.weights)
+    for name in ("mu", "sigma", "tau"):
+        assert np.array_equal(np.atleast_2d(getattr(mix, name))[r], getattr(ref, name))
 
 
 @pytest.mark.parametrize("fit_mu_infinity", [False, True])
 @pytest.mark.parametrize("n_bootstrap", [0, 4])
 def test_one_kernel_pass_per_model_evaluation(rt_hist, fp1, n_bootstrap, fit_mu_infinity, monkeypatch):
-    # every model evaluation of the fit and of its bootstrap refits takes its bin masses
-    # and their partials from one _emg_grid call, and no kernel call happens outside one
-    kernel_calls, per_eval = [0], []
+    # every model evaluation of the fit and of its bootstrap refits takes the bin masses
+    # and their partials of all its rows from one _emg_grid call, and no kernel call happens
+    # outside one
+    kernel_calls, per_eval, rows = [0], [], [0]
 
     def kernel(*args):
         kernel_calls[0] += 1
         return emg_grid(*args)
 
-    def evaluation(*args, **kwargs):
+    def evaluation(mix, *args, **kwargs):
         before = kernel_calls[0]
-        out = mixture_bin_masses(*args, **kwargs)
+        out = mixture_bin_masses(mix, *args, **kwargs)
         per_eval.append(kernel_calls[0] - before)
+        rows[0] += len(np.atleast_2d(mix.mu))
         return out
 
     emg_grid = snspd_pnr.dist._emg_grid
@@ -486,8 +522,114 @@ def test_one_kernel_pass_per_model_evaluation(rt_hist, fp1, n_bootstrap, fit_mu_
         mp.setattr(snspd_pnr.fit, "mixture_bin_masses", evaluation)
         res = fit_histogram(rt_hist, fp1, n_bootstrap=n_bootstrap, bootstrap_seed=3, fit_mu_infinity=fit_mu_infinity)
     assert res.converged and res.bootstrap_converged == (n_bootstrap or None)
-    assert len(per_eval) > 3 * (n_bootstrap + 1)
+    assert rows[0] > 3 * (n_bootstrap + 1)
     assert set(per_eval) == {1} and kernel_calls[0] == len(per_eval)
+    if n_bootstrap:  # the resamples' rows share kernel calls
+        assert len(per_eval) < rows[0]
+
+
+def _serial_fisher_refit(model, counts, z, at_z, max_iter=50):
+    """One resample's damped Fisher scoring as the fit ran it one resample at a time: the
+    reference for the lockstep rows of ``snspd_pnr.fit._fisher_refit``.  ``model(z)`` gives
+    (m, J) at one z, or None outside the box."""
+    pos = counts > 0.0
+
+    def nll(m):
+        return math.inf if np.any(m[pos] <= 0.0) else float(m.sum() - np.dot(counts[pos], np.log(m[pos])))
+
+    def score_and_information(m, J):
+        s = np.abs(J) @ np.ones(J.shape[1])
+        bounded = s * (np.maximum(s, counts) * (2.0 * m.size / np.finfo(np.float64).max)) < m
+        inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=(m > np.finfo(np.float64).tiny) & bounded)
+        return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
+
+    m, J = at_z
+    f = nll(m)
+    lam = 0.0
+    g, info = score_and_information(m, J)
+    for it in range(max_iter):
+        tol = 1e-10 * np.maximum(1.0, np.abs(z))
+        try:
+            step = np.linalg.solve(info, g)
+        except np.linalg.LinAlgError:
+            return z, False, f, it
+        if np.all(np.abs(step) <= tol):
+            return z, True, f, it
+        while True:
+            if lam > 0.0:
+                step = np.linalg.solve(info + lam * np.diag(np.diag(info)), g)
+            if not np.all(np.isfinite(step)) or np.all(np.abs(step) <= tol):
+                return z, False, f, it
+            trial = model(z - step)
+            if trial is not None and (f_trial := nll(trial[0])) <= f + 1e-14 * abs(f):
+                break
+            lam = max(10.0 * lam, 1e-3)
+        z, (m, J), f = z - step, trial, f_trial
+        g, info = score_and_information(m, J)
+        lam = lam / 10.0 if lam > 1e-3 else 0.0
+    return z, False, f, max_iter
+
+
+def _serial_fit(hist, fp, fit_mu_infinity, n_bootstrap, bootstrap_seed):
+    """``fit_histogram``'s main fit and bootstrap, one start and one resample at a time."""
+    counts, total, edges = hist.counts.astype(np.float64), hist.total_events, hist.bin_edges
+    mixture, dz, _ = snspd_pnr.fit._mixture_law(fp)
+
+    def model(z):
+        if abs(z[1]) > 50.0 or abs(z[2]) > 50.0 or abs(z[0]) > 1e7:
+            return None
+        sigma_int = math.exp(z[1])
+        mix = mixture(z[0], sigma_int, math.exp(z[2]), z[3] if fit_mu_infinity else fp.mu_infinity)
+        masses, J = mixture_bin_masses(mix, edges, dz=dz(mix, sigma_int, fit_mu_infinity))
+        return total * masses, total * J
+
+    dmu, sigma_int, tau = initial_guess(hist, fp)
+    z0 = np.array([dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][: 4 if fit_mu_infinity else 3])
+    main = _serial_fisher_refit(model, counts, z0, model(z0))
+    at_hat = model(main[0])
+    rng = np.random.default_rng(bootstrap_seed)
+    p = counts / counts.sum()
+    refits = []
+    for _ in range(n_bootstrap):
+        refits.append(_serial_fisher_refit(model, rng.multinomial(total, p).astype(np.float64), main[0], at_hat))
+    return main, refits
+
+
+@pytest.mark.parametrize("fit_mu_infinity", [False, True])
+def test_lockstep_fit_matches_the_serial_refits(rt_hist, fp1, fit_mu_infinity):
+    res = fit_histogram(rt_hist, fp1, fit_mu_infinity=fit_mu_infinity, n_bootstrap=24, bootstrap_seed=9)
+    (z_hat, converged, nll, steps), refits = _serial_fit(rt_hist, fp1, fit_mu_infinity, 24, 9)
+    assert len({r[3] for r in refits}) > 1  # the rows converge after different numbers of steps
+    assert res.iterations == steps and res.converged == converged
+    assert res.bootstrap_converged == sum(r[1] for r in refits)
+    theta = [res.delta_mu, math.log(res.sigma_int), math.log(res.tau)] + ([res.mu_infinity] if fit_mu_infinity else [])
+    np.testing.assert_allclose(theta, z_hat, rtol=1e-12)
+    assert res.negative_log_likelihood == pytest.approx(nll, rel=1e-12)
+    draws = np.array([[z[0], math.exp(z[1]), math.exp(z[2]), *z[3:]] for z, *_ in refits])
+    np.testing.assert_allclose(res.bootstrap_errors, draws.std(axis=0, ddof=1), rtol=1e-12)
+
+
+def test_fit_is_the_same_whatever_the_block_size(rt_hist, fp1, monkeypatch):
+    # blocks of 1 row, of 7 rows, and one block of all 20: bit for bit the same fit
+    cells = snspd_pnr.fit._mixture_law(fp1)[2] * rt_hist.bin_edges.size
+    real = snspd_pnr.fit._fisher_refit
+    results, blocks = [], []
+
+    def spy(model, counts, *args, **kwargs):
+        blocks[-1].append(len(counts))
+        return real(model, counts, *args, **kwargs)
+
+    for rows in (1, 7, 10**6):
+        blocks.append([])
+        with monkeypatch.context() as mp:
+            mp.setattr(snspd_pnr.fit, "_CELLS_PER_CALL", rows * cells)
+            mp.setattr(snspd_pnr.fit, "_fisher_refit", spy)
+            results.append(fit_histogram(rt_hist, fp1, n_bootstrap=20, bootstrap_seed=4))
+    assert [b[1:] for b in blocks] == [[1] * 20, [7, 7, 6], [20]]
+    assert results[0].bootstrap_converged == 20
+    for res in results[1:]:
+        for field in dataclasses.fields(FitResult):
+            assert np.array_equal(getattr(res, field.name), getattr(results[0], field.name)), field.name
 
 
 @pytest.mark.parametrize("n_bootstrap", [-1, 1])
@@ -637,6 +779,24 @@ def test_histogram_count_beyond_int64_is_rejected_with_its_line(tmp_path, count)
         read_histogram_csv(hist)
     hist.write_text(f"# unit=ps\nbin_center_ps,count\n1,0\n3,{2**63 - 1}\n", encoding="utf-8")
     assert read_histogram_csv(hist).counts[1] == 2**63 - 1
+
+
+def test_histogram_total_beyond_int64_is_rejected_naming_the_file(tmp_path):
+    # each count fits int64 but their sum does not: an int64 sum wraps it to -9223372036854775806
+    hist = tmp_path / "hist.csv"
+    hist.write_text(f"# unit=ps\nbin_center_ps,count\n1,{2**62}\n3,{2**62}\n5,2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_histogram_csv(hist)
+    assert str(err.value) == f"{hist}: total count {2**63 + 2} is beyond the 64-bit range"
+    hist.write_text(f"# unit=ps\nbin_center_ps,count\n1,{2**62}\n3,{2**62 - 1}\n5,0\n", encoding="utf-8")
+    assert read_histogram_csv(hist).total_events == 2**63 - 1
+
+
+def test_histogram_total_is_checked_against_the_exact_sum():
+    counts = np.array([2**62, 2**62, 2], dtype=np.int64)
+    assert int(counts.sum()) == -9223372036854775806
+    with pytest.raises(ValueError, match="total_events must equal the sum of counts"):
+        ArrivalHistogram(np.arange(4.0), counts, int(counts.sum()))
 
 
 def test_tag_rows_read_back_exactly_with_headers_and_blank_lines_among_them(tmp_path):

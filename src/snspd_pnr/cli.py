@@ -329,8 +329,6 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
     try:
         wire = WireGeometry(length, signal_velocity, ground_velocity)
         ns = [int(v) for v in n_values.split(",") if v.strip()]
-        if not ns:
-            raise ValueError("--n-values must list at least one photon number")
         rng = np.random.default_rng(seed)
         result = geom_mc(wire, ns, samples, rng, estimator, bootstrap)
     except ValueError as exc:

@@ -1,12 +1,17 @@
 """Strict JSON run configuration mirroring the library value types.
 
 Unknown keys are rejected with their dotted path; numeric fields accept JSON
-numbers only.  The detector and budget sections are read from the fields of
-their value types, so keys, defaults and value checks live only there, and a
-value a type rejects is reported with its section path.  The sim section, with
-the detector, budget and seed, is the ``sim.SimPlan`` it describes: this module
-checks its JSON types, the plan its values, and a value the plan rejects is
-reported as ``config.sim.<field>: ...``.  Layout:
+numbers only.  Every section is read from the fields of its value type, so
+keys, defaults and value checks live only there: ``detector`` is
+``DetectorConfig`` (with ``WireGeometry`` and ``ElementGrid``), ``budget`` is
+``JitterBudget``, ``fit`` is ``FitSettings`` and ``sim``, with the detector,
+budget and seed, is the ``sim.SimPlan`` it describes.  This module checks JSON
+types, the types check values: ``FitSettings`` requires ``n_bar``, when given,
+positive and finite, ``theta0`` three finite numbers with positive sigma_int
+and tau, ``n_bootstrap`` 0 or >= 2 and ``bin_width`` positive.  A rejection
+whose message starts with a field name is reported as
+``config.<section>.<message>`` (``config.fit.n_bar: must be positive and
+finite, got -1.0``), any other as ``config.<section>: <message>``.  Layout:
 
     {
       "seed": 1,
@@ -27,11 +32,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
-from typing import Any, get_args, get_type_hints
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 from .budget import JitterBudget
 from .pulse import DetectorConfig
-from .sim import MergeModel, SimPlan
+from .sim import SimPlan
 
 
 class ConfigError(Exception):
@@ -40,11 +46,30 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class FitSettings:
+    """How ``fit`` runs; the config's ``fit`` section.
+
+    ``__post_init__`` is the one home of its checks.  Each ValueError message starts with
+    the offending field's name, so ``load_config`` reports it as ``config.fit.<message>``.
+    """
+
     n_bar: float | None = None
     theta0: tuple[float, float, float] | None = None
     n_bootstrap: int = 0
     bin_width: float = 2.0
     fit_mu_infinity: bool = False
+
+    def __post_init__(self) -> None:
+        if self.n_bar is not None and not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
+            raise ValueError(f"n_bar: must be positive and finite, got {self.n_bar}")
+        if self.theta0 is not None:
+            theta0 = tuple(float(v) for v in self.theta0)
+            object.__setattr__(self, "theta0", theta0)
+            if not (len(theta0) == 3 and all(map(math.isfinite, theta0)) and min(theta0[1:]) > 0.0):
+                raise ValueError(f"theta0: must be three finite numbers, sigma_int and tau positive, got {theta0}")
+        if self.n_bootstrap < 0 or self.n_bootstrap == 1:
+            raise ValueError(f"n_bootstrap: must be 0 or >= 2, got {self.n_bootstrap}")
+        if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
+            raise ValueError(f"bin_width: must be positive, got {self.bin_width}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +94,6 @@ def _check_keys(data: dict, allowed: set[str], path: str) -> None:
         raise ConfigError(f"{path}: unknown keys {unknown}; allowed keys are {sorted(allowed)}")
 
 
-_sentinel = object()
-
-
 def _float(v, path: str, expected: str = "a number") -> float:
     """A JSON number as a float; any other value, or an integer beyond the float range, is reported at ``path``."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -82,100 +104,53 @@ def _float(v, path: str, expected: str = "a number") -> float:
         raise ConfigError(f"{path}: number too large for a float") from None
 
 
-def _number(data: dict, key: str, path: str, default=None):
-    return _float(data[key], f"{path}.{key}") if key in data else default
-
-
-def _integer(data: dict, key: str, path: str, default=_sentinel):
-    if key not in data:
-        if default is _sentinel:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    v = data[key]
+def _integer(v, path: str) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    return int(v)
-
-
-def _boolean(data: dict, key: str, path: str, default: bool) -> bool:
-    if key not in data:
-        return default
-    v = data[key]
-    if not isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected true or false")
+        raise ConfigError(f"{path}: expected an integer")
     return v
 
 
-def _build(cls, data: Any, path: str):
-    """Build the value type ``cls`` from its section: its fields are the allowed keys.
+def _value(hint, v, path: str):
+    """The JSON value ``v`` of a field typed ``hint`` (``X | None`` reads as ``X``)."""
+    kind = get_args(hint)[0] if get_origin(hint) is UnionType else hint
+    if is_dataclass(kind):
+        return _build(kind, v, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(v, list):
+            raise ConfigError(f"{path}: expected a list of numbers")
+        return tuple(_float(x, path, "a list of numbers") for x in v)
+    if kind is bool and not isinstance(v, bool):
+        raise ConfigError(f"{path}: expected true or false")
+    if kind is int:
+        return _integer(v, path)
+    return _float(v, path) if kind is float else v  # a bool as it is; an enum the type checks
+
+
+def _build(cls, data: Any, path: str, **given):
+    """Build the value type ``cls`` from its section: its fields, less those ``given``, are the allowed keys.
 
     A field without a default is required and an omitted one keeps its default.
-    A field typed ``int`` takes an integer, a dataclass-typed field a nested
-    section, and every other field a number.  A value the type rejects is
-    reported with the section's path.
+    A dataclass-typed field takes a nested section, a tuple a list of numbers,
+    a ``bool`` true or false, an ``int`` an integer, a ``float`` a number, and
+    an enum any value, which the type checks.  A rejection whose
+    message starts with ``<field>: `` is reported as ``<path>.<message>``, any
+    other as ``<path>: <message>``.
     """
     d = _mapping(data, path)
-    _check_keys(d, {f.name for f in fields(cls)}, path)
+    keys = [f for f in fields(cls) if f.name not in given]
+    _check_keys(d, {f.name for f in keys}, path)
     hints = get_type_hints(cls)
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in d:
-            if f.default is MISSING:
-                raise ConfigError(f"{path}.{f.name}: required")
-            continue
-        kinds = get_args(hints[f.name]) or (hints[f.name],)
-        nested = next((k for k in kinds if is_dataclass(k)), None)
-        if nested is not None:
-            kwargs[f.name] = _build(nested, d[f.name], f"{path}.{f.name}")
-        elif int in kinds:
-            kwargs[f.name] = _integer(d, f.name, path)
-        else:
-            kwargs[f.name] = _number(d, f.name, path)
+    kwargs = dict(given)
+    for f in keys:
+        if f.name in d:
+            kwargs[f.name] = _value(hints[f.name], d[f.name], f"{path}.{f.name}")
+        elif f.default is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required")
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def _build_fit(data: Any, path: str) -> FitSettings:
-    d = _mapping(data, path)
-    _check_keys(d, {"n_bar", "theta0", "n_bootstrap", "bin_width", "fit_mu_infinity"}, path)
-    theta0 = None
-    if "theta0" in d:
-        raw = d["theta0"]
-        if not isinstance(raw, list) or len(raw) != 3:
-            raise ConfigError(f"{path}.theta0: expected a list of three numbers")
-        theta0 = tuple(_float(v, f"{path}.theta0", "a list of three numbers") for v in raw)
-        if not (theta0[1] > 0.0 and theta0[2] > 0.0):
-            raise ConfigError(f"{path}.theta0: sigma_int and tau must be positive, got {raw}")
-    n_bootstrap = _integer(d, "n_bootstrap", path, 0)
-    if n_bootstrap < 0 or n_bootstrap == 1:
-        raise ConfigError(f"{path}.n_bootstrap: must be 0 or >= 2, got {n_bootstrap}")
-    bin_width = _number(d, "bin_width", path, 2.0)
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise ConfigError(f"{path}.bin_width: must be positive, got {bin_width}")
-    return FitSettings(
-        n_bar=_number(d, "n_bar", path, None),
-        theta0=theta0,
-        n_bootstrap=n_bootstrap,
-        bin_width=bin_width,
-        fit_mu_infinity=_boolean(d, "fit_mu_infinity", path, False),
-    )
-
-
-def _build_sim(data: Any, path: str, detector: DetectorConfig, budget: JitterBudget, seed: int) -> SimPlan:
-    """The ``sim`` section as the ``SimPlan`` it describes: JSON types are checked here, values by the plan."""
-    d = _mapping(data, path)
-    _check_keys(d, {"n_bar_values", "events_per_source", "merge_model"}, path)
-    raw = d.get("n_bar_values")
-    if not isinstance(raw, list):
-        raise ConfigError(f"{path}.n_bar_values: expected a list of numbers")
-    values = tuple(_float(v, f"{path}.n_bar_values", "a list of numbers") for v in raw)
-    events_per_source = _integer(d, "events_per_source", path)
-    try:
-        return SimPlan(detector, budget, values, events_per_source, d.get("merge_model", MergeModel.OFF), seed)
-    except ValueError as exc:
-        raise ConfigError(f"{path}.{exc}") from None
+        named = any(str(exc).startswith(f"{f.name}: ") for f in fields(cls))
+        raise ConfigError(f"{path}{'.' if named else ': '}{exc}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -193,16 +168,11 @@ def load_config(path) -> RunConfig:
     output_dir = d.get("output_dir")
     if output_dir is not None and not isinstance(output_dir, str):
         raise ConfigError("config.output_dir: expected a string")
-    seed = _integer(d, "seed", "config")
+    seed = _integer(d["seed"], "config.seed")
     if not 0 <= seed < 2**64:
         raise ConfigError("config.seed: must be a 64-bit unsigned integer")
     detector = _build(DetectorConfig, d["detector"], "config.detector")
     budget = _build(JitterBudget, d["budget"], "config.budget")
-    return RunConfig(
-        seed=seed,
-        detector=detector,
-        budget=budget,
-        fit=_build_fit(d["fit"], "config.fit") if "fit" in d else FitSettings(),
-        sim=_build_sim(d["sim"], "config.sim", detector, budget, seed) if "sim" in d else None,
-        output_dir=output_dir,
-    )
+    fit = _build(FitSettings, d.get("fit", {}), "config.fit")
+    sim = _build(SimPlan, d["sim"], "config.sim", detector=detector, budget=budget, seed=seed) if "sim" in d else None
+    return RunConfig(seed, detector, budget, fit, sim, output_dir)

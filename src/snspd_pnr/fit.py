@@ -418,8 +418,8 @@ def fit_histogram(
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
     # so the heuristic start from the peak structure runs as well
     starts = [] if theta0 is None else [tuple(float(v) for v in theta0)]
-    if starts and not (starts[0][1] > 0.0 and starts[0][2] > 0.0):
-        raise ValueError("theta0 sigma_int and tau must be positive")
+    if starts and not (all(map(math.isfinite, starts[0])) and starts[0][1] > 0.0 and starts[0][2] > 0.0):
+        raise ValueError(f"theta0 must be finite, with sigma_int and tau positive, got {starts[0]}")
     starts.append(initial_guess(hist, fp))
 
     def in_box(z) -> np.ndarray:

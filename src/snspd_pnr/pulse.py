@@ -27,7 +27,6 @@ class DetectorConfig:
     mu_infinity: float                    # many-photon mean-delay asymptote, ps
     rise_time_1: float                    # one-photon rise time, ps
     load_resistance: float = 50.0         # Ohm
-    domain_growth_rate: float | None = None  # u, 1/ps^2; derived from rise_time_1 when omitted
     wire: WireGeometry | None = None
     grid: ElementGrid | None = None
 
@@ -43,20 +42,13 @@ class DetectorConfig:
         for name in ("delta_mu", "mu_infinity"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.domain_growth_rate is not None and not (
-            math.isfinite(self.domain_growth_rate) and self.domain_growth_rate > 0.0
-        ):
-            raise ValueError("domain_growth_rate must be positive")
 
 
 def growth_rate(d: DetectorConfig) -> float:
-    """Lumped domain-growth parameter u (1/ps^2).
+    """Lumped domain-growth parameter u (1/ps^2), calibrated from the one-photon rise time.
 
-    When not set explicitly it is calibrated from the one-photon rise time:
     V reaches (1 - 1/e) A at t = 1/sqrt(u) for n = 1, so u = 1/rise_time_1^2.
     """
-    if d.domain_growth_rate is not None:
-        return d.domain_growth_rate
     return 1.0 / (d.rise_time_1 * d.rise_time_1)
 
 

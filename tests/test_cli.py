@@ -323,6 +323,15 @@ def test_geom_output_does_not_depend_on_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_geom_empty_n_values_exit_2(runner, tmp_path):
+    out = tmp_path / "geom"
+    result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", ",",
+                                  "--samples", "10000", "-o", str(out)])
+    assert result.exit_code == 2
+    assert "n_values must contain integers >= 1" in out_text(result)
+    assert not out.exists()
+
+
 def test_geom_negative_histogram_bins_exit_2(runner, tmp_path):
     out = tmp_path / "geom"
     result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2",

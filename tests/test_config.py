@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from snspd_pnr import ConfigError, SimPlan, load_config
+from snspd_pnr import ConfigError, FitSettings, SimPlan, load_config
 
 GOOD = {
     "seed": 7,
@@ -87,6 +87,13 @@ def test_unknown_keys_are_rejected_with_path(tmp_path, mutate, needle):
         load_config(write(tmp_path, payload))
     except ConfigError as exc:
         assert needle in str(exc)
+
+
+def test_the_removed_domain_growth_rate_is_an_unknown_key(tmp_path):
+    payload = json.loads(json.dumps(GOOD))
+    payload["detector"]["domain_growth_rate"] = 1e-5
+    with pytest.raises(ConfigError, match=r"^config\.detector: unknown keys \['domain_growth_rate'\]"):
+        load_config(write(tmp_path, payload))
 
 
 @pytest.mark.parametrize(
@@ -242,6 +249,35 @@ def test_each_sim_check_is_the_plans_and_loads_as_config_sim(tmp_path, change, f
     with pytest.raises(ConfigError) as config_info:
         load_config(write(tmp_path, payload))
     assert str(config_info.value) == f"config.sim.{message}"
+
+
+@pytest.mark.parametrize(
+    "change,field",
+    [
+        ({"n_bar": math.nan}, "n_bar"),
+        ({"n_bar": math.inf}, "n_bar"),
+        ({"n_bar": 0.0}, "n_bar"),
+        ({"n_bar": -1.0}, "n_bar"),
+        ({"theta0": [math.nan, 6, 6]}, "theta0"),
+        ({"theta0": [289, 6, -math.inf]}, "theta0"),
+        ({"theta0": [289, 6]}, "theta0"),
+        ({"theta0": [289, 0, 6]}, "theta0"),
+        ({"n_bootstrap": 1}, "n_bootstrap"),
+        ({"n_bootstrap": -1}, "n_bootstrap"),
+        ({"bin_width": 0.0}, "bin_width"),
+        ({"bin_width": math.inf}, "bin_width"),
+    ],
+)
+def test_each_fit_check_is_the_settings_and_loads_as_config_fit(tmp_path, change, field):
+    fit = {**GOOD["fit"], **change}
+    with pytest.raises(ValueError) as settings_info:
+        FitSettings(**fit)
+    message = str(settings_info.value)
+    assert message.startswith(field + ": ")
+    path = write(tmp_path, {**GOOD, "fit": fit})  # a non-finite number is written as JSON NaN or Infinity
+    with pytest.raises(ConfigError) as config_info:
+        load_config(path)
+    assert str(config_info.value) == f"config.fit.{message}"
 
 
 def test_the_sim_section_is_the_plan(tmp_path):

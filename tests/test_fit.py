@@ -660,6 +660,15 @@ def test_fit_input_validation(fp1):
         fit_histogram(big, fp1, theta0=(100.0, -1.0, 6.0))
 
 
+@pytest.mark.parametrize("theta0", [(math.nan, 6.0, 6.0), (289.0, math.inf, 6.0), (289.0, 6.0, -math.inf)],
+                         ids=["nan-delta_mu", "inf-sigma_int", "minus-inf-tau"])
+def test_non_finite_theta0_is_rejected(fp1, theta0):
+    # outside the search box such a start would be dropped, and only initial_guess would run
+    big = ArrivalHistogram(np.arange(0.0, 21.0, 2.0), np.full(10, 500, dtype=np.int64), 5000)
+    with pytest.raises(ValueError, match="theta0 must be finite"):
+        fit_histogram(big, fp1, theta0=theta0)
+
+
 def test_single_peak_fit_recovers_emg():
     p = EmgParams(433.0, 12.1, 6.0)
     rng = np.random.default_rng(99)

@@ -78,7 +78,6 @@ from .sim import (
     SweepRow,
     simulate_tags,
     sweep_total_width,
-    write_source_files,
 )
 
 __all__ = [
@@ -140,6 +139,5 @@ __all__ = [
     "threshold_crossing",
     "total_width",
     "write_histogram_csv",
-    "write_source_files",
     "write_time_tags",
 ]

@@ -1,9 +1,10 @@
 """Command-line interface.
 
-Subcommands: simulate, fit, geom, overlap, pulse, sweep.  All artifacts are
-deterministic for a fixed seed: JSON is written with sorted keys, CSV floats
-with repr-exact precision, and the optional SVG plots are composed by hand so
-reruns are byte-identical.
+Subcommands: simulate, fit, geom, overlap, pulse, sweep.  This module writes
+every artifact, CSV through the ``io`` writers and JSON through one helper
+that also prints to stdout.  All artifacts are deterministic for a fixed seed:
+JSON is written with sorted keys, CSV floats with repr-exact precision, and
+the optional SVG plots are composed by hand so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O error,
 4 numerical non-convergence (the result file is still written).
@@ -25,7 +26,7 @@ from .config import ConfigError, RunConfig, load_config
 from .dist import mixture_bin_masses
 from .fit import FixedParams, fit_histogram, ingest_time_tags, mixture_from_params
 from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_histogram, geom_mc, geom_sigma_analytic
-from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, write_histogram_csv
+from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, write_histogram_csv, write_time_tags
 from .overlap import ElementGrid, overlap_approx, overlap_exact
 from .pulse import (
     DetectorConfig,
@@ -35,7 +36,7 @@ from .pulse import (
     slew_noise_jitter,
     threshold_crossing,
 )
-from .sim import SimPlan, simulate_tags, sweep_total_width, write_source_files
+from .sim import TRIGGER_PERIOD_PS, SimPlan, simulate_tags, sweep_total_width
 
 EXIT_CONFIG = 2
 EXIT_IO = 3
@@ -88,23 +89,33 @@ def _resolve_out(flag_value, cfg: RunConfig | None) -> Path:
     return path
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    payload = {"version": __version__, **payload}
+def _write_file(path: Path, write, note: str = "") -> None:
+    """Run ``write(path)`` and report the path; an OSError exits 3 naming it."""
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write(path)
     except OSError as exc:
         _fail(EXIT_IO, exc)
-    click.echo(f"wrote {path}")
+    click.echo(f"wrote {path}{note}")
 
 
 def _write_text(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
-    click.echo(f"wrote {path}")
+    _write_file(path, lambda p: p.write_text(text, encoding="utf-8"))
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True) + "\n"
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, _json_text(payload))
+
+
+def _emit_json(out_dir, name: str, payload: dict) -> None:
+    """Print the payload's JSON, or write it as ``name`` in ``out_dir`` when one is given."""
+    if out_dir is None:
+        click.echo(_json_text(payload), nl=False)
+    else:
+        _write_json(_resolve_out(out_dir, None) / name, payload)
 
 
 def _svg_plot(series, x_label: str, y_label: str, title: str) -> str:
@@ -180,14 +191,19 @@ def simulate(config_path, out_dir, seed):
     cfg = _read_config(config_path)
     plan = _build_plan(cfg, seed)
     out = _resolve_out(out_dir, cfg)
-    tags = simulate_tags(plan)
-    try:
-        manifest = write_source_files(tags, out, plan)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
-    for entry in manifest["sources"]:
-        click.echo(f"wrote {out / entry['file']} (n_bar={entry['n_bar']:g}, events={entry['events']})")
-    click.echo(f"wrote {out / 'manifest.json'}")
+    sources = []
+    for i, st in enumerate(simulate_tags(plan)):
+        path, events = out / f"tags_{i:03d}.csv", st.trigger_ps.size
+        _write_file(path, lambda p: write_time_tags(p, st), f" (n_bar={st.n_bar:g}, events={events})")
+        sources.append({"file": path.name, "n_bar": st.n_bar, "events": events})
+    manifest = {
+        "seed": plan.seed,
+        "merge_model": plan.merge_model.value,
+        "events_per_source": plan.events_per_source,
+        "trigger_period_ps": TRIGGER_PERIOD_PS,
+        "sources": sources,
+    }
+    _write_json(out / "manifest.json", manifest)
 
 
 def _sniff_format(path) -> str:
@@ -361,12 +377,7 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
         for n in ns:
             rng_h = np.random.default_rng(np.random.SeedSequence((seed, n)))
             hist = geom_histogram(wire, n, samples, histogram_bins, rng_h, estimator)
-            path = out / f"geom_hist_n{n:02d}.csv"
-            try:
-                write_histogram_csv(path, hist)
-            except OSError as exc:
-                _fail(EXIT_IO, exc)
-            click.echo(f"wrote {path}")
+            _write_file(out / f"geom_hist_n{n:02d}.csv", lambda p: write_histogram_csv(p, hist))
 
 
 @main.command()
@@ -385,12 +396,7 @@ def overlap(elements, max_photons, out_dir):
         ]
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
-    payload = {"elements": elements, "rows": rows}
-    if out_dir is None:
-        click.echo(json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True))
-        return
-    out = _resolve_out(out_dir, None)
-    _write_json(out / "overlap.json", payload)
+    _emit_json(out_dir, "overlap.json", {"elements": elements, "rows": rows})
 
 
 @main.command()
@@ -442,11 +448,7 @@ def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistan
         "bandwidth_GHz": bandwidth(det),
         "per_n": rows,
     }
-    if out_dir is None:
-        click.echo(json.dumps({"version": __version__, **payload}, indent=2, sort_keys=True))
-        return
-    out = _resolve_out(out_dir, None)
-    _write_json(out / "pulse.json", payload)
+    _emit_json(out_dir, "pulse.json", payload)
 
 
 @main.command()

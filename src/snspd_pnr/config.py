@@ -7,8 +7,9 @@ keys, defaults and value checks live only there: ``detector`` is
 ``JitterBudget``, ``fit`` is ``FitSettings`` and ``sim``, with the detector,
 budget and seed, is the ``sim.SimPlan`` it describes.  This module checks JSON
 types, the types check values: ``FitSettings`` requires ``n_bar``, when given,
-positive and finite, ``theta0`` three finite numbers with positive sigma_int
-and tau, ``n_bootstrap`` 0 or >= 2 and ``bin_width`` positive.  A rejection
+positive and finite, ``theta0`` a start that ``fit.check_theta0`` accepts
+(three finite numbers with positive sigma_int and tau, inside the fit's
+search box), ``n_bootstrap`` 0 or >= 2 and ``bin_width`` positive.  A rejection
 whose message starts with a field name is reported as
 ``config.<section>.<message>`` (``config.fit.n_bar: must be positive and
 finite, got -1.0``), any other as ``config.<section>: <message>``.  Layout:
@@ -36,6 +37,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .budget import JitterBudget
+from .fit import check_theta0
 from .pulse import DetectorConfig
 from .sim import SimPlan
 
@@ -62,10 +64,7 @@ class FitSettings:
         if self.n_bar is not None and not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
             raise ValueError(f"n_bar: must be positive and finite, got {self.n_bar}")
         if self.theta0 is not None:
-            theta0 = tuple(float(v) for v in self.theta0)
-            object.__setattr__(self, "theta0", theta0)
-            if not (len(theta0) == 3 and all(map(math.isfinite, theta0)) and min(theta0[1:]) > 0.0):
-                raise ValueError(f"theta0: must be three finite numbers, sigma_int and tau positive, got {theta0}")
+            object.__setattr__(self, "theta0", check_theta0(self.theta0))
         if self.n_bootstrap < 0 or self.n_bootstrap == 1:
             raise ValueError(f"n_bootstrap: must be 0 or >= 2, got {self.n_bootstrap}")
         if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):

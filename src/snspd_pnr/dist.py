@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+TAIL_MASS = 1e-9  # click-conditioned Poisson mass the weights leave beyond n_max
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # phi(u) = sqrt(2/pi) g/2
 
@@ -136,20 +137,18 @@ def emg_sample(p: EmgParams, rng: np.random.Generator, count: int) -> np.ndarray
     return t
 
 
-def conditioned_poisson_weights(n_bar: float, tail_mass: float = 1e-9) -> tuple[int, np.ndarray]:
+def conditioned_poisson_weights(n_bar: float) -> tuple[int, np.ndarray]:
     """Photon-number weights of a Poissonian source of mean ``n_bar``, given at least one photon.
 
     Returns ``(n_max, weights)`` where ``weights[i]`` is the probability of
     ``n = i + 1`` photons given ``n >= 1``.  ``n_max`` is the smallest cutoff
-    whose conditioned tail mass falls below ``tail_mass``, in (0, 1e-6]; the
-    retained weights are renormalized to sum to exactly 1.
+    whose conditioned tail mass falls below ``TAIL_MASS``; the retained
+    weights are renormalized to sum to exactly 1.
     """
     if not math.isfinite(n_bar):
         raise ValueError(f"n_bar must be finite, got {n_bar}")
     if not n_bar > 0.0:
         raise ValueError(f"no detectable events: n_bar must be > 0, got {n_bar}")
-    if not 0.0 < tail_mass <= 1e-6:
-        raise ValueError(f"tail_mass must be in (0, 1e-6], got {tail_mass}")
     from scipy.special import gammaln, pdtrc, xlogy
 
     click_mass = -math.expm1(-n_bar)
@@ -157,7 +156,7 @@ def conditioned_poisson_weights(n_bar: float, tail_mass: float = 1e-9) -> tuple[
     while True:
         ns = np.arange(1, hi + 1)
         tail = pdtrc(ns, n_bar) / click_mass  # P(N > n)
-        below = tail < tail_mass
+        below = tail < TAIL_MASS
         if below.any():
             n_max = int(ns[np.argmax(below)])
             break

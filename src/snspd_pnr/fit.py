@@ -44,6 +44,23 @@ _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _LARGEST = np.finfo(np.float64).max
 _PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
 _CELLS_PER_CALL = 2**16  # (row, component, edge) cells per bootstrap kernel call, about 5 MB of transients
+_BOX = "|delta_mu| <= 1e7, |ln sigma_int| <= 50 and |ln tau| <= 50"
+
+
+def _in_box(z) -> np.ndarray:
+    """Which rows of z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]) lie in the box the fit searches, ``_BOX``."""
+    return (np.abs(z[..., 1]) <= 50.0) & (np.abs(z[..., 2]) <= 50.0) & (np.abs(z[..., 0]) <= 1e7)
+
+
+def check_theta0(theta0) -> tuple[float, float, float]:
+    """``theta0`` = (delta_mu, sigma_int, tau) as floats if the fit can start there: three finite numbers,
+    sigma_int and tau positive, inside ``_BOX``.  The ValueError starts with ``theta0: `` for ``load_config``."""
+    theta0 = tuple(float(v) for v in theta0)
+    if not (len(theta0) == 3 and theta0[1] > 0.0 and theta0[2] > 0.0
+            and _in_box(np.array([theta0[0], math.log(theta0[1]), math.log(theta0[2])]))):
+        raise ValueError(f"theta0: must be three finite numbers, sigma_int and tau positive, "
+                         f"inside the search box {_BOX}; got {theta0}")
+    return theta0
 
 
 @dataclass(frozen=True)
@@ -395,8 +412,9 @@ def fit_histogram(
     sigma_int and tau are optimized in log space to enforce positivity;
     delta_mu (and mu_infinity in the optional four-parameter mode) is
     unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from
-    ``initial_guess`` and, when ``theta0`` is given, from ``theta0`` too; the
-    start with the lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
+    ``initial_guess`` and, when ``theta0`` is given, from ``theta0`` too
+    (``check_theta0`` rejects one outside the search box); the start with the
+    lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
     least 2 multinomial resamples, each refitted by the same scoring from the
     optimum; the starts run as rows of one lockstep solve, and the resamples in
     blocks of rows sized to about ``_CELLS_PER_CALL`` kernel cells per call.
@@ -417,19 +435,13 @@ def fit_histogram(
 
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
     # so the heuristic start from the peak structure runs as well
-    starts = [] if theta0 is None else [tuple(float(v) for v in theta0)]
-    if starts and not (all(map(math.isfinite, starts[0])) and starts[0][1] > 0.0 and starts[0][2] > 0.0):
-        raise ValueError(f"theta0 must be finite, with sigma_int and tau positive, got {starts[0]}")
+    starts = [] if theta0 is None else [check_theta0(theta0)]
     starts.append(initial_guess(hist, fp))
-
-    def in_box(z) -> np.ndarray:
-        """Which rows of z = (delta_mu, ln sigma_int, ln tau[, mu_infinity]) lie in the box the fit searches."""
-        return (np.abs(z[:, 1]) <= 50.0) & (np.abs(z[:, 2]) <= 50.0) & (np.abs(z[:, 0]) <= 1e7)
 
     def model_z(z):
         """Expected counts (k, bins) and their Jacobian (k, bins, p) in z for k rows of z, from
         one kernel pass; NaN rows where z is outside the box."""
-        inside = in_box(z)
+        inside = _in_box(z)
         m, J = np.full((len(z), counts.size), np.nan), np.full((len(z), counts.size, p), np.nan)
         if inside.any():
             z_in = z[inside]
@@ -445,7 +457,7 @@ def fit_histogram(
         return theta
 
     z0 = np.array([[dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][:p] for dmu, sigma_int, tau in starts])
-    z0 = z0[in_box(z0)]
+    z0 = z0[_in_box(z0)]
     z_runs, converged, nll, steps = _fisher_refit(model_z, np.broadcast_to(counts, (len(z0), counts.size)), z0,
                                                   model_z(z0))
     if not np.isfinite(nll).any():

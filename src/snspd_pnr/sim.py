@@ -12,31 +12,26 @@ sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb; the canonical event
 time is (trigger + arrival) - trigger evaluated in float64, so CSV round-trips
 reproduce in-memory results bit for bit.
 
-Generation is chunked, and every chunk seeds its own generator from
-(seed, bits(n_bar), chunk_index), so results are identical for any worker
-count and duplicated n_bar entries yield identical tag streams.  The
-SNSPD_PNR_THREADS environment variable caps the worker count.  The sweep's
-width errors are closed-form, so the tag streams are its only random draws.
+Generation runs each source's chunks in order, and every chunk seeds its own
+generator from (seed, bits(n_bar), chunk_index), so duplicated n_bar entries
+yield identical tag streams.  The module only draws: ``cli`` writes the tag
+files and the manifest.  The sweep's width errors are closed-form, so the tag
+streams are its only random draws.
 """
 
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._version import __version__
 from .budget import JitterBudget
 from .dist import EmgParams, MixtureModel, emg_sample, mixture_moments
 from .fit import FixedParams, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
-from .io import TimeTagTable, write_time_tags
+from .io import TimeTagTable
 from .overlap import occupied_element_counts
 from .pulse import DetectorConfig
 
@@ -82,35 +77,16 @@ class SimPlan:
 
 
 @dataclass(frozen=True)
-class SourceTags:
-    """Per-source synthetic tags plus the generating photon numbers."""
+class SourceTags(TimeTagTable):
+    """One source's synthetic tags plus the generating photon numbers."""
 
-    n_bar: float
-    trigger_ps: np.ndarray
-    edge_ps: np.ndarray
-    photon_number: np.ndarray   # drawn photon number n per event
-    component: np.ndarray       # effective photon number after merging
-    mixture: MixtureModel       # the unmerged mixture n and the arrival times are drawn from
-
-    @property
-    def delta_ps(self) -> np.ndarray:
-        return self.edge_ps - self.trigger_ps
-
-    def to_table(self) -> TimeTagTable:
-        return TimeTagTable(self.trigger_ps, self.edge_ps, self.n_bar)
+    photon_number: np.ndarray = field(kw_only=True)  # drawn photon number n per event
+    component: np.ndarray = field(kw_only=True)      # effective photon number after merging
+    mixture: MixtureModel = field(kw_only=True)      # the unmerged mixture n and the arrival times are drawn from
 
 
 def _nbar_entropy(n_bar: float) -> int:
     return int(np.float64(n_bar).view(np.uint64))
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("SNSPD_PNR_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SNSPD_PNR_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, n)
 
 
 def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -161,52 +137,19 @@ def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index:
 
 def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     """Generate one tag table per n_bar value, deterministically from the plan seed."""
-    threads = _thread_count()
     starts = range(0, plan.events_per_source, _CHUNK_EVENTS)
     chunks = [(i, start, min(_CHUNK_EVENTS, plan.events_per_source - start)) for i, start in enumerate(starts)]
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
         mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
-
-        def run(chunk, _n_bar=n_bar, _mix=mix):
-            ci, st, m = chunk
-            return _generate_chunk(plan, _n_bar, _mix, ci, st, m)
-
-        if threads > 1 and len(chunks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                pieces = list(pool.map(run, chunks))
-        else:
-            pieces = [run(c) for c in chunks]
+        pieces = [_generate_chunk(plan, n_bar, mix, *chunk) for chunk in chunks]
         if len(pieces) == 1:
             ns, ks, trigger, edge = pieces[0]
         else:
             ns, ks, trigger, edge = (np.concatenate(column) for column in zip(*pieces))
-        out.append(SourceTags(n_bar, trigger, edge, ns, ks, mix))
+        out.append(SourceTags(trigger, edge, n_bar, photon_number=ns, component=ks, mixture=mix))
     return out
-
-
-def write_source_files(tags: list[SourceTags], out_dir, plan: SimPlan) -> dict:
-    """Write one tag CSV per source plus a manifest JSON; returns the manifest."""
-    out_path = Path(out_dir)
-    out_path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for i, st in enumerate(tags):
-        name = f"tags_{i:03d}.csv"
-        write_time_tags(out_path / name, st.to_table())
-        entries.append({"file": name, "n_bar": st.n_bar, "events": int(st.trigger_ps.size)})
-    manifest = {
-        "version": __version__,
-        "seed": plan.seed,
-        "merge_model": plan.merge_model.value,
-        "events_per_source": plan.events_per_source,
-        "trigger_period_ps": TRIGGER_PERIOD_PS,
-        "sources": entries,
-    }
-    with open(out_path / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return manifest
 
 
 @dataclass(frozen=True)

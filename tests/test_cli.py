@@ -85,19 +85,13 @@ def test_simulate_writes_manifest_and_is_deterministic(runner, config_path, tmp_
     assert manifest["sources"][0]["events"] == 40_000
 
 
-def test_simulate_thread_env_does_not_change_bytes(runner, config_path, tmp_path, monkeypatch):
-    cfg = json.loads(json.dumps(CONFIG))
-    cfg["sim"]["events_per_source"] = 250_000  # spans two generation chunks
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg), encoding="utf-8")
-    monkeypatch.setenv("SNSPD_PNR_THREADS", "1")
-    r1 = runner.invoke(main, ["simulate", "-c", str(path), "-o", str(tmp_path / "t1")])
-    monkeypatch.setenv("SNSPD_PNR_THREADS", "3")
-    r2 = runner.invoke(main, ["simulate", "-c", str(path), "-o", str(tmp_path / "t3")])
-    assert r1.exit_code == 0 and r2.exit_code == 0
-    assert (tmp_path / "t1" / "tags_000.csv").read_bytes() == (
-        tmp_path / "t3" / "tags_000.csv"
-    ).read_bytes()
+@pytest.mark.parametrize("blocked", ["tags_000.csv", "manifest.json"])
+def test_simulate_unwritable_artifact_exit_3_naming_the_path(runner, config_path, tmp_path, blocked):
+    out = tmp_path / "sim"
+    (out / blocked).mkdir(parents=True)  # a directory where the file goes
+    result = runner.invoke(main, ["simulate", "-c", config_path, "-o", str(out)])
+    assert result.exit_code == 3, out_text(result)
+    assert str(out / blocked) in out_text(result)
 
 
 def test_simulate_seed_override_changes_bytes(runner, config_path, tmp_path):
@@ -237,6 +231,17 @@ def test_fit_unrecognized_header(runner, config_path, tmp_path):
     result = runner.invoke(main, ["fit", str(weird), "-c", config_path, "-o", str(tmp_path / "o")])
     assert result.exit_code == 2
     assert "unrecognized header" in out_text(result)
+
+
+@pytest.mark.parametrize("theta0", [[289.0, 1e-30, 6.0], [2e7, 6.0, 6.0]])
+def test_fit_theta0_outside_the_search_box_exit_2_naming_it(runner, tmp_path, theta0):
+    cfg = json.loads(json.dumps(CONFIG))
+    cfg["fit"]["theta0"] = theta0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    result = runner.invoke(main, ["fit", str(tmp_path / "tags.csv"), "-c", str(path), "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert "config.fit.theta0: " in out_text(result) and "search box" in out_text(result)
 
 
 def test_bad_config_exit_2(runner, tmp_path):

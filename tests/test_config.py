@@ -266,6 +266,8 @@ def test_each_sim_check_is_the_plans_and_loads_as_config_sim(tmp_path, change, f
         ({"n_bootstrap": -1}, "n_bootstrap"),
         ({"bin_width": 0.0}, "bin_width"),
         ({"bin_width": math.inf}, "bin_width"),
+        ({"theta0": [289, 1e-30, 6]}, "theta0"),  # finite, but outside the fit's search box
+        ({"theta0": [2e7, 6, 6]}, "theta0"),
     ],
 )
 def test_each_fit_check_is_the_settings_and_loads_as_config_fit(tmp_path, change, field):

@@ -384,8 +384,8 @@ def test_conditioned_weights_reference_values():
 
 @pytest.mark.parametrize("n_bar", [0.05, 0.7, 1.0, 5.0, 50.0, 713.0])
 def test_conditioned_weights_tail_property(n_bar):
-    eps = 1e-9
-    n_max, w = conditioned_poisson_weights(n_bar, eps)
+    eps = 1e-9  # the module's TAIL_MASS
+    n_max, w = conditioned_poisson_weights(n_bar)
     norm = -math.expm1(-n_bar)
     assert stats.poisson.sf(n_max, n_bar) / norm < eps
     if n_max > 1:
@@ -409,11 +409,10 @@ def _scipy_stats_weights(nbar: float, tail_mass: float) -> tuple[int, np.ndarray
     return n_max, w / w.sum()
 
 
-@pytest.mark.parametrize("eps", [1e-9, 1e-6, 1e-14])
-def test_conditioned_weights_equal_scipy_stats_bit_for_bit(eps):
+def test_conditioned_weights_equal_scipy_stats_bit_for_bit():
     for n_bar in np.geomspace(1e-3, 500.0, 805):
-        n_max, w = conditioned_poisson_weights(float(n_bar), eps)
-        ref_n_max, ref_w = _scipy_stats_weights(float(n_bar), eps)
+        n_max, w = conditioned_poisson_weights(float(n_bar))
+        ref_n_max, ref_w = _scipy_stats_weights(float(n_bar), 1e-9)
         assert n_max == ref_n_max
         np.testing.assert_array_equal(w, ref_w)
 
@@ -421,23 +420,12 @@ def test_conditioned_weights_equal_scipy_stats_bit_for_bit(eps):
 def test_zero_rate_source_rejected():
     with pytest.raises(ValueError, match="no detectable events"):
         conditioned_poisson_weights(0.0)
-    with pytest.raises(ValueError):
-        conditioned_poisson_weights(1.0, tail_mass=1e-3)
-    with pytest.raises(ValueError):
-        conditioned_poisson_weights(1.0, tail_mass=0.0)
 
 
 @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300])
 def test_weights_reject_a_mean_that_is_not_finite_and_positive(n_bar):
     with pytest.raises(ValueError, match=r"^(n_bar must be finite|no detectable events: n_bar must be > 0)"):
         conditioned_poisson_weights(n_bar)
-
-
-@pytest.mark.parametrize("tail_mass", [0.0, -1e-9, 1.0000000000000002e-6, 1e-3, 1.0, math.nan, math.inf])
-def test_weights_reject_a_tail_mass_outside_zero_to_one_in_a_million(tail_mass):
-    with pytest.raises(ValueError, match=r"^tail_mass must be in \(0, 1e-6\]"):
-        conditioned_poisson_weights(1.0, tail_mass)
-    conditioned_poisson_weights(1.0, 1e-6)  # the upper end is allowed
 
 
 def test_single_component_mixture_collapses_to_emg():

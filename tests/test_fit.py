@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -36,7 +37,7 @@ from snspd_pnr import (
     write_histogram_csv,
     write_time_tags,
 )
-from snspd_pnr.fit import _poisson_nll
+from snspd_pnr.fit import _poisson_nll, check_theta0
 from snspd_pnr.io import TimeTagTable
 
 TRUTH = (289.0, 6.0, 6.0)
@@ -665,8 +666,19 @@ def test_fit_input_validation(fp1):
 def test_non_finite_theta0_is_rejected(fp1, theta0):
     # outside the search box such a start would be dropped, and only initial_guess would run
     big = ArrivalHistogram(np.arange(0.0, 21.0, 2.0), np.full(10, 500, dtype=np.int64), 5000)
-    with pytest.raises(ValueError, match="theta0 must be finite"):
+    with pytest.raises(ValueError, match="^theta0: must be three finite numbers"):
         fit_histogram(big, fp1, theta0=theta0)
+
+
+@pytest.mark.parametrize("theta0", [(289.0, 1e-30, 6.0), (2e7, 6.0, 6.0)],
+                         ids=["ln-sigma_int-below-minus-50", "delta_mu-beyond-1e7"])
+def test_finite_theta0_outside_the_search_box_is_rejected(fp1, theta0):
+    # such a start is finite, but the fit searches no point outside the box and would drop it
+    big = ArrivalHistogram(np.arange(0.0, 21.0, 2.0), np.full(10, 500, dtype=np.int64), 5000)
+    box = "inside the search box |delta_mu| <= 1e7, |ln sigma_int| <= 50 and |ln tau| <= 50"
+    with pytest.raises(ValueError, match=re.escape(box)):
+        fit_histogram(big, fp1, theta0=theta0)
+    assert check_theta0((-1e7, 1e-21, 1e21)) == (-1e7, 1e-21, 1e21)  # the box's edges are inside
 
 
 def test_single_peak_fit_recovers_emg():

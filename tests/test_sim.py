@@ -23,7 +23,7 @@ from snspd_pnr import (
     simulate_tags,
     sweep_total_width,
     tau_at,
-    write_source_files,
+    write_time_tags,
 )
 from snspd_pnr.overlap import _LAW_ROWS, _alias_table, occupied_law
 from snspd_pnr.sim import _CHUNK_EVENTS, TRIGGER_PERIOD_PS, _draw_photon_numbers
@@ -165,16 +165,13 @@ def _reference_simulation(plan):
 
 
 @pytest.mark.parametrize("merge", ["off", "occupied_elements"])
-def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, monkeypatch, merge):
+def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, merge):
     # n_bar 0.5 fills one chunk and part of a second; 7.0 spans two chunks
     plan = make_plan([0.5, 7.0], _CHUNK_EVENTS + 50_000, merge=merge, seed=17)
-    want = _reference_simulation(plan)
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SNSPD_PNR_THREADS", threads)
-        for tags, (ns, ks, trigger, edge) in zip(simulate_tags(plan), want, strict=True):
-            for got, ref in ((tags.photon_number, ns), (tags.component, ks), (tags.trigger_ps, trigger),
-                             (tags.edge_ps, edge)):
-                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    for tags, (ns, ks, trigger, edge) in zip(simulate_tags(plan), _reference_simulation(plan), strict=True):
+        for got, ref in ((tags.photon_number, ns), (tags.component, ks), (tags.trigger_ps, trigger),
+                         (tags.edge_ps, edge)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_trigger_comb_is_exact(make_plan):
@@ -183,21 +180,6 @@ def test_trigger_comb_is_exact(make_plan):
     want = np.arange(2500, dtype=np.float64) * TRIGGER_PERIOD_PS
     assert np.array_equal(tags.trigger_ps, want)
     assert TRIGGER_PERIOD_PS == pytest.approx(1e12 / 9500.0, rel=1e-15)
-
-
-def test_thread_count_invariance(make_plan, monkeypatch):
-    # 450k events span three chunks; per-chunk seeding makes the stream
-    # independent of how chunks are scheduled
-    plan = make_plan([2.0], 450_000, seed=3)
-    monkeypatch.setenv("SNSPD_PNR_THREADS", "1")
-    (a,) = simulate_tags(plan)
-    monkeypatch.setenv("SNSPD_PNR_THREADS", "4")
-    (b,) = simulate_tags(plan)
-    assert np.array_equal(a.edge_ps, b.edge_ps)
-    assert np.array_equal(a.photon_number, b.photon_number)
-    monkeypatch.setenv("SNSPD_PNR_THREADS", "not-a-number")
-    with pytest.raises(ValueError, match="SNSPD_PNR_THREADS"):
-        simulate_tags(plan)
 
 
 def test_duplicate_sources_get_identical_streams(make_plan):
@@ -229,12 +211,10 @@ def test_merge_reduces_effective_number_and_delays_edges(make_plan):
 
 def test_write_and_read_round_trip_bit_exact(make_plan, tmp_path):
     plan = make_plan([1.0, 4.0], 5000, seed=9)
-    tags = simulate_tags(plan)
-    manifest = write_source_files(tags, tmp_path, plan)
-    assert manifest["seed"] == 9
-    assert [e["events"] for e in manifest["sources"]] == [5000, 5000]
-    for entry, st in zip(manifest["sources"], tags):
-        table = read_time_tags(tmp_path / entry["file"])
+    for i, st in enumerate(simulate_tags(plan)):
+        path = tmp_path / f"tags_{i:03d}.csv"
+        write_time_tags(path, st)
+        table = read_time_tags(path)
         assert table.n_bar == st.n_bar
         assert np.array_equal(table.trigger_ps, st.trigger_ps)
         assert np.array_equal(table.edge_ps, st.edge_ps)

@@ -34,7 +34,6 @@ from .fit import (
     fit_histogram,
     fit_single_peak,
     ingest_time_tags,
-    initial_guess,
     mixture_from_params,
     predict_histogram,
     total_width,
@@ -116,7 +115,6 @@ __all__ = [
     "geom_sigma_analytic",
     "growth_rate",
     "ingest_time_tags",
-    "initial_guess",
     "load_config",
     "mixture_bin_masses",
     "mixture_from_params",

@@ -5,14 +5,15 @@ location and width follow the jitter-budget scaling laws.  Everything except
 (delta_mu, sigma_int, tau) is held fixed at independently measured values;
 those three are recovered by minimizing the per-bin Poisson negative
 log-likelihood  sum_i (m_i - c_i ln m_i)  by Marquardt-damped Fisher scoring
-on the analytic Jacobian of the bin masses, run from a heuristic start read
-off the histogram's peaks and from the caller's start when one is given.  The
-covariance is the inverse expected information at the optimum.  Bootstrap
-errors come from multinomial resamples, each refitted by the same scoring
-from the optimum.  The solver runs many fits in lockstep, one row each (the
-main fit's starts, or a block of resamples): every row keeps its own
-parameters, damping and step count, and each pass evaluates the trial points
-of all rows still running through one bin-mass call over a leading row axis.
+on the analytic Jacobian of the bin masses, run from the closed-form start
+whose mixture has the histogram's mean and variance, and from the caller's
+start when one is given.  The covariance is the inverse expected information
+at the optimum.  Bootstrap errors come from multinomial resamples, each
+refitted by the same scoring from the optimum.  The solver runs many fits in
+lockstep, one row each (the main fit's starts, or a block of resamples):
+every row keeps its own parameters, damping and step count, and each pass
+evaluates the trial points of all rows still running through one bin-mass
+call over a leading row axis.
 Bin masses come from analytic CDF differences, never midpoint sampling.
 
 Also provides windowed single-EMG fits, event-weighted histogram width with
@@ -42,7 +43,11 @@ _NLL_ROUNDING = 1e-14
 _DAMPING_START = 1e-3
 _SMALLEST_NORMAL = np.finfo(np.float64).tiny
 _LARGEST = np.finfo(np.float64).max
-_PEAK_SPACING_FACTOR = 1.0 / (1.0 - 2.0**-0.5)  # mode spacing -> delta_mu
+# sigma_int / tau at the moment start.  From sigma_int = tau, one fit of a 288-source grid (alpha 0.5,
+# n_bar 1, sigma_int 2, tau 15, 20k events) ran to sigma_int -> 0 instead of its optimum.  From 0.2, 0.3,
+# 0.4, 0.6 and 0.7, every three-parameter fit of that grid with a known converged optimum reached it and
+# converged; from 0.5, one reached it but stopped at the step cap.
+_SIGMA_INT_PER_TAU = 0.3
 _CELLS_PER_CALL = 2**16  # (row, component, edge) cells per bootstrap kernel call, about 5 MB of transients
 _BOX = "|delta_mu| <= 1e7, |ln sigma_int| <= 50 and |ln tau| <= 50"
 
@@ -201,79 +206,29 @@ def _poisson_nll(counts, expected):
     return np.where(np.any(pos & (expected <= 0.0), axis=-1), np.inf, nll)
 
 
-def _find_peaks(x: np.ndarray, prominence: float, distance: int) -> np.ndarray:
-    """Indices of the peaks of ``x`` that ``scipy.signal.find_peaks(x, prominence=prominence,
-    distance=distance)`` returns, for finite ``x`` and ``distance`` >= 1.
+def _moment_start(hist: ArrivalHistogram, mixture, mu_infinity: float) -> tuple[float, float, float]:
+    """The start (delta_mu, sigma_int, tau) whose mixture has the histogram's mean and variance,
+    at sigma_int = ``_SIGMA_INT_PER_TAU`` tau; ``mixture`` is the map of ``_mixture_law``.
 
-    A peak is a run of equal values higher than both its neighbours, taken at its
-    midpoint.  Peaks are kept in order of height (the same ``np.argsort`` order as
-    scipy), each removing the lower ones closer than ``distance``; of those left, a
-    peak stays if it rises at least ``prominence`` above the higher of the minima
-    between it and the nearest higher value on either side (or the end of ``x``).
+    With A and V the weighted mean and variance of n**-alpha and F the weighted mean of the
+    fixed variances, the mixture's mean is mu_infinity + delta_mu A + tau and its variance
+    F + sigma_int^2 + tau^2 + delta_mu^2 V.  Matched to the histogram's mean and its variance
+    less the binning's w^2/12, they give a quadratic in tau; its larger root, at least half a
+    bin, is the start.
     """
-    starts = np.flatnonzero(np.diff(x, prepend=np.nan))  # first index of each run of equal values
-    ends = np.append(starts[1:] - 1, x.size - 1)
-    v = x[starts]
-    top = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
-    peaks = (starts[top] + ends[top]) // 2
-
-    keep = np.ones(peaks.size, dtype=bool)
-    for j in np.argsort(x[peaks])[::-1]:
-        if keep[j]:
-            near = np.abs(peaks - peaks[j]) < distance
-            near[j] = False
-            keep[near] = False
-    peaks = peaks[keep]
-
-    prominent = []
-    for p in peaks:
-        higher_left = np.flatnonzero(x[:p] > x[p])
-        higher_right = np.flatnonzero(x[p + 1 :] > x[p])
-        left = higher_left[-1] + 1 if higher_left.size else 0
-        right = p + 1 + higher_right[0] if higher_right.size else x.size
-        prominent.append(x[p] - max(x[left : p + 1].min(), x[p:right].min()) >= prominence)
-    return peaks[np.array(prominent, dtype=bool)]
-
-
-def initial_guess(hist: ArrivalHistogram, fp: FixedParams) -> tuple[float, float, float]:
-    """Heuristic starting point from histogram peak structure.
-
-    delta_mu from the spacing of the two rightmost modes scaled by
-    1/(1 - 1/sqrt(2)); sigma_int and tau from the rightmost-peak width after
-    removing the fixed one-photon budget terms, split evenly.
-    """
-    counts = hist.counts.astype(np.float64)
-    centers = hist.bin_centers
-    bw = hist.bin_width
-    window = max(3, int(round(6.0 / bw)) | 1)
-    kernel = np.ones(window) / window
-    smooth = np.convolve(counts, kernel, mode="same")
-    distance = max(1, int(round(6.0 / bw)))
-    peaks = _find_peaks(smooth, 0.02 * float(smooth.max()), distance)
-    if peaks.size >= 2:
-        right, left = centers[peaks[-1]], centers[peaks[-2]]
-        delta_mu0 = (right - left) * _PEAK_SPACING_FACTOR
-        top = peaks[-1]
-    elif peaks.size == 1:
-        top = peaks[0]
-        n_mode = max(1, int(fp.n_bar))
-        delta_mu0 = max((centers[top] - fp.mu_infinity) * math.sqrt(n_mode), 5.0 * bw)
-    else:
-        top = int(np.argmax(smooth))
-        delta_mu0 = max(centers[top] - fp.mu_infinity, 5.0 * bw)
-    half = smooth[top] / 2.0
-    i_left = top
-    while i_left > 0 and smooth[i_left] > half:
-        i_left -= 1
-    i_right = top
-    while i_right < smooth.size - 1 and smooth[i_right] > half:
-        i_right += 1
-    fwhm = max(i_right - i_left, 1) * bw
-    peak_sd = fwhm / 2.355
-    fixed_var = sigma_total(fp.jitter_budget(0.0, 1.0), 1) ** 2
-    leftover = max(peak_sd**2 - fixed_var, bw**2)
-    s0 = t0 = math.sqrt(leftover / 2.0)
-    return float(delta_mu0), float(s0), float(t0)
+    unit = mixture(1.0, 1.0, 1.0, 0.0)  # mu_n = n**-alpha, sigma_n^2 = fixed_n^2 + 1
+    a = unit.weights @ unit.mu
+    v = unit.weights @ (unit.mu - a) ** 2
+    f = unit.weights @ unit.sigma**2 - 1.0
+    p, x, w = hist.counts / hist.total_events, hist.bin_centers, hist.bin_width
+    mean = p @ x
+    var = p @ (x - mean) ** 2 - w**2 / 12.0
+    # with delta_mu = (d - tau) / A:  q tau^2 - 2 k d tau + k d^2 + F - var = 0
+    d, k = mean - mu_infinity, v / a**2
+    q = 1.0 + _SIGMA_INT_PER_TAU**2 + k
+    quarter_disc = (k * d) ** 2 - q * (k * d * d + f - var)
+    tau = max((k * d + math.sqrt(max(quarter_disc, 0.0))) / q, w / 2.0)
+    return float((d - tau) / a), float(_SIGMA_INT_PER_TAU * tau), float(tau)
 
 
 def _check_bootstrap(n_bootstrap: int) -> None:
@@ -412,14 +367,14 @@ def fit_histogram(
     sigma_int and tau are optimized in log space to enforce positivity;
     delta_mu (and mu_infinity in the optional four-parameter mode) is
     unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from
-    ``initial_guess`` and, when ``theta0`` is given, from ``theta0`` too
-    (``check_theta0`` rejects one outside the search box); the start with the
-    lowest NLL wins.  ``n_bootstrap`` is 0 (no errors) or at
-    least 2 multinomial resamples, each refitted by the same scoring from the
-    optimum; the starts run as rows of one lockstep solve, and the resamples in
-    blocks of rows sized to about ``_CELLS_PER_CALL`` kernel cells per call.
-    Deterministic for fixed inputs (whatever the block size); bootstrap
-    resampling is seeded.
+    ``_moment_start``, the mixture of the histogram's mean and variance, and,
+    when ``theta0`` is given, from ``theta0`` too (``check_theta0`` rejects one
+    outside the search box); the start with the lowest NLL wins.
+    ``n_bootstrap`` is 0 (no errors) or at least 2 multinomial resamples, each
+    refitted by the same scoring from the optimum; the starts run as rows of
+    one lockstep solve, and the resamples in blocks of rows sized to about
+    ``_CELLS_PER_CALL`` kernel cells per call.  Deterministic for fixed inputs
+    (whatever the block size); bootstrap resampling is seeded.
     """
     _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
@@ -434,9 +389,9 @@ def fit_histogram(
     p = 4 if fit_mu_infinity else 3
 
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
-    # so the heuristic start from the peak structure runs as well
+    # so the start from the histogram's mean and variance runs as well
     starts = [] if theta0 is None else [check_theta0(theta0)]
-    starts.append(initial_guess(hist, fp))
+    starts.append(_moment_start(hist, mixture, fp.mu_infinity))
 
     def model_z(z):
         """Expected counts (k, bins) and their Jacobian (k, bins, p) in z for k rows of z, from

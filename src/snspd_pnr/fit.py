@@ -9,8 +9,9 @@ on the analytic Jacobian of the bin masses, run from the closed-form start
 whose mixture has the histogram's mean and variance, and from the caller's
 start when one is given.  The covariance is the inverse expected information
 at the optimum.  Bootstrap errors come from multinomial resamples, each
-refitted by the same scoring from the optimum.  The solver runs many fits in
-lockstep, one row each (the main fit's starts, or a block of resamples):
+refitted by the same scoring from the optimum, to 1e-4 of the fit's standard
+errors.  The solver runs many fits in lockstep, one row each (the main fit's
+starts, or a block of resamples):
 every row keeps its own parameters, damping and step count, and each pass
 evaluates the trial points of all rows still running through one bin-mass
 call over a leading row axis.
@@ -38,6 +39,10 @@ from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
 _REFIT_XTOL = 1e-10
+# A bootstrap refit stops once its undamped step is at most this many of the fit's standard errors
+# sqrt(diag(I(z_hat)^-1)) in every coordinate.  A 100-resample spread has about 7% Monte Carlo error;
+# the refits must agree with simplex refits within 1e-3 bootstrap errors, a 10x margin over 1e-4.
+_BOOTSTRAP_XTOL_PER_SE = 1e-4
 _REFIT_MAX_ITER = 50
 _NLL_ROUNDING = 1e-14
 _DAMPING_START = 1e-3
@@ -114,7 +119,8 @@ class FitResult:
     with an explicit theta0).
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
-    bootstrap refits whose scoring met its step tolerance within its
+    bootstrap refits whose scoring met its step tolerance (1e-4 of the fit's
+    standard error in each coordinate, see ``fit_histogram``) within its
     iteration cap (None without a bootstrap);
     ``covariance_proxy`` is I(theta_hat)^-1, the inverse expected information
     J^T diag(1/m) J of the fitted bin counts m, carried from the fit's log
@@ -294,7 +300,7 @@ def _solve_rows(a, b):
         return x, solved
 
 
-def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
+def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER, xtol=None):
     """Minimize the Poisson NLL of each row of ``counts`` (R, bins) by damped Fisher scoring,
     all rows in lockstep.
 
@@ -307,10 +313,11 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
     NLL rises by more than its summation rounding (1e-14 relative) or leaves the domain;
     each rejection multiplies the row's lam by 10 (from 0 to 1e-3) and each accepted step
     divides it by 10 (back to 0 below 1e-3).  A row has converged once the undamped step
-    (lam = 0) has every |s_k| <= 1e-10 max(1, |z_k|), within ``max_iter`` accepted steps;
-    a singular information matrix, a non-finite step, or a damped step that small while
-    the undamped one is not stops it unconverged.  Each pass evaluates the trial points
-    of all rows still running through one ``model`` call.  Returns, per row, (z, converged,
+    (lam = 0) has every |s_k| <= tol_k, within ``max_iter`` accepted steps: tol_k is
+    ``xtol[k]`` when the absolute tolerances ``xtol`` (p,) are given, else
+    1e-10 max(1, |z_k|).  A singular information matrix, a non-finite step, or a damped
+    step that small while the undamped one is not stops it unconverged.  Each pass
+    evaluates the trial points of all rows still running through one ``model`` call.  Returns, per row, (z, converged,
     NLL at z, accepted steps).
     """
     rows = len(counts)
@@ -323,7 +330,7 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER):
     diagonal = np.arange(z.shape[1])
     while True:
         running &= ~(fresh & (steps >= max_iter))
-        tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z))
+        tol = _REFIT_XTOL * np.maximum(1.0, np.abs(z)) if xtol is None else np.broadcast_to(xtol, z.shape)
         step = np.zeros_like(z)
         new = np.flatnonzero(running & fresh)
         step[new], solved = _solve_rows(info[new], g[new])
@@ -369,9 +376,14 @@ def fit_histogram(
     unconstrained.  Damped Fisher scoring (``_fisher_refit``) runs from
     ``_moment_start``, the mixture of the histogram's mean and variance, and,
     when ``theta0`` is given, from ``theta0`` too (``check_theta0`` rejects one
-    outside the search box); the start with the lowest NLL wins.
-    ``n_bootstrap`` is 0 (no errors) or at least 2 multinomial resamples, each
-    refitted by the same scoring from the optimum; the starts run as rows of
+    outside the search box); the start with the lowest NLL wins, a converged
+    one among starts of equal NLL.  The main fit stops at a step of at most
+    1e-10 max(1, |z_k|).  ``n_bootstrap`` is 0 (no errors) or at least 2
+    multinomial resamples, each refitted by the same scoring from the optimum
+    until its step is at most ``_BOOTSTRAP_XTOL_PER_SE`` standard errors
+    sqrt(diag(I(z_hat)^-1)) in every coordinate (the main fit's rule when
+    I(z_hat) cannot be inverted or an error is not finite and positive), far
+    below the spread the resamples measure; the starts run as rows of
     one lockstep solve, and the resamples in blocks of rows sized to about
     ``_CELLS_PER_CALL`` kernel cells per call.  Deterministic for fixed inputs
     (whatever the block size); bootstrap resampling is seeded.
@@ -417,7 +429,7 @@ def fit_histogram(
                                                   model_z(z0))
     if not np.isfinite(nll).any():
         raise ValueError("fit objective is not finite anywhere near theta0")
-    best = int(np.argmin(nll))
+    best = int(np.lexsort((~converged, nll))[0])  # the lowest NLL, and a converged row among equals
     z_hat = z_runs[best]
     theta_hat = theta_of(z_hat)
 
@@ -426,16 +438,20 @@ def fit_histogram(
     scale = np.ones(p)
     scale[1:3] = theta_hat[1:3]
     try:
-        cov = scale[:, None] * np.linalg.inv(_score_and_information(counts, *at_hat)[1][0]) * scale[None, :]
+        info_inv = np.linalg.inv(_score_and_information(counts, *at_hat)[1][0])
     except np.linalg.LinAlgError:
-        cov = np.full((p, p), np.nan)
+        info_inv = np.full((p, p), np.nan)
+    cov = scale[:, None] * info_inv * scale[None, :]
 
     boot_errors = boot_converged = None
     if n_bootstrap > 0:
         rng = np.random.default_rng(bootstrap_seed)
         resamples = rng.multinomial(total, counts / counts.sum(), size=n_bootstrap).astype(np.float64)
+        var_z = np.diag(info_inv)
+        xtol = _BOOTSTRAP_XTOL_PER_SE * np.sqrt(var_z) if np.all((var_z > 0.0) & (var_z < np.inf)) else None
         block = max(1, _CELLS_PER_CALL // (n_max * edges.size))
-        refits = [_fisher_refit(model_z, resamples[i : i + block], z_hat, at_hat) for i in range(0, n_bootstrap, block)]
+        refits = [_fisher_refit(model_z, resamples[i : i + block], z_hat, at_hat, xtol=xtol)
+                  for i in range(0, n_bootstrap, block)]
         boot_converged = int(sum(r[1].sum() for r in refits))
         draws = theta_of(np.concatenate([r[0] for r in refits]))
         boot_errors = tuple(float(v) for v in draws.std(axis=0, ddof=1))

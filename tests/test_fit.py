@@ -102,7 +102,9 @@ def benchmark_histogram(seed: int, n_bar: float = 3.0, events: int = 570_000) ->
 @pytest.fixture(scope="module")
 def default_fit(rt_hist, fp1):
     """(hist, fp, fit from the default start) per input and mode, each fitted once."""
-    inputs = {"rt": (rt_hist, fp1), "bench-seed-1": (benchmark_histogram(1), dataclasses.replace(fp1, n_bar=3.0))}
+    fp3 = dataclasses.replace(fp1, n_bar=3.0)
+    inputs = {"rt": (rt_hist, fp1), "bench-seed-1": (benchmark_histogram(1), fp3),
+              "bench-seed-2": (benchmark_histogram(2), fp3)}
     fits = {}
 
     def get(name: str, fit_mu_infinity: bool):
@@ -206,6 +208,16 @@ def test_explicit_start_reaches_same_optimum(default_fit, data, fit_mu_infinity,
     assert res.tau == pytest.approx(ref.tau, rel=1e-3)
     if fit_mu_infinity:
         assert res.mu_infinity == pytest.approx(ref.mu_infinity, rel=1e-4)
+
+
+def test_tied_starts_prefer_the_converged_one(default_fit):
+    # from this theta0 scoring reaches the moment start's optimum at the same NLL, bit for bit,
+    # but stops there at the step cap: the converged row of the two wins the tie
+    hist, fp, ref = default_fit("bench-seed-2", False)
+    res = fit_histogram(hist, fp, theta0=(150.0, 2.340347, 1.0))
+    assert ref.converged and res.converged
+    assert res.negative_log_likelihood == ref.negative_log_likelihood
+    assert (res.delta_mu, res.sigma_int, res.tau) == (ref.delta_mu, ref.sigma_int, ref.tau)
 
 
 def test_four_parameter_mode_recovers_identifiable_combinations(rt_hist, fp1):
@@ -501,27 +513,79 @@ def test_one_kernel_pass_per_model_evaluation(rt_hist, fp1, n_bootstrap, fit_mu_
         assert len(per_eval) < rows[0]
 
 
-def _serial_fisher_refit(model, counts, z, at_z, max_iter=50):
+def test_bootstrap_refits_stop_at_a_fraction_of_the_standard_error(default_fit, monkeypatch):
+    # each refit stops at 1e-4 of the fit's standard errors: 457 row evaluations on this input
+    # when every refit ran to 1e-10 max(1, |z_k|)
+    hist, fp, _ = default_fit("bench-seed-1", False)
+    rows = [0]
+
+    def spy(mix, *args, **kwargs):
+        rows[0] += len(np.atleast_2d(mix.mu))
+        return mixture_bin_masses(mix, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.fit, "mixture_bin_masses", spy)
+        res = fit_histogram(hist, fp, n_bootstrap=100, bootstrap_seed=1)
+    assert res.converged and res.bootstrap_converged == 100
+    assert rows[0] <= 300, rows[0]
+
+
+@pytest.mark.parametrize("inverse", ["raises", "nan", "negative"])
+def test_bootstrap_without_standard_errors_keeps_the_relative_step_rule(rt_hist, fp1, inverse, monkeypatch):
+    # an I(z_hat) that cannot be inverted, or an inverse without positive finite variances,
+    # leaves the resamples on the main fit's rule 1e-10 max(1, |z_k|): no NaN tolerance
+    # holds a row to the step cap
+    real_inv, real_refit = np.linalg.inv, snspd_pnr.fit._fisher_refit
+    resample_runs = []
+
+    def inv(a):
+        if inverse == "raises":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(a, np.nan) if inverse == "nan" else -real_inv(a)
+
+    def spy(model, counts, z, at_z, **kwargs):
+        out = real_refit(model, counts, z, at_z, **kwargs)
+        if not np.all(counts == rt_hist.counts):
+            resample_runs.append((kwargs.get("xtol"), out))
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(snspd_pnr.fit.np.linalg, "inv", inv)
+        mp.setattr(snspd_pnr.fit, "_fisher_refit", spy)
+        res = fit_histogram(rt_hist, fp1, n_bootstrap=24, bootstrap_seed=9)
+    assert res.converged and res.bootstrap_converged == 24
+    assert resample_runs and all(xtol is None for xtol, _ in resample_runs)
+    assert max(int(out[3].max()) for _, out in resample_runs) < snspd_pnr.fit._REFIT_MAX_ITER
+    serial = _serial_fit(rt_hist, fp1, False, 24, 9, relative=True)[1]
+    assert [int(s) for _, out in resample_runs for s in out[3]] == [r[3] for r in serial]
+    draws = np.array([[z[0], math.exp(z[1]), math.exp(z[2])] for z, *_ in serial])
+    np.testing.assert_allclose(res.bootstrap_errors, draws.std(axis=0, ddof=1), rtol=1e-12)
+
+
+def _serial_score_and_information(counts, m, J):
+    """``snspd_pnr.fit._score_and_information`` of one row, as the serial fit took it."""
+    s = np.abs(J) @ np.ones(J.shape[1])
+    bounded = s * (np.maximum(s, counts) * (2.0 * m.size / np.finfo(np.float64).max)) < m
+    inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=(m > np.finfo(np.float64).tiny) & bounded)
+    return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
+
+
+def _serial_fisher_refit(model, counts, z, at_z, max_iter=50, xtol=None):
     """One resample's damped Fisher scoring as the fit ran it one resample at a time: the
     reference for the lockstep rows of ``snspd_pnr.fit._fisher_refit``.  ``model(z)`` gives
-    (m, J) at one z, or None outside the box."""
+    (m, J) at one z, or None outside the box; the step tolerance is ``xtol`` (p,) when given,
+    else 1e-10 max(1, |z_k|)."""
     pos = counts > 0.0
 
     def nll(m):
         return math.inf if np.any(m[pos] <= 0.0) else float(m.sum() - np.dot(counts[pos], np.log(m[pos])))
 
-    def score_and_information(m, J):
-        s = np.abs(J) @ np.ones(J.shape[1])
-        bounded = s * (np.maximum(s, counts) * (2.0 * m.size / np.finfo(np.float64).max)) < m
-        inv_m = np.divide(1.0, m, out=np.zeros_like(m), where=(m > np.finfo(np.float64).tiny) & bounded)
-        return J.T @ (1.0 - counts * inv_m), (J * inv_m[:, None]).T @ J
-
     m, J = at_z
     f = nll(m)
     lam = 0.0
-    g, info = score_and_information(m, J)
+    g, info = _serial_score_and_information(counts, m, J)
     for it in range(max_iter):
-        tol = 1e-10 * np.maximum(1.0, np.abs(z))
+        tol = 1e-10 * np.maximum(1.0, np.abs(z)) if xtol is None else xtol
         try:
             step = np.linalg.solve(info, g)
         except np.linalg.LinAlgError:
@@ -538,13 +602,14 @@ def _serial_fisher_refit(model, counts, z, at_z, max_iter=50):
                 break
             lam = max(10.0 * lam, 1e-3)
         z, (m, J), f = z - step, trial, f_trial
-        g, info = score_and_information(m, J)
+        g, info = _serial_score_and_information(counts, m, J)
         lam = lam / 10.0 if lam > 1e-3 else 0.0
     return z, False, f, max_iter
 
 
-def _serial_fit(hist, fp, fit_mu_infinity, n_bootstrap, bootstrap_seed):
-    """``fit_histogram``'s main fit and bootstrap, one start and one resample at a time."""
+def _serial_fit(hist, fp, fit_mu_infinity, n_bootstrap, bootstrap_seed, relative=False):
+    """``fit_histogram``'s main fit and bootstrap, one start and one resample at a time; the
+    resamples stop at 1e-4 of the standard errors in z, or at the main fit's relative rule."""
     counts, total, edges = hist.counts.astype(np.float64), hist.total_events, hist.bin_edges
     mixture, dz, _ = snspd_pnr.fit._mixture_law(fp)
 
@@ -560,11 +625,14 @@ def _serial_fit(hist, fp, fit_mu_infinity, n_bootstrap, bootstrap_seed):
     z0 = np.array([dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][: 4 if fit_mu_infinity else 3])
     main = _serial_fisher_refit(model, counts, z0, model(z0))
     at_hat = model(main[0])
+    info_hat = _serial_score_and_information(counts, *at_hat)[1]
+    xtol = None if relative else 1e-4 * np.sqrt(np.diag(np.linalg.inv(info_hat)))
     rng = np.random.default_rng(bootstrap_seed)
     p = counts / counts.sum()
     refits = []
     for _ in range(n_bootstrap):
-        refits.append(_serial_fisher_refit(model, rng.multinomial(total, p).astype(np.float64), main[0], at_hat))
+        refits.append(_serial_fisher_refit(model, rng.multinomial(total, p).astype(np.float64), main[0], at_hat,
+                                           xtol=xtol))
     return main, refits
 
 

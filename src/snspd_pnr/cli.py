@@ -23,8 +23,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig, load_config
-from .dist import mixture_bin_masses
-from .fit import FixedParams, fit_histogram, ingest_time_tags, mixture_from_params
+from .fit import FixedParams, fit_histogram, ingest_time_tags
 from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_histogram, geom_mc, geom_sigma_analytic
 from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, write_histogram_csv, write_time_tags
 from .overlap import ElementGrid, overlap_approx, overlap_exact
@@ -264,9 +263,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
 
-    theta_hat = (result.delta_mu, result.sigma_int, result.tau)
-    mix = mixture_from_params(fp, theta_hat, mu_infinity=result.mu_infinity)
-    expected = hist.total_events * mixture_bin_masses(mix, hist.bin_edges)
+    mix, expected = result.mixture, result.expected_counts
     components = [
         {
             "n": i + 1,

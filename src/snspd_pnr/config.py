@@ -37,7 +37,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .budget import JitterBudget
-from .fit import check_theta0
+from .fit import _check_bootstrap, check_theta0
 from .pulse import DetectorConfig
 from .sim import SimPlan
 
@@ -65,8 +65,7 @@ class FitSettings:
             raise ValueError(f"n_bar: must be positive and finite, got {self.n_bar}")
         if self.theta0 is not None:
             object.__setattr__(self, "theta0", check_theta0(self.theta0))
-        if self.n_bootstrap < 0 or self.n_bootstrap == 1:
-            raise ValueError(f"n_bootstrap: must be 0 or >= 2, got {self.n_bootstrap}")
+        _check_bootstrap(self.n_bootstrap)
         if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
             raise ValueError(f"bin_width: must be positive, got {self.bin_width}")
 

@@ -17,8 +17,10 @@ evaluates the trial points of all rows still running through one bin-mass
 call over a leading row axis.
 Bin masses come from analytic CDF differences, never midpoint sampling.
 
-Also provides windowed single-EMG fits, event-weighted histogram width with
-its delta-method standard error, and time-tag ingestion.
+Also provides windowed single-EMG fits (a Nelder-Mead search, with errors
+from the same inverse expected information, the amplitude profiled out),
+event-weighted histogram width with its delta-method standard error, and
+time-tag ingestion.
 """
 
 from __future__ import annotations
@@ -126,6 +128,8 @@ class FitResult:
     J^T diag(1/m) J of the fitted bin counts m, carried from the fit's log
     coordinates to (delta_mu, sigma_int, tau[, mu_infinity]): the asymptotic
     covariance of the maximum-likelihood estimate.
+    ``expected_counts`` are the fitted bin counts m at theta_hat, and ``mixture``
+    the one-row mixture they come from.
     """
 
     delta_mu: float
@@ -136,6 +140,8 @@ class FitResult:
     iterations: int
     bootstrap_errors: tuple[float, ...] | None
     covariance_proxy: np.ndarray
+    expected_counts: np.ndarray
+    mixture: MixtureModel
     mu_infinity: float | None = None
     bootstrap_converged: int | None = None
 
@@ -238,35 +244,10 @@ def _moment_start(hist: ArrivalHistogram, mixture, mu_infinity: float) -> tuple[
 
 
 def _check_bootstrap(n_bootstrap: int) -> None:
-    """Reject resample counts whose standard deviation is undefined (1) or meaningless (< 0)."""
+    """Reject resample counts whose standard deviation is undefined (1) or meaningless (< 0).
+    The ValueError starts with ``n_bootstrap: `` for ``load_config``."""
     if n_bootstrap < 0 or n_bootstrap == 1:
-        raise ValueError(f"n_bootstrap must be 0 or >= 2, got {n_bootstrap}")
-
-
-def _simplex(fun, z0, xatol, fatol, maxiter=20_000):
-    from scipy.optimize import minimize  # only fit_single_peak needs it, and importing it is slow
-
-    return minimize(
-        fun,
-        np.asarray(z0, dtype=np.float64),
-        method="Nelder-Mead",
-        options={"xatol": xatol, "fatol": fatol, "maxiter": maxiter, "maxfev": maxiter},
-    )
-
-
-def _fd_hessian(fun, x, rel_step=1e-4):
-    x = np.asarray(x, dtype=np.float64)
-    e = np.diag(rel_step * np.maximum(np.abs(x), 1.0))  # row i is the step along axis i
-    h = np.diag(e)
-    H = np.empty((x.size, x.size))
-    f0 = fun(x)
-    for i in range(x.size):
-        H[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
-        for j in range(i + 1, x.size):
-            fpp, fpm = fun(x + e[i] + e[j]), fun(x + e[i] - e[j])
-            fmp, fmm = fun(x - e[i] + e[j]), fun(x - e[i] - e[j])
-            H[i, j] = H[j, i] = (fpp - fpm - fmp + fmm) / (4.0 * h[i] * h[j])
-    return H
+        raise ValueError(f"n_bootstrap: must be 0 or >= 2, got {n_bootstrap}")
 
 
 def _score_and_information(counts, m, J):
@@ -283,6 +264,17 @@ def _score_and_information(counts, m, J):
     inv_m = np.divide(1.0, m, out=np.zeros(bounded.shape), where=(m > _SMALLEST_NORMAL) & bounded)
     J_t = np.swapaxes(J, -1, -2)
     return (J_t @ (1.0 - counts * inv_m)[..., None])[..., 0], np.swapaxes(J * inv_m[..., None], -1, -2) @ J
+
+
+def _inverse_information(counts, m, J):
+    """I^-1 for the expected information I of ``_score_and_information`` (one matrix per row), or
+    NaN in every entry when some I is singular: the asymptotic covariance of the estimate in the
+    coordinates of J."""
+    info = _score_and_information(counts, m, J)[1]
+    try:
+        return np.linalg.inv(info)
+    except np.linalg.LinAlgError:
+        return np.full(info.shape, np.nan)
 
 
 def _solve_rows(a, b):
@@ -437,10 +429,7 @@ def fit_histogram(
     at_hat = model_z(z_hat[None])
     scale = np.ones(p)
     scale[1:3] = theta_hat[1:3]
-    try:
-        info_inv = np.linalg.inv(_score_and_information(counts, *at_hat)[1][0])
-    except np.linalg.LinAlgError:
-        info_inv = np.full((p, p), np.nan)
+    info_inv = _inverse_information(counts, *at_hat)[0]
     cov = scale[:, None] * info_inv * scale[None, :]
 
     boot_errors = boot_converged = None
@@ -465,6 +454,8 @@ def fit_histogram(
         iterations=int(steps.sum()),
         bootstrap_errors=boot_errors,
         covariance_proxy=cov,
+        expected_counts=at_hat[0][0],
+        mixture=mixture(*theta_hat[:3], theta_hat[3] if fit_mu_infinity else fp.mu_infinity),
         mu_infinity=float(theta_hat[3]) if fit_mu_infinity else None,
         bootstrap_converged=boot_converged,
     )
@@ -472,7 +463,14 @@ def fit_histogram(
 
 @dataclass(frozen=True)
 class SinglePeakFit:
-    """Windowed single-EMG fit: parameters, per-parameter errors, and goodness of fit."""
+    """Windowed single-EMG fit: parameters, per-parameter errors, and goodness of fit.
+
+    ``errors`` are sqrt(diag(I(theta_hat)^-1)) in (mu, sigma, tau): the inverse expected
+    information of the window's bin counts m = events mass / sum(mass), the amplitude
+    profiled out, as ``FitResult.covariance_proxy`` is for the mixture.  Near tau -> 0
+    the mass's derivatives in mu and tau become collinear, so I is nearly singular and
+    the errors of mu and tau grow without bound: only mu + tau is then determined.
+    """
 
     params: EmgParams
     errors: tuple[float, float, float]
@@ -489,7 +487,8 @@ class SinglePeakFit:
 def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> SinglePeakFit:
     """Maximum-likelihood EMG fit restricted to bins inside ``window``.
 
-    The amplitude is profiled out analytically, leaving (mu, sigma, tau).
+    The amplitude is profiled out analytically, leaving (mu, sigma, tau),
+    searched by Nelder-Mead in (mu, ln sigma, ln tau) from two starts.
     ``deviance`` is the likelihood-ratio statistic against the saturated
     model; compare to chi-square with ``dof`` degrees of freedom to detect a
     window that does not contain a single clean peak.
@@ -517,13 +516,10 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
 
     pos = c > 0.0
 
-    def masses(mu, sigma, tau):
-        return mixture_bin_masses(MixtureModel([1.0], [mu], [sigma], [tau]), sub_edges)
-
     def nll_z(z):
         if abs(z[1]) > 50.0 or abs(z[2]) > 50.0:
             return math.inf
-        mass = masses(z[0], math.exp(z[1]), math.exp(z[2]))
+        mass = mixture_bin_masses(MixtureModel([1.0], [z[0]], [math.exp(z[1])], [math.exp(z[2])]), sub_edges)
         mass_sum = mass.sum()
         if mass_sum <= 0.0:
             return math.inf
@@ -532,31 +528,26 @@ def fit_single_peak(hist: ArrivalHistogram, window: tuple[float, float]) -> Sing
             return math.inf
         return float(events - np.dot(c[pos], np.log(m[pos])))
 
+    from scipy.optimize import minimize  # only this fit needs it, and importing it is slow
+
     z0 = np.array([mu0, math.log(s0), math.log(t0)])
     z_alt = np.array([mu0 + width0 / 2.0, math.log(s0 * 1.3), math.log(t0 * 0.7)])
     f_ref = nll_z(z0)
     fatol = 1e-10 * max(1.0, abs(f_ref) if math.isfinite(f_ref) else 1.0)
-    runs = [_simplex(nll_z, z, 1e-8, fatol, maxiter=8000) for z in (z0, z_alt)]
+    options = {"xatol": 1e-8, "fatol": fatol, "maxiter": 8000, "maxfev": 8000}
+    runs = [minimize(nll_z, z, method="Nelder-Mead", options=options) for z in (z0, z_alt)]
     finite = [r for r in runs if math.isfinite(r.fun)]
     if not finite:
         raise ValueError("single-peak objective is not finite near the moment start")
     best = min(finite, key=lambda r: r.fun)
     mu, sigma, tau = float(best.x[0]), float(math.exp(best.x[1])), float(math.exp(best.x[2]))
 
-    def nll_theta(theta):
-        if theta[1] <= 0.0 or theta[2] <= 0.0:
-            return math.inf
-        return nll_z([theta[0], math.log(theta[1]), math.log(theta[2])])
-
-    try:
-        H = _fd_hessian(nll_theta, [mu, sigma, tau])
-        cov = np.linalg.pinv(H)
-        errors = tuple(float(math.sqrt(max(v, 0.0))) for v in np.diag(cov))
-    except np.linalg.LinAlgError:
-        errors = (math.nan, math.nan, math.nan)
-
-    mass = masses(mu, sigma, tau)
-    m = events * mass / mass.sum()
+    # the window's counts m = events mass / S, S = sum(mass), and their Jacobian in (mu, sigma, tau)
+    mass, J = mixture_bin_masses(MixtureModel([1.0], [mu], [sigma], [tau]), sub_edges, dz=np.eye(3)[:, :, None])
+    mass_sum = mass.sum()
+    m = events * mass / mass_sum
+    J_m = events * (J - np.outer(mass, J.sum(axis=0)) / mass_sum) / mass_sum
+    errors = tuple(float(e) for e in np.sqrt(np.diag(_inverse_information(c, m, J_m))))
     deviance = float(2.0 * np.dot(c[pos], np.log(c[pos] / m[pos])))
     dof = max(int(c.size - 4), 1)
     return SinglePeakFit(

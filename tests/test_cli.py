@@ -186,7 +186,7 @@ def test_fit_one_bootstrap_resample_exit_2(runner, config_path, tag_file, tmp_pa
     out = tmp_path / "o"
     result = runner.invoke(main, ["fit", str(tag_file), "-c", config_path, "-o", str(out), "--bootstrap", "1"])
     assert result.exit_code == 2
-    assert "n_bootstrap must be 0 or >= 2" in out_text(result)
+    assert "n_bootstrap: must be 0 or >= 2, got 1" in out_text(result)
     assert not (out / "fit_result.json").exists()
 
 

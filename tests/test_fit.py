@@ -16,6 +16,7 @@ from snspd_pnr import (
     FitResult,
     FixedParams,
     JitterBudget,
+    MixtureModel,
     SimPlan,
     emg_pdf,
     emg_sample,
@@ -230,6 +231,20 @@ def test_four_parameter_mode_recovers_identifiable_combinations(rt_hist, fp1):
     assert res.mu_infinity + res.delta_mu / math.sqrt(2.0) == pytest.approx(348.35, abs=1.5)
 
 
+def central_hessian(fun, x):
+    """The central-difference Hessian of ``fun`` at ``x``, with steps 1e-4 max(1, |x_k|)."""
+    h = 1e-4 * np.maximum(np.abs(x), 1.0)
+    e = np.diag(h)
+    hess = np.empty((x.size, x.size))
+    f0 = fun(x)
+    for i in range(x.size):
+        hess[i, i] = (fun(x + e[i]) - 2.0 * f0 + fun(x - e[i])) / h[i] ** 2
+        for j in range(i + 1, x.size):
+            hess[i, j] = hess[j, i] = (fun(x + e[i] + e[j]) - fun(x + e[i] - e[j])
+                                       - fun(x - e[i] + e[j]) + fun(x - e[i] - e[j])) / (4.0 * h[i] * h[j])
+    return hess
+
+
 @pytest.mark.parametrize("fit_mu_infinity", [False, True])
 def test_covariance_matches_the_curvature_of_the_objective(rt_hist, fp1, rt_fit, fit_mu_infinity):
     # standard errors of I(theta_hat)^-1 against the pseudo-inverse of a central-difference
@@ -241,16 +256,7 @@ def test_covariance_matches_the_curvature_of_the_objective(rt_hist, fp1, rt_fit,
         fp = dataclasses.replace(fp1, mu_infinity=t[3]) if fit_mu_infinity else fp1
         return _poisson_nll(rt_hist.counts, predict_histogram(fp, t[:3], rt_hist))
 
-    h = 1e-4 * np.maximum(np.abs(theta), 1.0)
-    e = np.diag(h)
-    hess = np.empty((theta.size, theta.size))
-    f0 = nll(theta)
-    for i in range(theta.size):
-        hess[i, i] = (nll(theta + e[i]) - 2.0 * f0 + nll(theta - e[i])) / h[i] ** 2
-        for j in range(i + 1, theta.size):
-            hess[i, j] = hess[j, i] = (nll(theta + e[i] + e[j]) - nll(theta + e[i] - e[j])
-                                       - nll(theta - e[i] + e[j]) + nll(theta - e[i] - e[j])) / (4.0 * h[i] * h[j])
-    want = np.sqrt(np.diag(np.linalg.pinv(hess)))
+    want = np.sqrt(np.diag(np.linalg.pinv(central_hessian(nll, theta))))
     np.testing.assert_allclose(np.sqrt(np.diag(res.covariance_proxy)), want, rtol=0.02)
 
 
@@ -480,6 +486,10 @@ def test_predicted_counts_are_what_the_objective_sees(rt_hist, fp1, rt_fit, monk
     assert np.array_equal(mix.weights, ref.weights)
     for name in ("mu", "sigma", "tau"):
         assert np.array_equal(np.atleast_2d(getattr(mix, name))[r], getattr(ref, name))
+    # the fit reports these counts and this mixture, so a caller need not rebuild them
+    assert np.array_equal(res.expected_counts, want)
+    for name in ("weights", "mu", "sigma", "tau"):
+        assert np.array_equal(getattr(res.mixture, name), getattr(ref, name))
 
 
 @pytest.mark.parametrize("fit_mu_infinity", [False, True])
@@ -670,18 +680,23 @@ def test_fit_is_the_same_whatever_the_block_size(rt_hist, fp1, monkeypatch):
     assert results[0].bootstrap_converged == 20
     for res in results[1:]:
         for field in dataclasses.fields(FitResult):
-            assert np.array_equal(getattr(res, field.name), getattr(results[0], field.name)), field.name
+            if field.name == "mixture":
+                for name in ("weights", "mu", "sigma", "tau"):
+                    assert np.array_equal(getattr(res.mixture, name), getattr(results[0].mixture, name)), name
+            else:
+                assert np.array_equal(getattr(res, field.name), getattr(results[0], field.name)), field.name
 
 
 @pytest.mark.parametrize("n_bootstrap", [-1, 1])
 def test_bootstrap_count_of_one_is_rejected(rt_hist, fp1, n_bootstrap):
-    with pytest.raises(ValueError, match="n_bootstrap must be 0 or >= 2"):
+    with pytest.raises(ValueError, match=f"^n_bootstrap: must be 0 or >= 2, got {n_bootstrap}$"):
         fit_histogram(rt_hist, fp1, n_bootstrap=n_bootstrap)
 
 
 def test_fit_result_rejects_nan():
     good = dict(delta_mu=289.0, sigma_int=6.0, tau=6.0, negative_log_likelihood=0.0, converged=True,
-                iterations=1, bootstrap_errors=(0.1, 0.1, 0.1), covariance_proxy=np.eye(3))
+                iterations=1, bootstrap_errors=(0.1, 0.1, 0.1), covariance_proxy=np.eye(3),
+                expected_counts=np.ones(4), mixture=MixtureModel([1.0], [433.0], [12.0], [6.0]))
     FitResult(**good)
     for key, value in (("sigma_int", math.nan), ("tau", math.nan), ("bootstrap_errors", (0.1, math.nan, 0.1))):
         with pytest.raises(ValueError):
@@ -734,6 +749,27 @@ def test_single_peak_fit_recovers_emg():
     assert res.total_jitter == pytest.approx(p.std, rel=0.03)
     assert res.deviance / res.dof < 1.5
     assert all(0.0 < e < 1.0 for e in res.errors)
+
+
+@pytest.mark.parametrize("seed", [99, 1, 2, 3])
+@pytest.mark.parametrize("window", [(370.0, 530.0), (400.0, 450.0)], ids=["whole-peak", "core"])
+def test_single_peak_errors_match_the_curvature_of_the_objective(window, seed):
+    # standard errors of I(theta_hat)^-1, with the amplitude profiled out, against the pseudo-inverse
+    # of a central-difference Hessian of the window's profiled NLL in (mu, sigma, tau); the core
+    # window cuts both flanks, where errors that ignore the profiled amplitude are 0.2-0.5 times these
+    hist = ArrivalHistogram.from_events(emg_sample(EmgParams(433.0, 12.1, 6.0), np.random.default_rng(seed), 60_000), 2.0)
+    res = fit_single_peak(hist, window)
+    assert res.converged
+    inside = np.flatnonzero((hist.bin_centers >= window[0]) & (hist.bin_centers < window[1]))
+    counts, edges = hist.counts[inside].astype(np.float64), hist.bin_edges[inside[0] : inside[-1] + 2]
+
+    def nll(theta):
+        mass = mixture_bin_masses(MixtureModel([1.0], [theta[0]], [theta[1]], [theta[2]]), edges)
+        return _poisson_nll(counts, counts.sum() * mass / mass.sum())
+
+    theta = np.array([res.params.mu, res.params.sigma, res.params.tau])
+    want = np.sqrt(np.diag(np.linalg.pinv(central_hessian(nll, theta))))
+    np.testing.assert_allclose(res.errors, want, rtol=0.03)
 
 
 def test_single_peak_flags_contaminated_window():

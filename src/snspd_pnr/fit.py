@@ -9,12 +9,12 @@ on the analytic Jacobian of the bin masses, run from the closed-form start
 whose mixture has the histogram's mean and variance, and from the caller's
 start when one is given.  The covariance is the inverse expected information
 at the optimum.  Bootstrap errors come from multinomial resamples, each
-refitted by the same scoring from the optimum, to 1e-4 of the fit's standard
-errors.  The solver runs many fits in lockstep, one row each (the main fit's
-starts, or a block of resamples):
-every row keeps its own parameters, damping and step count, and each pass
-evaluates the trial points of all rows still running through one bin-mass
-call over a leading row axis.
+refitted by the same scoring from the optimum until its step is at most 1e-2
+of the fit's standard errors, that last step taken.  The solver runs many fits
+in lockstep, one row each (the main fit's starts, or all resamples): every row
+keeps its own parameters, damping and step count, and each pass evaluates the
+trial points of all rows still running, in bin-mass calls over a leading row
+axis of at most ``_CELLS_PER_CALL`` cells each.
 Bin masses come from analytic CDF differences, never midpoint sampling.
 
 Also provides windowed single-EMG fits (a Nelder-Mead search, with errors
@@ -41,10 +41,11 @@ from .histogram import ArrivalHistogram
 from .io import read_time_tags
 
 _REFIT_XTOL = 1e-10
-# A bootstrap refit stops once its undamped step is at most this many of the fit's standard errors
-# sqrt(diag(I(z_hat)^-1)) in every coordinate.  A 100-resample spread has about 7% Monte Carlo error;
-# the refits must agree with simplex refits within 1e-3 bootstrap errors, a 10x margin over 1e-4.
-_BOOTSTRAP_XTOL_PER_SE = 1e-4
+# A bootstrap refit stops once its undamped step s is at most this many of the fit's standard errors
+# sqrt(diag(I(z_hat)^-1)) in every coordinate, and returns z - s.  Scoring converges linearly, each step
+# about sqrt(bins / events) ~ 1e-2 of the one before at 155 bins and 570k events, so z - s lies about 1e-4
+# standard errors from the optimum: the refits must agree with simplex refits within 1e-3 bootstrap errors.
+_BOOTSTRAP_XTOL_PER_SE = 1e-2
 _REFIT_MAX_ITER = 50
 _NLL_ROUNDING = 1e-14
 _DAMPING_START = 1e-3
@@ -55,7 +56,7 @@ _LARGEST = np.finfo(np.float64).max
 # 0.4, 0.6 and 0.7, every three-parameter fit of that grid with a known converged optimum reached it and
 # converged; from 0.5, one reached it but stopped at the step cap.
 _SIGMA_INT_PER_TAU = 0.3
-_CELLS_PER_CALL = 2**16  # (row, component, edge) cells per bootstrap kernel call, about 5 MB of transients
+_CELLS_PER_CALL = 2**16  # (row, component, edge) cells per kernel call of fit_histogram's model, about 5 MB
 _BOX = "|delta_mu| <= 1e7, |ln sigma_int| <= 50 and |ln tau| <= 50"
 
 
@@ -121,9 +122,9 @@ class FitResult:
     with an explicit theta0).
     ``bootstrap_errors`` follows the parameter order (and includes a fourth
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
-    bootstrap refits whose scoring met its step tolerance (1e-4 of the fit's
-    standard error in each coordinate, see ``fit_histogram``) within its
-    iteration cap (None without a bootstrap);
+    bootstrap refits whose scoring met its step tolerance (an undamped step of
+    at most 1e-2 of the fit's standard error in each coordinate, which the refit
+    takes, see ``fit_histogram``) within its iteration cap (None without one);
     ``covariance_proxy`` is I(theta_hat)^-1, the inverse expected information
     J^T diag(1/m) J of the fitted bin counts m, carried from the fit's log
     coordinates to (delta_mu, sigma_int, tau[, mu_infinity]): the asymptotic
@@ -310,13 +311,13 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER, xtol=None):
     1e-10 max(1, |z_k|).  A singular information matrix, a non-finite step, or a damped
     step that small while the undamped one is not stops it unconverged.  Each pass
     evaluates the trial points of all rows still running through one ``model`` call.  Returns, per row, (z, converged,
-    NLL at z, accepted steps).
+    NLL at z, accepted steps, last undamped step s): a converged row's s is the step that met its tolerance.
     """
     rows = len(counts)
     z = np.array(np.broadcast_to(z, (rows, np.shape(z)[-1])), dtype=np.float64, order="C")
     f = _poisson_nll(counts, at_z[0])
     g, info = _score_and_information(counts, *at_z)
-    lam, steps = np.zeros(rows), np.zeros(rows, dtype=np.int64)
+    lam, steps, last = np.zeros(rows), np.zeros(rows, dtype=np.int64), np.zeros_like(z)
     converged, running = np.zeros(rows, dtype=bool), np.ones(rows, dtype=bool)
     fresh = np.ones(rows, dtype=bool)  # at the start of an iteration: the last trial was accepted
     diagonal = np.arange(z.shape[1])
@@ -326,6 +327,7 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER, xtol=None):
         step = np.zeros_like(z)
         new = np.flatnonzero(running & fresh)
         step[new], solved = _solve_rows(info[new], g[new])
+        last[new] = step[new]
         done = np.all(np.abs(step[new]) <= tol[new], axis=1)
         converged[new[done]] = True
         running[new[done | ~solved]] = False
@@ -338,7 +340,7 @@ def _fisher_refit(model, counts, z, at_z, max_iter=_REFIT_MAX_ITER, xtol=None):
         running[go[stop]] = False
         go = go[~stop]
         if go.size == 0:
-            return z, converged, f, steps
+            return z, converged, f, steps, last
         trial = z[go] - step[go]
         m, J = model(trial)
         f_trial = _poisson_nll(counts[go], m)
@@ -372,13 +374,15 @@ def fit_histogram(
     one among starts of equal NLL.  The main fit stops at a step of at most
     1e-10 max(1, |z_k|).  ``n_bootstrap`` is 0 (no errors) or at least 2
     multinomial resamples, each refitted by the same scoring from the optimum
-    until its step is at most ``_BOOTSTRAP_XTOL_PER_SE`` standard errors
-    sqrt(diag(I(z_hat)^-1)) in every coordinate (the main fit's rule when
-    I(z_hat) cannot be inverted or an error is not finite and positive), far
-    below the spread the resamples measure; the starts run as rows of
-    one lockstep solve, and the resamples in blocks of rows sized to about
-    ``_CELLS_PER_CALL`` kernel cells per call.  Deterministic for fixed inputs
-    (whatever the block size); bootstrap resampling is seeded.
+    until its undamped step s is at most ``_BOOTSTRAP_XTOL_PER_SE`` standard
+    errors sqrt(diag(I(z_hat)^-1)) in every coordinate, and returns z - s: about
+    1e-4 standard errors from its optimum, far below the spread the resamples
+    measure (the main fit's rule and z when I(z_hat) cannot be inverted or an
+    error is not finite and positive).  The starts run as rows of one lockstep
+    solve and the resamples as rows of another, evaluated in kernel calls of at
+    most ``_CELLS_PER_CALL`` cells.  Deterministic for fixed inputs (whatever
+    that row split); bootstrap resampling is seeded.  With no start in ``_BOX``
+    the ValueError names each start.
     """
     _check_bootstrap(n_bootstrap)
     if hist.total_events == 0:
@@ -394,20 +398,20 @@ def fit_histogram(
 
     # from an explicit theta0 far from the data scoring can end where sigma_int or tau -> 0,
     # so the start from the histogram's mean and variance runs as well
-    starts = [] if theta0 is None else [check_theta0(theta0)]
-    starts.append(_moment_start(hist, mixture, fp.mu_infinity))
+    starts = {} if theta0 is None else {"theta0": check_theta0(theta0)}
+    starts["the moment start"] = _moment_start(hist, mixture, fp.mu_infinity)
+    chunk = max(1, _CELLS_PER_CALL // (n_max * edges.size))
 
     def model_z(z):
-        """Expected counts (k, bins) and their Jacobian (k, bins, p) in z for k rows of z, from
-        one kernel pass; NaN rows where z is outside the box."""
-        inside = _in_box(z)
+        """Expected counts (k, bins) and their Jacobian (k, bins, p) in z for k rows of z, from one
+        kernel pass per ``chunk`` rows inside the box; NaN rows where z is outside it."""
         m, J = np.full((len(z), counts.size), np.nan), np.full((len(z), counts.size, p), np.nan)
-        if inside.any():
-            z_in = z[inside]
-            sigma_int = np.exp(z_in[:, 1])
-            mix = mixture(z_in[:, 0], sigma_int, np.exp(z_in[:, 2]), z_in[:, 3] if fit_mu_infinity else fp.mu_infinity)
+        inside = np.flatnonzero(_in_box(z))
+        for rows in (inside[i : i + chunk] for i in range(0, inside.size, chunk)):
+            sigma_int = np.exp(z[rows, 1])
+            mix = mixture(z[rows, 0], sigma_int, np.exp(z[rows, 2]), z[rows, 3] if fit_mu_infinity else fp.mu_infinity)
             masses, J_in = mixture_bin_masses(mix, edges, dz=dz(mix, sigma_int, fit_mu_infinity))
-            m[inside], J[inside] = total * masses, total * J_in
+            m[rows], J[rows] = total * masses, total * J_in
         return m, J
 
     def theta_of(z) -> np.ndarray:
@@ -415,10 +419,15 @@ def fit_histogram(
         theta[..., 1:3] = np.exp(theta[..., 1:3])
         return theta
 
-    z0 = np.array([[dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][:p] for dmu, sigma_int, tau in starts])
-    z0 = z0[_in_box(z0)]
-    z_runs, converged, nll, steps = _fisher_refit(model_z, np.broadcast_to(counts, (len(z0), counts.size)), z0,
-                                                  model_z(z0))
+    z0 = np.array([[dmu, math.log(sigma_int), math.log(tau), fp.mu_infinity][:p]
+                   for dmu, sigma_int, tau in starts.values()])
+    inside = _in_box(z0)
+    if not inside.any():
+        raise ValueError(f"no start lies in the search box {_BOX}: " + "; ".join(
+            f"{name} (delta_mu, sigma_int, tau) = ({', '.join(f'{v:.6g}' for v in s)})" for name, s in starts.items()))
+    z0 = z0[inside]
+    z_runs, converged, nll, steps, _ = _fisher_refit(model_z, np.broadcast_to(counts, (len(z0), counts.size)), z0,
+                                                     model_z(z0))
     if not np.isfinite(nll).any():
         raise ValueError("fit objective is not finite anywhere near theta0")
     best = int(np.lexsort((~converged, nll))[0])  # the lowest NLL, and a converged row among equals
@@ -438,12 +447,11 @@ def fit_histogram(
         resamples = rng.multinomial(total, counts / counts.sum(), size=n_bootstrap).astype(np.float64)
         var_z = np.diag(info_inv)
         xtol = _BOOTSTRAP_XTOL_PER_SE * np.sqrt(var_z) if np.all((var_z > 0.0) & (var_z < np.inf)) else None
-        block = max(1, _CELLS_PER_CALL // (n_max * edges.size))
-        refits = [_fisher_refit(model_z, resamples[i : i + block], z_hat, at_hat, xtol=xtol)
-                  for i in range(0, n_bootstrap, block)]
-        boot_converged = int(sum(r[1].sum() for r in refits))
-        draws = theta_of(np.concatenate([r[0] for r in refits]))
-        boot_errors = tuple(float(v) for v in draws.std(axis=0, ddof=1))
+        z_boot, done, _, _, last = _fisher_refit(model_z, resamples, z_hat, at_hat, xtol=xtol)
+        if xtol is not None:  # take the step that met the tolerance, without evaluating its point
+            z_boot[done] -= last[done]
+        boot_converged = int(done.sum())
+        boot_errors = tuple(float(v) for v in theta_of(z_boot).std(axis=0, ddof=1))
 
     return FitResult(
         delta_mu=float(theta_hat[0]),

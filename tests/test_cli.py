@@ -244,6 +244,17 @@ def test_fit_theta0_outside_the_search_box_exit_2_naming_it(runner, tmp_path, th
     assert "config.fit.theta0: " in out_text(result) and "search box" in out_text(result)
 
 
+def test_fit_without_a_start_in_the_search_box_exit_2_naming_it(runner, config_path, tmp_path):
+    times = np.random.default_rng(5).normal(3e7, 10.0, 50_000)
+    hist_path = tmp_path / "far.csv"
+    write_histogram_csv(hist_path, snspd_pnr.ArrivalHistogram.from_events(times, 2.0, 3.0))
+    result = runner.invoke(main, ["fit", str(hist_path), "-c", config_path, "-o", str(tmp_path / "o")])
+    assert result.exit_code == 2, out_text(result)
+    assert "no start lies in the search box |delta_mu| <= 1e7" in out_text(result)
+    assert "the moment start (delta_mu, sigma_int, tau) = (" in out_text(result)
+    assert not (tmp_path / "o" / "fit_result.json").exists()
+
+
 def test_bad_config_exit_2(runner, tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**CONFIG, "surprise": 1}), encoding="utf-8")

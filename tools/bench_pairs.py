@@ -8,7 +8,8 @@ times the criterion 2 and criterion 7 acceptance tests in each checkout, and
 compares the bootstrapped fit of the ``hist-bootstrap`` workload, the merged
 sweep of the ``sweep-merge`` workload and the ``geom`` run of the ``geom-mc``
 workload between the two sides.  Its ``startup`` block times whole CLI
-processes that do little work beyond starting up, on both sides.
+processes on both sides: ones that do little work beyond starting up, and the
+``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
     python3 tools/bench_pairs.py --parent ../parent --change . --seed 11 --out BENCH_10_seed11.json
@@ -45,7 +46,7 @@ PAIRS = 10  # alternating parent/change pairs per workload and per startup comma
 SEED = 3  # default workload seed
 SECONDS = 20.0  # the benchmark's run_seconds
 CRITERION_PAIRS = 5
-FIT_RUNS = ((1, False), (2, False), (3, False), (3, True))  # (seed, fit mu_infinity) of the fit comparison
+FIT_RUNS = tuple((seed, four) for seed in (1, 2, 3, 7, 11) for four in (False, True))  # (seed, fit mu_infinity)
 SWEEP_SEEDS = (1, 2, 3)  # seeds of the merged sweep comparison
 GEOM_SEEDS = (1, 2, 3)  # seeds of the geom comparison
 
@@ -206,12 +207,13 @@ def fit_runs(sides: dict, runs) -> dict:
 
 
 def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
-    """Time whole CLI processes of both sides in alternating pairs: start-up cost with little work behind it.
+    """Time whole CLI processes of both sides in alternating pairs: start-up cost, and a fit as a user pays it.
 
     ``--version`` and ``overlap --elements 24`` are nearly pure start-up; the
     ``geom-mc`` workload's ``geom`` command adds its Monte Carlo; ``fit
     --bootstrap 0`` of the ``hist-bootstrap`` histogram evaluates the mixture,
-    so it loads ``scipy.special`` on either side.
+    so it loads ``scipy.special`` on either side; ``fit --bootstrap 100`` of the
+    same histogram adds the workload's bootstrap refits.
     """
     workloads, _ = _benchmark_modules(sides)
     summary, all_runs = {}, []
@@ -223,8 +225,8 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
             "version": ["--version"],
             "overlap": ["overlap", "--elements", "24"],
             "geom": geom.args,
-            "fit_bootstrap_0": ["fit", str(hist.hist), "-c", str(hist.config), "-o", str(Path(tmp) / "fit-out"),
-                                "--bootstrap", "0"],
+            **{f"fit_bootstrap_{n}": ["fit", str(hist.hist), "-c", str(hist.config), "-o", str(Path(tmp) / "fit-out"),
+                                      "--bootstrap", str(n)] for n in (0, workloads.FIT_BOOTSTRAP)},
         }
         for name, args in commands.items():
             runs = alternate(PAIRS, sides, lambda root: process_run(root, args))
@@ -353,8 +355,8 @@ def main(argv=None) -> int:
             "startup": f"wall time of one fresh `python -c '{CLI}' ARGS` "
                        f"process per run, timed from outside, in {PAIRS} alternating pairs per command; "
                        f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
-                       f"command at seed {args.seed}; fit_bootstrap_0: fit --bootstrap 0 of the hist-bootstrap "
-                       f"histogram CSV and configuration at seed {args.seed}",
+                       f"command at seed {args.seed}; fit_bootstrap_0 and fit_bootstrap_100: fit --bootstrap 0 "
+                       f"and 100 of the hist-bootstrap histogram CSV and configuration at seed {args.seed}",
             "fit": "the hist-bootstrap workload's histogram CSV and configuration at seeds "
                    f"{sorted({seed for seed, _ in FIT_RUNS})}, fitted once per seed through the CLI "
                    "`fit --bootstrap 100` of each side, and with --fit-mu-infinity too at seeds "

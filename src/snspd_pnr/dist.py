@@ -137,6 +137,49 @@ def emg_sample(p: EmgParams, rng: np.random.Generator, count: int) -> np.ndarray
     return t
 
 
+class _GuideTable:
+    """Inverse-CDF sampler of R discrete laws, the rows of ``p`` (R, W), through a guide table.
+
+    Each row's CDF is formed as ``rng.choice(p=row)`` forms it, ``cdf =
+    row.cumsum(); cdf /= cdf[-1]``, and ``search(u, rows)`` returns exactly
+    ``np.searchsorted(cdf[row], u, side="right")`` per event (Chen & Asau
+    1974).  [0, 1) is cut into G equal buckets, G = 16 * 2**ceil(log2 W) so
+    that ``u * G`` is exact.  A bucket that no CDF entry falls strictly inside
+    has one answer for all its u, the count of entries at or below its lower
+    edge; ``guide`` holds it, or the marker W for a bucket that must be
+    searched (no answer reaches W, because u < 1 = cdf[-1], while 0 is one).
+    At most W - 1 of a row's G buckets are searched.  ``guide`` is R x G
+    entries of the narrowest unsigned dtype that holds W, one byte each up to
+    W = 255.  Both tables are read-only, so a cached table can be shared.
+    """
+
+    def __init__(self, p: np.ndarray) -> None:
+        self.cdf = np.cumsum(p, axis=1)
+        self.cdf /= self.cdf[:, -1:]
+        width = self.cdf.shape[1]
+        size = 16 << (width - 1).bit_length()
+        edges = np.arange(size + 1) / size
+        self.guide = np.empty((len(self.cdf), size), dtype=np.min_scalar_type(width))
+        for guide, cdf in zip(self.guide, self.cdf):
+            lo = cdf.searchsorted(edges[:-1], side="right")
+            guide[:] = np.where(cdf.searchsorted(edges[1:], side="left") > lo, width, lo)
+        self.cdf.flags.writeable = self.guide.flags.writeable = False
+
+    def search(self, u: np.ndarray, rows=0) -> np.ndarray:
+        """``searchsorted(cdf[rows], u, side="right")`` as int64 for uniforms ``u`` in [0, 1) and
+        row indices ``rows`` (one per event, or one for all)."""
+        width, size = self.cdf.shape[1], self.guide.shape[1]
+        index = (u * size).astype(np.intp)
+        index += rows * size
+        k = self.guide.take(index).astype(np.int64)
+        todo = np.flatnonzero(k == width)
+        todo_rows = np.broadcast_to(rows, u.shape)[todo]
+        for row in np.unique(todo_rows):
+            at = todo[todo_rows == row]
+            k[at] = self.cdf[row].searchsorted(u[at], side="right")
+        return k
+
+
 def conditioned_poisson_weights(n_bar: float) -> tuple[int, np.ndarray]:
     """Photon-number weights of a Poissonian source of mean ``n_bar``, given at least one photon.
 

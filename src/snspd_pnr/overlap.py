@@ -6,9 +6,9 @@ form, and a second-order exponential approximation for n much smaller than M.
 The number K of distinct elements they occupy follows
 ``P(K=k | n, M) = C(M,k) S(n,k) k! / M^n`` with S the Stirling numbers of the
 second kind; ``occupied_law`` tabulates it exactly, and
-``occupied_element_counts`` samples it with one uniform per event through a
-Walker/Vose alias table of each row, read with one flat gather per table at
-the row-major index of (n, slot).
+``occupied_element_counts`` samples it with one uniform per event, the
+inverse-CDF search in row n through the guide table that also draws the
+simulator's photon numbers.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import _check_n
+from .dist import _GuideTable
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def overlap_approx(grid: ElementGrid, n) -> float:
     return float(-math.expm1(-n * (n - 1) / (2.0 * M))) + 0.0  # avoid -0.0 at n = 1
 
 
-# Alias tables are built for the largest n rounded up to a multiple of this,
+# Guide tables are built for the largest n rounded up to a multiple of this,
 # so chunks whose largest n differs a little share one cached table.
 _LAW_ROWS = 32
 
@@ -91,34 +92,14 @@ def occupied_law(n_hi: int, M: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _alias_table(n_hi: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Walker/Vose alias tables of ``occupied_law`` rows 0..n_hi, and each row's slot count.
+def _occupied_guide(n_hi: int, M: int) -> _GuideTable:
+    """Guide table over the rows n = 0..n_hi of ``occupied_law(n_hi, M)``.
 
-    Row n has ``slots[n] = max(min(n, M), 1)`` slots, slot j standing for
-    k = j + 1: a draw that lands in slot j keeps j + 1 when its fraction is
-    below ``cut[n, j]`` and takes ``alias[n, j]`` otherwise.  Row 0 has one
-    slot with cut 0 and alias 0, so an event without photons always yields 0.
-    Each row depends on n and M alone, not on n_hi.
+    Its guide is (n_hi + 1) x G bytes while min(n_hi, M) < 255, 33 x 512 at
+    n_hi = 32 and M = 24, next to a float64 CDF of the law's shape.  Each
+    row's answers depend on n and M alone, not on n_hi.
     """
-    law = occupied_law(n_hi, M)
-    cut = np.zeros((n_hi + 1, max(law.shape[1] - 1, 1)))
-    alias = np.zeros(cut.shape, dtype=np.int64)
-    for n in range(1, n_hi + 1):
-        slots = min(n, M)
-        scaled = [p * slots for p in law[n, 1 : slots + 1].tolist()]
-        small = [j for j in range(slots) if scaled[j] < 1.0]
-        large = [j for j in range(slots) if scaled[j] >= 1.0]
-        while small and large:
-            s, big = small.pop(), large.pop()
-            cut[n, s], alias[n, s] = scaled[s], big + 1
-            scaled[big] -= 1.0 - scaled[s]
-            (small if scaled[big] < 1.0 else large).append(big)
-        for j in small + large:  # 1 up to rounding
-            cut[n, j], alias[n, j] = 1.0, j + 1
-    slots = np.maximum(np.minimum(np.arange(n_hi + 1), M), 1)
-    for table in (cut, alias, slots):
-        table.flags.writeable = False
-    return cut, alias, slots
+    return _GuideTable(occupied_law(n_hi, M))
 
 
 def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
@@ -140,20 +121,4 @@ def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Gen
         return np.zeros(0, dtype=np.int64)
     M = int(grid.element_count)
     n_hi = -(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS
-    cut, alias, slots = _alias_table(n_hi, M)
-    s = slots.take(counts)
-    x = rng.random(counts.size)
-    x *= s
-    j = x.astype(np.int64)
-    s -= 1
-    np.minimum(j, s, out=j)  # a guard: a 53-bit u < 1 already keeps u * slots below slots
-    x -= j
-    flat = np.multiply(counts, cut.shape[1], out=s)  # row-major index of (n, j)
-    flat += j
-    keep = x < cut.take(flat)
-    k = alias.take(flat)
-    j += 1  # j + 1 where keep, else the alias k: k + keep (j + 1 - k)
-    j -= k
-    j *= keep
-    j += k
-    return j
+    return _occupied_guide(n_hi, M).search(rng.random(counts.size), counts)

@@ -3,9 +3,10 @@
 Each event draws a photon number from the click-conditioned Poisson
 distribution, optionally collapses it to the number of distinct detector
 elements hit (domain-merge model), and draws an arrival time from the EMG
-component of that effective photon number.  The photon number is a
-guide-table search of one uniform in the weights' CDF, the same number that
-``rng.choice(p=weights)`` draws from the same generator.  Weights and
+component of that effective photon number.  Both discrete draws search one
+uniform in a CDF through the guide table ``dist._GuideTable``: n in the
+weights' CDF, the number ``rng.choice(p=weights)`` draws from the same
+generator, and K in row n of ``overlap.occupied_law``.  Weights and
 components are the arrays of ``fit.mixture_from_params`` at the budget's
 (sigma_int, tau) and the detector's delta_mu, the same model the fit and the
 sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb; the canonical event
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import JitterBudget
-from .dist import EmgParams, MixtureModel, emg_sample, mixture_moments
+from .dist import EmgParams, MixtureModel, _GuideTable, emg_sample, mixture_moments
 from .fit import FixedParams, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable
@@ -90,28 +91,13 @@ def _nbar_entropy(n_bar: float) -> int:
 
 
 def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Photon numbers ``searchsorted(cdf, u, side="right") + 1`` for uniforms ``u``.
+    """Photon numbers ``searchsorted(cdf, u, side="right") + 1`` for uniforms ``u``, by the guide table.
 
     The ``cdf`` is formed exactly as ``rng.choice(np.arange(1, n_max + 1),
     p=weights)`` forms it, so with ``u = rng.random(count)`` the result is
-    that call's draw bit for bit.  The search goes through a guide table
-    (Chen & Asau 1974) of G equal buckets, G a power of two of at least
-    16 n_max so that ``u * G`` is exact.  Every u in a bucket that no CDF
-    entry falls strictly inside has the same answer, the count of entries at
-    or below the bucket's lower edge; only the events in the other buckets (at
-    most n_max of the G, a few percent of the events) are searched.
+    that call's draw bit for bit.
     """
-    cdf = weights.cumsum()
-    cdf /= cdf[-1]
-    size = 16 << (cdf.size - 1).bit_length()
-    edges = np.arange(size + 1) / size
-    lo = cdf.searchsorted(edges[:-1], side="right")
-    ambiguous = cdf.searchsorted(edges[1:], side="left") > lo
-    guide = np.where(ambiguous, 0, lo + 1)  # 0 marks a bucket that must be searched
-    ns = guide.take((u * size).astype(np.intp))
-    todo = np.flatnonzero(ns == 0)
-    ns[todo] = cdf.searchsorted(u[todo], side="right") + 1
-    return ns
+    return _GuideTable(weights[None]).search(u) + 1
 
 
 def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, start: int, count: int):

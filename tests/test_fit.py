@@ -338,8 +338,8 @@ def _simplex_fit(nll, z0, counts):
 def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinity, monkeypatch):
     # the main fit is redone here by Nelder-Mead on the public objective from the default
     # start, and every bootstrap refit from the same optimum the scoring refit started from;
-    # the rows of z are views, so they hold the points fit_histogram returns once it has taken
-    # each converged refit's last step
+    # the spy copies each refit's rows, and the test takes each converged refit's last step
+    # z - s itself, so it compares the points whose spread fit_histogram reports
     seen = []
     real = snspd_pnr.fit._fisher_refit
 
@@ -347,7 +347,8 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
         out = real(model, counts, z, at_z, **kwargs)
         if not np.all(counts == rt_hist.counts):  # the main fit's starts run on the data itself
             starts = np.broadcast_to(z, out[0].shape)
-            seen.extend((counts[r].copy(), starts[r].copy(), tuple(o[r] for o in out)) for r in range(len(counts)))
+            seen.extend((counts[r].copy(), starts[r].copy(), tuple(np.copy(o[r]) for o in out))
+                        for r in range(len(counts)))
         return out
 
     theta_hat = (rt_fit.delta_mu, rt_fit.sigma_int, rt_fit.tau)
@@ -373,8 +374,12 @@ def test_fisher_refits_match_simplex_refits(rt_hist, fp1, rt_fit, fit_mu_infinit
     assert np.all(gap <= 1e-3 * np.array(res.bootstrap_errors)), gap
     assert res.negative_log_likelihood <= main.fun + 1e-6
 
-    for counts, z_hat, (z_fisher, converged, *_) in seen:
-        assert converged
+    assert all(converged for _, _, (_, converged, *_) in seen)
+    refits = [z - last for _, _, (z, _, _, _, last) in seen]
+    spread = np.std([theta_of(z) for z in refits], axis=0, ddof=1)
+    assert np.allclose(spread, res.bootstrap_errors, rtol=1e-12, atol=0.0)
+
+    for (counts, z_hat, _), z_fisher in zip(seen, refits, strict=True):
         simplex = _simplex_fit(nll, z_hat, counts)
         assert simplex.success
         gap = np.abs(theta_of(z_fisher) - theta_of(simplex.x))

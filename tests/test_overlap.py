@@ -13,7 +13,7 @@ from snspd_pnr import (
     overlap_approx,
     overlap_exact,
 )
-from snspd_pnr.overlap import _LAW_ROWS, _alias_table, occupied_law
+from snspd_pnr.overlap import occupied_law
 
 
 def test_reference_values():
@@ -113,7 +113,7 @@ def test_more_photons_than_elements():
 
 
 def test_draw_depends_only_on_the_event():
-    # one uniform per event, and alias rows that do not depend on the largest n in the array
+    # one uniform per event, and guide rows that do not depend on the largest n in the array
     g = ElementGrid(24)
     ns = np.array([5, 17, 3, 60, 200, 1, 24])
     alone = [occupied_element_counts(g, ns[: i + 1], np.random.default_rng(4))[i] for i in range(ns.size)]
@@ -217,25 +217,56 @@ def test_occupied_counts_agree_with_sorting_sampler():
         assert stats.chi2_contingency(table)[1] > 1e-4, f"n={n}"
 
 
-def _two_dimensional_lookup(grid, counts, rng):
-    """The alias lookup as a 2-D gather and ``np.where``: the reference for the flat lookup."""
-    m = grid.element_count
-    cut, alias, _ = _alias_table(-(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS, m)
-    slots = np.maximum(np.minimum(counts, m), 1)
-    x = rng.random(counts.size) * slots
-    j = np.minimum(x.astype(np.int64), slots - 1)
-    return np.where(x - j < cut[counts, j], j + 1, alias[counts, j])
+def _search_law_rows(grid, counts, u):
+    """``np.searchsorted`` of each event's uniform in row n of the normalized ``occupied_law`` CDF,
+    formed as ``rng.choice`` forms it: the reference for the guide table."""
+    law = occupied_law(int(counts.max()), grid.element_count)
+    k = np.empty(counts.size, dtype=np.int64)
+    for n in np.unique(counts):
+        cdf = law[n].cumsum()
+        cdf /= cdf[-1]
+        at = counts == n
+        k[at] = np.searchsorted(cdf, u[at], side="right")
+    return k
 
 
 @pytest.mark.parametrize("m", [1, 2, 24, 50])
-def test_flat_alias_lookup_matches_two_dimensional_lookup_bit_for_bit(m):
+def test_occupied_counts_are_the_search_in_the_law_cdf_bit_for_bit(m):
     rng = np.random.default_rng(9)
     ns = np.concatenate([np.zeros(50, dtype=np.int64), np.arange(0, 3 * m + 40), rng.integers(0, 70, 200_000)])
     rng.shuffle(ns)
     for counts in (ns, np.zeros(10, dtype=np.int64), np.full(1000, m + 1), np.ones(3, dtype=np.int64)):
         old_rng, new_rng = np.random.default_rng(31), np.random.default_rng(31)
-        old = _two_dimensional_lookup(ElementGrid(m), counts, old_rng)
+        old = _search_law_rows(ElementGrid(m), counts, old_rng.random(counts.size))
         new = occupied_element_counts(ElementGrid(m), counts, new_rng)
         assert new.dtype == old.dtype == np.int64
         assert np.array_equal(new, old)
         assert new_rng.random() == old_rng.random()
+
+
+class _Uniforms:
+    """Stands in for a generator whose one ``random`` call returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
+
+
+@pytest.mark.parametrize("m", [1, 2, 24, 50])
+def test_occupied_count_draw_on_and_below_every_cdf_entry(m):
+    # at m = 2 the entries 2^(1-n) sit on bucket edges up to n = 7; most others fall inside searched buckets
+    grid, rows = ElementGrid(m), np.arange(0, m + 40)
+    law = occupied_law(int(rows[-1]), m)
+    counts, u = [], []
+    for n in rows:
+        cdf = law[n].cumsum()
+        cdf /= cdf[-1]
+        edge = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cdf[:-1], np.nextafter(cdf[:-1], 0.0)])
+        edge = edge[edge < 1.0]  # past k = min(n, M) the entries are 1, which no uniform reaches
+        counts.append(np.full(edge.size, n))
+        u.append(edge)
+    counts, u = np.concatenate(counts), np.concatenate(u)
+    assert np.array_equal(occupied_element_counts(grid, counts, _Uniforms(u)), _search_law_rows(grid, counts, u))

@@ -25,7 +25,7 @@ from snspd_pnr import (
     tau_at,
     write_time_tags,
 )
-from snspd_pnr.overlap import _LAW_ROWS, _alias_table, occupied_law
+from snspd_pnr.overlap import occupied_law
 from snspd_pnr.sim import _CHUNK_EVENTS, TRIGGER_PERIOD_PS, _draw_photon_numbers
 
 
@@ -134,7 +134,8 @@ def test_photon_number_draw_on_and_below_every_cdf_entry(weights):
 
 
 def _reference_simulation(plan):
-    """``simulate_tags`` drawn through ``rng.choice``, the 2-D alias lookup and ``normal + exponential``."""
+    """``simulate_tags`` drawn through ``rng.choice``, a search in each row of the ``occupied_law`` CDF and
+    ``normal + exponential``."""
     out = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
@@ -147,12 +148,13 @@ def _reference_simulation(plan):
             ns = rng.choice(np.arange(1, mix.n_max + 1), size=count, p=mix.weights)
             ks = ns.copy()
             if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
-                m = plan.detector.grid.element_count
-                cut, alias, _ = _alias_table(-(-int(ns.max()) // _LAW_ROWS) * _LAW_ROWS, m)
-                slots = np.maximum(np.minimum(ns, m), 1)
-                x = rng.random(count) * slots
-                j = np.minimum(x.astype(np.int64), slots - 1)
-                ks = np.where(x - j < cut[ns, j], j + 1, alias[ns, j])
+                law = occupied_law(int(ns.max()), plan.detector.grid.element_count)
+                u = rng.random(count)
+                for n in np.unique(ns):
+                    cdf = law[n].cumsum()
+                    cdf /= cdf[-1]
+                    at = ns == n
+                    ks[at] = np.searchsorted(cdf, u[at], side="right")
             arrivals = np.empty(count)
             for k in np.unique(ks):
                 idx = np.flatnonzero(ks == k)

@@ -4,10 +4,11 @@ Runs the unmodified ``benchmarks/run.py`` of two checkouts (say, a
 ``git archive`` of the parent commit and the working tree) in pairs that
 alternate which side goes first, summarises each end-to-end metric per side
 (median and linear quartiles), and counts the pairs the change wins.  It also
-times the criterion 2 and criterion 7 acceptance tests in each checkout, and
-compares the bootstrapped fit of the ``hist-bootstrap`` workload, the merged
-sweep of the ``sweep-merge`` workload and the ``geom`` run of the ``geom-mc``
-workload between the two sides.  Its ``startup`` block times whole CLI
+times the criterion 2 and criterion 7 acceptance tests in each checkout,
+records each side's criterion 7 verdict (the 13 fitted one-photon peaks, their
+Kendall tau and one-sided p), and compares the bootstrapped fit of the
+``hist-bootstrap`` workload, the merged sweep of the ``sweep-merge`` workload
+and the ``geom`` run of the ``geom-mc`` workload between the two sides.  Its ``startup`` block times whole CLI
 processes on both sides: ones that do little work beyond starting up, and the
 ``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it.
 
@@ -27,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -79,10 +81,25 @@ def bench_run(root: Path, workload: str, seed: int) -> dict:
 
 
 def criterion_run(root: Path, test: str) -> dict:
-    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", test]
     t0 = time.perf_counter()
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=_env(root))
-    return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0}
+    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("CRITERION ")]
+    return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0,
+            "verdict": verdicts[-1] if verdicts else None}
+
+
+def criterion_7_values(runs: list[dict]) -> dict:
+    """Per side: criterion 7's 13 fitted mu_1 (ps), Kendall tau and one-sided p, as its CRITERION line prints them."""
+    out = {}
+    for side in ("parent", "change"):
+        values = []
+        for r in (r for r in runs if r["side"] == side):
+            found = re.search(r"n_bar=1\.\.13: ([^;]+);.*kendall tau=(\S+), one-sided p=(\S+) ", r["verdict"] or "")
+            values.append(found and {"mu_1_ps": [float(v) for v in found[1].split()],
+                                     "kendall_tau": float(found[2]), "one_sided_p": float(found[3])})
+        out[side] = {**(values[0] or {}), "same_in_every_run": all(v == values[0] for v in values)}
+    return out
 
 
 def process_run(root: Path, args: list[str]) -> dict:
@@ -350,8 +367,12 @@ def main(argv=None) -> int:
                          f"--trace 0, unmodified, from a checkout of each commit; {PAIRS} pairs per workload, "
                          "alternating which side runs first; numpy linear percentiles over the runs of each side; "
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
-            "criteria": f"python -m pytest -q TEST in each checkout, timed from outside (interpreter start "
-                        f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated",
+            "criteria": f"python -m pytest -q -s TEST in each checkout, timed from outside (interpreter start "
+                        f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated; "
+                        "criterion_7 holds each side's fitted mu_1 for n_bar 1..13, Kendall tau and one-sided p "
+                        "as the test's CRITERION line prints them (mu_1 to 0.01 ps, tau to 3 decimals, p to 3 "
+                        "significant digits), and whether "
+                        "every run of that side printed the same",
             "startup": f"wall time of one fresh `python -c '{CLI}' ARGS` "
                        f"process per run, timed from outside, in {PAIRS} alternating pairs per command; "
                        f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
@@ -398,6 +419,8 @@ def main(argv=None) -> int:
             r["kind"] = name
         report[f"{name}_s"] = compare(runs, "wall_s")
         report[f"{name}_s"]["all_passed"] = all(r["passed"] for r in runs)
+        if name == "criterion_7":
+            report["criterion_7"] = criterion_7_values(runs)
         report["runs"] += runs
     report["startup"], runs = startup_runs(sides, args.seed)
     report["runs"] += runs

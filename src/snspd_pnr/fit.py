@@ -124,7 +124,8 @@ class FitResult:
     entry when mu_infinity was fitted); ``bootstrap_converged`` counts the
     bootstrap refits whose scoring met its step tolerance (an undamped step of
     at most 1e-2 of the fit's standard error in each coordinate, which the refit
-    takes, see ``fit_histogram``) within its iteration cap (None without one);
+    takes, see ``fit_histogram``) within its iteration cap (both None without
+    refits, and ``bootstrap_errors`` None when no refit converged);
     ``covariance_proxy`` is I(theta_hat)^-1, the inverse expected information
     J^T diag(1/m) J of the fitted bin counts m, carried from the fit's log
     coordinates to (delta_mu, sigma_int, tau[, mu_infinity]): the asymptotic
@@ -451,7 +452,8 @@ def fit_histogram(
         if xtol is not None:  # take the step that met the tolerance, without evaluating its point
             z_boot[done] -= last[done]
         boot_converged = int(done.sum())
-        boot_errors = tuple(float(v) for v in theta_of(z_boot).std(axis=0, ddof=1))
+        if boot_converged:
+            boot_errors = tuple(float(v) for v in theta_of(z_boot).std(axis=0, ddof=1))
 
     return FitResult(
         delta_mu=float(theta_hat[0]),

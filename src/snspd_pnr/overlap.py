@@ -25,18 +25,13 @@ from .dist import _GuideTable
 
 @dataclass(frozen=True)
 class ElementGrid:
-    """M independent detection elements (element_length is informational, um)."""
+    """M independent detection elements."""
 
     element_count: int
-    element_length: float | None = None
 
     def __post_init__(self) -> None:
         if int(self.element_count) != self.element_count or self.element_count < 1:
             raise ValueError("element_count must be an integer >= 1")
-        if self.element_length is not None and not (
-            math.isfinite(self.element_length) and self.element_length > 0.0
-        ):
-            raise ValueError("element_length must be positive")
 
 
 def overlap_exact(grid: ElementGrid, n) -> float:

@@ -9,15 +9,17 @@ weights' CDF, the number ``rng.choice(p=weights)`` draws from the same
 generator, and K in row n of ``overlap.occupied_law``.  Weights and
 components are the arrays of ``fit.mixture_from_params`` at the budget's
 (sigma_int, tau) and the detector's delta_mu, the same model the fit and the
-sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb; the canonical event
-time is (trigger + arrival) - trigger evaluated in float64, so CSV round-trips
-reproduce in-memory results bit for bit.
+sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb, built once per call
+and shared, read-only, by every source; a source keeps only its edges,
+trigger + arrival.  The canonical event time is (trigger + arrival) - trigger
+evaluated in float64, so CSV round-trips reproduce in-memory results bit for
+bit.
 
 Generation runs each source's chunks in order, and every chunk seeds its own
 generator from (seed, bits(n_bar), chunk_index), so duplicated n_bar entries
-yield identical tag streams.  The module only draws: ``cli`` writes the tag
-files and the manifest.  The sweep's width errors are closed-form, so the tag
-streams are its only random draws.
+yield identical tag streams.  The module only draws, and keeps no per-event
+photon numbers: ``cli`` writes the tag files and the manifest.  The sweep's
+width errors are closed-form, so the tag streams are its only random draws.
 """
 
 from __future__ import annotations
@@ -79,11 +81,13 @@ class SimPlan:
 
 @dataclass(frozen=True)
 class SourceTags(TimeTagTable):
-    """One source's synthetic tags plus the generating photon numbers."""
+    """One source's synthetic tags and the mixture they are drawn from.
 
-    photon_number: np.ndarray = field(kw_only=True)  # drawn photon number n per event
-    component: np.ndarray = field(kw_only=True)      # effective photon number after merging
-    mixture: MixtureModel = field(kw_only=True)      # the unmerged mixture n and the arrival times are drawn from
+    ``trigger_ps`` is the read-only comb ``arange(events) * TRIGGER_PERIOD_PS``
+    that every source of one ``simulate_tags`` call shares.
+    """
+
+    mixture: MixtureModel = field(kw_only=True)  # the unmerged mixture n and the arrival times are drawn from
 
 
 def _nbar_entropy(n_bar: float) -> int:
@@ -100,14 +104,12 @@ def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _GuideTable(weights[None]).search(u) + 1
 
 
-def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, start: int, count: int):
+def _chunk_arrivals(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, count: int) -> np.ndarray:
     seed_seq = np.random.SeedSequence((plan.seed, _nbar_entropy(n_bar), chunk_index))
     rng = np.random.default_rng(seed_seq)
-    ns = _draw_photon_numbers(mix.weights, rng.random(count))
+    ks = ns = _draw_photon_numbers(mix.weights, rng.random(count))
     if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
         ks = occupied_element_counts(plan.detector.grid, ns, rng)
-    else:
-        ks = ns.copy()
     arrivals = np.empty(count)
     # stable, so each k's events keep ascending index order; keys of at most
     # 16 bits take numpy's radix sort
@@ -116,25 +118,22 @@ def _generate_chunk(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index:
     for k in np.flatnonzero(np.diff(ends, prepend=0)):
         idx = order[ends[k - 1] : ends[k]]
         arrivals[idx] = emg_sample(EmgParams(mix.mu[k - 1], mix.sigma[k - 1], mix.tau[k - 1]), rng, idx.size)
-    trigger = (start + np.arange(count, dtype=np.float64)) * TRIGGER_PERIOD_PS
-    edge = trigger + arrivals
-    return ns, ks, trigger, edge
+    return arrivals
 
 
 def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     """Generate one tag table per n_bar value, deterministically from the plan seed."""
-    starts = range(0, plan.events_per_source, _CHUNK_EVENTS)
-    chunks = [(i, start, min(_CHUNK_EVENTS, plan.events_per_source - start)) for i, start in enumerate(starts)]
+    events = plan.events_per_source
+    counts = [min(_CHUNK_EVENTS, events - start) for start in range(0, events, _CHUNK_EVENTS)]
+    trigger = np.arange(events, dtype=np.float64) * TRIGGER_PERIOD_PS
+    trigger.flags.writeable = False
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
         mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
-        pieces = [_generate_chunk(plan, n_bar, mix, *chunk) for chunk in chunks]
-        if len(pieces) == 1:
-            ns, ks, trigger, edge = pieces[0]
-        else:
-            ns, ks, trigger, edge = (np.concatenate(column) for column in zip(*pieces))
-        out.append(SourceTags(trigger, edge, n_bar, photon_number=ns, component=ks, mixture=mix))
+        pieces = [_chunk_arrivals(plan, n_bar, mix, i, count) for i, count in enumerate(counts)]
+        edge = trigger + (pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+        out.append(SourceTags(trigger, edge, n_bar, mixture=mix))
     return out
 
 

@@ -76,6 +76,8 @@ def test_minimal_config_defaults(tmp_path):
         (lambda d: d["fit"].update(nbar=1), "config.fit: unknown keys"),
         (lambda d: d["sim"].update(thread_count=4), "config.sim: unknown keys"),
         (lambda d: d["detector"]["wire"].update(len=3), "config.detector.wire: unknown keys"),
+        (lambda d: d["detector"]["grid"].update(element_length=5.0),
+         "config.detector.grid: unknown keys ['element_length']"),
     ],
 )
 def test_unknown_keys_are_rejected_with_path(tmp_path, mutate, needle):

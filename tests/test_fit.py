@@ -452,7 +452,19 @@ def test_refit_held_to_one_iteration_is_not_converged(rt_hist, fp1, rt_fit, monk
         mp.setattr(snspd_pnr.fit, "_fisher_refit", capped)
         res = fit_histogram(rt_hist, fp1, theta0=theta_hat, n_bootstrap=4, bootstrap_seed=5)
     assert res.bootstrap_converged == 0
-    assert all(e > 0.0 for e in res.bootstrap_errors)
+    assert res.bootstrap_errors is None
+
+
+def test_no_bootstrap_errors_when_no_refit_converged(ref_detector, ref_budget):
+    # a merged source fitted with the unmerged law collapses to sigma_int -> 0; its refits
+    # collapse too, and the spread of refits that did not converge is no error
+    plan = SimPlan(ref_detector, ref_budget, (6.0,), 200_000, merge_model="occupied_elements", seed=11)
+    (st,) = simulate_tags(plan)
+    hist = ArrivalHistogram.from_events(st.delta_ps, 2.0, 6.0)
+    res = fit_histogram(hist, FixedParams.from_budget(ref_budget, ref_detector.mu_infinity, 6.0), n_bootstrap=20)
+    assert not res.converged and res.sigma_int < 1e-12
+    assert res.bootstrap_converged == 0
+    assert res.bootstrap_errors is None
 
 
 def test_bootstrap_on_empty_far_bins_whose_mass_underflows(rt_hist, fp1, rt_fit):

@@ -123,8 +123,6 @@ def test_draw_depends_only_on_the_event():
 def test_validation():
     with pytest.raises(ValueError):
         ElementGrid(0)
-    with pytest.raises(ValueError):
-        ElementGrid(4, element_length=0.0)
     g = ElementGrid(4)
     with pytest.raises(ValueError):
         overlap_exact(g, 0)

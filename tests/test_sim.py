@@ -12,6 +12,7 @@ from snspd_pnr import (
     MergeModel,
     MixtureModel,
     SimPlan,
+    TimeTagTable,
     conditioned_poisson_weights,
     emg_cdf,
     emg_sample,
@@ -25,7 +26,7 @@ from snspd_pnr import (
     tau_at,
     write_time_tags,
 )
-from snspd_pnr.overlap import occupied_law
+from snspd_pnr.overlap import occupied_element_counts, occupied_law
 from snspd_pnr.sim import _CHUNK_EVENTS, TRIGGER_PERIOD_PS, _draw_photon_numbers
 
 
@@ -44,12 +45,43 @@ def make_plan(ref_detector, ref_budget):
     return make
 
 
-def test_stratum_proportions(make_plan):
+@pytest.fixture
+def simulate_with_draws(monkeypatch):
+    """``simulate_tags`` that also returns each source's photon numbers n and effective numbers K,
+    seen at the draw: (tags, n, K) per source."""
+    ns, ks = [], []
+
+    def draw_n(weights, u):
+        ns.append(_draw_photon_numbers(weights, u))
+        return ns[-1]
+
+    def draw_k(grid, n, rng):
+        ks.append(occupied_element_counts(grid, n, rng))
+        return ks[-1]
+
+    monkeypatch.setattr(snspd_pnr.sim, "_draw_photon_numbers", draw_n)
+    monkeypatch.setattr(snspd_pnr.sim, "occupied_element_counts", draw_k)
+
+    def run(plan):
+        ns.clear()
+        ks.clear()
+        tags = simulate_tags(plan)
+        merged = plan.merge_model is MergeModel.OCCUPIED_ELEMENTS
+        assert len(ks) == (len(ns) if merged else 0)  # without merging K is the drawn n
+        chunks = len(ns) // len(tags)
+        per_source = [(np.concatenate(ns[i : i + chunks]), np.concatenate((ks if merged else ns)[i : i + chunks]))
+                      for i in range(0, len(ns), chunks)]
+        return [(st, n, k) for st, (n, k) in zip(tags, per_source, strict=True)]
+
+    return run
+
+
+def test_stratum_proportions(make_plan, simulate_with_draws):
     plan = make_plan([1.0], 120_000, seed=10)
-    (tags,) = simulate_tags(plan)
+    ((tags, ns, _),) = simulate_with_draws(plan)
     n_max, weights = conditioned_poisson_weights(1.0)
-    counts = np.bincount(tags.photon_number.astype(int), minlength=n_max + 1)[1:]
-    sel = weights * tags.photon_number.size >= 5
+    counts = np.bincount(ns.astype(int), minlength=n_max + 1)[1:]
+    sel = weights * ns.size >= 5
     chi2 = float(
         ((counts[sel] - weights[sel] * counts.sum()) ** 2 / (weights[sel] * counts.sum())).sum()
     )
@@ -57,12 +89,12 @@ def test_stratum_proportions(make_plan):
     assert chi2 < crit
 
 
-def test_stratum_conditional_moments(make_plan, ref_detector, ref_budget):
+def test_stratum_conditional_moments(make_plan, simulate_with_draws, ref_detector, ref_budget):
     plan = make_plan([1.0], 200_000, seed=11)
-    (tags,) = simulate_tags(plan)
+    ((tags, ns, _),) = simulate_with_draws(plan)
     delta = tags.delta_ps
     for n in (1, 2, 3):
-        sel = tags.photon_number == n
+        sel = ns == n
         m = int(sel.sum())
         x = delta[sel]
         want_mean = mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, n) + tau_at(ref_budget, n)
@@ -71,22 +103,22 @@ def test_stratum_conditional_moments(make_plan, ref_detector, ref_budget):
         assert x.std(ddof=1) == pytest.approx(want_std, rel=0.03)
 
 
-def test_low_rate_source_is_single_photon_emg(make_plan, ref_detector, ref_budget):
+def test_low_rate_source_is_single_photon_emg(make_plan, simulate_with_draws, ref_detector, ref_budget):
     plan = make_plan([0.01], 60_000, seed=12)
-    (tags,) = simulate_tags(plan)
-    frac_single = float((tags.photon_number == 1).mean())
+    ((tags, ns, _),) = simulate_with_draws(plan)
+    frac_single = float((ns == 1).mean())
     assert frac_single > 0.99
     p = EmgParams(
         mu_scaling(ref_detector.mu_infinity, ref_detector.delta_mu, 1), sigma_total(ref_budget, 1), tau_at(ref_budget, 1)
     )
-    x = tags.delta_ps[tags.photon_number == 1]
+    x = tags.delta_ps[ns == 1]
     stat = stats.kstest(x, lambda t: emg_cdf(p, t)).statistic
     assert stat < 1.9495 / math.sqrt(x.size)
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.4])
-def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, ref_detector, ref_budget,
-                                                                   monkeypatch, alpha):
+def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, simulate_with_draws, ref_detector,
+                                                                   ref_budget, monkeypatch, alpha):
     budget = dataclasses.replace(ref_budget, rise_scaling_exponent=alpha)
     plan = dataclasses.replace(make_plan([3.0], 50_000, seed=13), budget=budget)
     sampled = []
@@ -96,11 +128,11 @@ def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, re
         return emg_sample(p, rng, count)
 
     monkeypatch.setattr(snspd_pnr.sim, "emg_sample", spy)
-    (tags,) = simulate_tags(plan)
+    ((_, ns, ks),) = simulate_with_draws(plan)
     fp = FixedParams.from_budget(budget, ref_detector.mu_infinity, 3.0)
     mix = mixture_from_params(fp, (ref_detector.delta_mu, budget.sigma_int, budget.tau))
-    drawn = np.unique(tags.component) - 1  # one chunk: components are sampled in ascending n
-    assert tags.photon_number.max() <= mix.n_max
+    drawn = np.unique(ks) - 1  # one chunk: components are sampled in ascending n
+    assert ns.max() <= mix.n_max
     assert drawn.size > 5
     mu, sigma, tau = (np.array(v) for v in zip(*sampled))
     assert np.array_equal(mu, mix.mu[drawn])
@@ -167,21 +199,37 @@ def _reference_simulation(plan):
 
 
 @pytest.mark.parametrize("merge", ["off", "occupied_elements"])
-def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, merge):
+def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, simulate_with_draws, merge):
     # n_bar 0.5 fills one chunk and part of a second; 7.0 spans two chunks
     plan = make_plan([0.5, 7.0], _CHUNK_EVENTS + 50_000, merge=merge, seed=17)
-    for tags, (ns, ks, trigger, edge) in zip(simulate_tags(plan), _reference_simulation(plan), strict=True):
-        for got, ref in ((tags.photon_number, ns), (tags.component, ks), (tags.trigger_ps, trigger),
-                         (tags.edge_ps, edge)):
+    for (tags, n, k), (ns, ks, trigger, edge) in zip(simulate_with_draws(plan), _reference_simulation(plan),
+                                                     strict=True):
+        for got, ref in ((n, ns), (k, ks), (tags.trigger_ps, trigger), (tags.edge_ps, edge)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
-def test_trigger_comb_is_exact(make_plan):
+def test_trigger_comb_is_exact(make_plan, tmp_path):
     plan = make_plan([1.0], 2500, seed=1)
     (tags,) = simulate_tags(plan)
     want = np.arange(2500, dtype=np.float64) * TRIGGER_PERIOD_PS
     assert np.array_equal(tags.trigger_ps, want)
     assert TRIGGER_PERIOD_PS == pytest.approx(1e12 / 9500.0, rel=1e-15)
+    # sources of several chunks share one read-only comb, whose values the former per-chunk
+    # comb (start + arange(count)) * P had, so the tag CSV is the one those triggers wrote
+    events = _CHUNK_EVENTS + 50_000
+    plan = make_plan([1.0, 7.0], events, seed=1)
+    a, b = simulate_tags(plan)
+    want = np.arange(events, dtype=np.float64) * TRIGGER_PERIOD_PS
+    for st in (a, b):
+        assert st.trigger_ps.dtype == want.dtype and np.array_equal(st.trigger_ps, want)
+    assert a.trigger_ps is b.trigger_ps
+    assert not a.trigger_ps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        a.trigger_ps[0] = 1.0
+    _, _, trigger, edge = _reference_simulation(dataclasses.replace(plan, n_bar_values=(1.0,)))[0]
+    write_time_tags(tmp_path / "tags.csv", a)
+    write_time_tags(tmp_path / "reference.csv", TimeTagTable(trigger, edge, 1.0))
+    assert (tmp_path / "tags.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_duplicate_sources_get_identical_streams(make_plan):
@@ -199,14 +247,14 @@ def test_seed_and_nbar_change_streams(make_plan):
     assert not np.array_equal(a.edge_ps, c.edge_ps)
 
 
-def test_merge_reduces_effective_number_and_delays_edges(make_plan):
+def test_merge_reduces_effective_number_and_delays_edges(make_plan, simulate_with_draws):
     n_bar = 10.0
-    off = simulate_tags(make_plan([n_bar], 100_000, merge="off", seed=21))[0]
-    on = simulate_tags(make_plan([n_bar], 100_000, merge="occupied_elements", seed=21))[0]
-    assert np.array_equal(off.component, off.photon_number)
-    assert np.all(on.component <= on.photon_number)
-    assert np.all(on.component >= 1)
-    assert (on.component < on.photon_number).mean() > 0.5
+    ((off, off_n, off_k),) = simulate_with_draws(make_plan([n_bar], 100_000, merge="off", seed=21))
+    ((on, on_n, on_k),) = simulate_with_draws(make_plan([n_bar], 100_000, merge="occupied_elements", seed=21))
+    assert np.array_equal(off_k, off_n)
+    assert np.all(on_k <= on_n)
+    assert np.all(on_k >= 1)
+    assert (on_k < on_n).mean() > 0.5
     # fewer effective domains mean a larger mean delay
     assert on.delta_ps.mean() > off.delta_ps.mean() + 1.0
 

@@ -9,8 +9,11 @@ records each side's criterion 7 verdict (the 13 fitted one-photon peaks, their
 Kendall tau and one-sided p), and compares the bootstrapped fit of the
 ``hist-bootstrap`` workload, the merged sweep of the ``sweep-merge`` workload
 and the ``geom`` run of the ``geom-mc`` workload between the two sides.  Its ``startup`` block times whole CLI
-processes on both sides: ones that do little work beyond starting up, and the
-``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it.
+processes on both sides: ones that do little work beyond starting up, the
+``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it, and
+``simulate`` of the README configuration, whose tag files it compares byte for
+byte across the sides.  Every timed process's peak RSS is its ``ru_maxrss``
+from ``os.wait4``, read by a small launcher that forks it.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
     python3 tools/bench_pairs.py --parent ../parent --change . --seed 11 --out BENCH_10_seed11.json
@@ -19,12 +22,14 @@ processes on both sides: ones that do little work beyond starting up, and the
 held-out-seed series is one more run with its own output file.
 
 Both checkouts need the same benchmark code; the script reads nothing else
-from them.  Wall times depend on the host: record it with ``--hardware``.
+from them but the change's README configuration.  Wall times depend on the
+host: record it with ``--hardware``.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import math
 import os
@@ -70,6 +75,31 @@ def _env(root: Path) -> dict:
     return env
 
 
+# Runs ARGV[2:] as its child and writes the child's ru_maxrss (KiB) from os.wait4 to the file ARGV[1].  The
+# kernel carries a process's RSS over into ru_maxrss at exec, so a command started from this script would count
+# this script's RSS; one forked by the small launcher counts only the launcher's.
+LAUNCHER = """import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.argv[2], sys.argv[2:])
+_, status, usage = os.wait4(pid, 0)
+open(sys.argv[1], "w").write(str(usage.ru_maxrss))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def child_run(root: Path, cmd: list[str]) -> tuple[int, str, float, float]:
+    """Run ``cmd`` in ``root`` under ``LAUNCHER``: its exit code, stdout, wall time (s) and peak RSS (MiB,
+    ``ru_maxrss`` of ``os.wait4``, which covers the child and the descendants it waited for)."""
+    with tempfile.TemporaryFile() as out, tempfile.NamedTemporaryFile("r") as rss:
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, rss.name, *cmd], cwd=root, env=_env(root),
+                              stdout=out, stderr=subprocess.DEVNULL)
+        wall_s = time.perf_counter() - t0
+        out.seek(0)
+        return proc.returncode, out.read().decode(), wall_s, int(rss.read()) / 1024.0
+
+
 def bench_run(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", f"{SECONDS:g}", "--trace", "0"]
@@ -81,11 +111,10 @@ def bench_run(root: Path, workload: str, seed: int) -> dict:
 
 
 def criterion_run(root: Path, test: str) -> dict:
-    cmd = [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider", test]
-    t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=_env(root))
-    verdicts = [line for line in proc.stdout.splitlines() if line.startswith("CRITERION ")]
-    return {"wall_s": time.perf_counter() - t0, "passed": proc.returncode == 0,
+    code, stdout, wall_s, peak_rss_mb = child_run(root, [sys.executable, "-m", "pytest", "-q", "-s", "-p",
+                                                         "no:cacheprovider", test])
+    verdicts = [line for line in stdout.splitlines() if line.startswith("CRITERION ")]
+    return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "passed": code == 0,
             "verdict": verdicts[-1] if verdicts else None}
 
 
@@ -103,9 +132,14 @@ def criterion_7_values(runs: list[dict]) -> dict:
 
 
 def process_run(root: Path, args: list[str]) -> dict:
-    t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-c", CLI, *args], cwd=root, env=_env(root), capture_output=True)
-    return {"wall_s": time.perf_counter() - t0, "exit_code": proc.returncode}
+    code, _, wall_s, peak_rss_mb = child_run(root, [sys.executable, "-c", CLI, *args])
+    return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "exit_code": code}
+
+
+def readme_config(root: Path) -> dict:
+    """The run configuration of the README's command-line section."""
+    section = (root / "README.md").read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
 
 
 def quartiles(values) -> dict:
@@ -230,7 +264,10 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
     ``geom-mc`` workload's ``geom`` command adds its Monte Carlo; ``fit
     --bootstrap 0`` of the ``hist-bootstrap`` histogram evaluates the mixture,
     so it loads ``scipy.special`` on either side; ``fit --bootstrap 100`` of the
-    same histogram adds the workload's bootstrap refits.
+    same histogram adds the workload's bootstrap refits; ``simulate`` draws and
+    writes the README configuration's sources (its seed set to ``seed``), and
+    one more run per side into its own directory gives the files that
+    ``simulate.files_identical`` compares byte for byte.
     """
     workloads, _ = _benchmark_modules(sides)
     summary, all_runs = {}, []
@@ -238,21 +275,33 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
         hist = workloads.HistBootstrap(seed, Path(tmp) / "fit")
         hist.setup()
         (geom,) = workloads.GeomMc(seed, Path(tmp) / "geom").round_ops()
+        config = Path(tmp) / "readme.json"
+        config.write_text(json.dumps({**readme_config(sides["change"]), "seed": seed}))
         commands = {
             "version": ["--version"],
             "overlap": ["overlap", "--elements", "24"],
             "geom": geom.args,
             **{f"fit_bootstrap_{n}": ["fit", str(hist.hist), "-c", str(hist.config), "-o", str(Path(tmp) / "fit-out"),
                                       "--bootstrap", str(n)] for n in (0, workloads.FIT_BOOTSTRAP)},
+            "simulate": ["simulate", "-c", str(config), "-o", str(Path(tmp) / "simulate-out")],
         }
         for name, args in commands.items():
             runs = alternate(PAIRS, sides, lambda root: process_run(root, args))
             for r in runs:
                 r["kind"] = f"startup_{name}"
             summary[name] = compare(runs, "wall_s")
+            summary[name]["peak_rss_mb"] = compare(runs, "peak_rss_mb")
             summary[name]["all_exit_0"] = all(r["exit_code"] == 0 for r in runs)
             summary[name]["args"] = [a.replace(tmp, "<tmp>") for a in args]
             all_runs += runs
+        written = {}
+        for side, root in sides.items():
+            written[side] = Path(tmp) / f"simulate-{side}"
+            subprocess.run([sys.executable, "-c", CLI, "simulate", "-c", str(config), "-o", str(written[side])],
+                           cwd=root, env=_env(root), check=True, capture_output=True)
+        files = sorted(p.name for p in written["parent"].iterdir())
+        summary["simulate"]["files_identical"] = {
+            name: filecmp.cmp(written["parent"] / name, written["change"] / name, shallow=False) for name in files}
     return summary, all_runs
 
 
@@ -358,8 +407,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent, "change": args.change}
     report = {
         "what": "End-to-end benchmark metrics of the parent commit and of this change (median, quartiles, IQR), "
-                "the criterion 2 and 7 wall times, whole-process CLI start-up times, and the bootstrapped fits, "
-                "merged sweep widths and geom spreads of both sides.",
+                "the criterion 2 and 7 wall times and peak RSS, whole-process CLI times and peak RSS, and the "
+                "bootstrapped fits, merged sweep widths and geom spreads of both sides.",
         "hardware": args.hardware,
         "parent_commit": args.parent_commit,
         "method": {
@@ -369,6 +418,8 @@ def main(argv=None) -> int:
                          "change_lower_in_pairs counts the pairs in which the change's value is lower",
             "criteria": f"python -m pytest -q -s TEST in each checkout, timed from outside (interpreter start "
                         f"and imports included); {CRITERION_PAIRS} alternating pairs per test; reported, not gated; "
+                        "CRITERION_peak_rss_mb is the pytest process's ru_maxrss from os.wait4 in a launcher that forks "
+                        "it, in MiB; "
                         "criterion_7 holds each side's fitted mu_1 for n_bar 1..13, Kendall tau and one-sided p "
                         "as the test's CRITERION line prints them (mu_1 to 0.01 ps, tau to 3 decimals, p to 3 "
                         "significant digits), and whether "
@@ -377,7 +428,11 @@ def main(argv=None) -> int:
                        f"process per run, timed from outside, in {PAIRS} alternating pairs per command; "
                        f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
                        f"command at seed {args.seed}; fit_bootstrap_0 and fit_bootstrap_100: fit --bootstrap 0 "
-                       f"and 100 of the hist-bootstrap histogram CSV and configuration at seed {args.seed}",
+                       f"and 100 of the hist-bootstrap histogram CSV and configuration at seed {args.seed}; "
+                       f"simulate: simulate of the README configuration with seed {args.seed}, and "
+                       "files_identical compares each file it writes (tag CSVs and manifest) across the sides "
+                       "byte for byte; peak_rss_mb is each process's ru_maxrss from os.wait4 in a launcher that forks "
+                       "it, in MiB",
             "fit": "the hist-bootstrap workload's histogram CSV and configuration at seeds "
                    f"{sorted({seed for seed, _ in FIT_RUNS})}, fitted once per seed through the CLI "
                    "`fit --bootstrap 100` of each side, and with --fit-mu-infinity too at seeds "
@@ -419,6 +474,7 @@ def main(argv=None) -> int:
             r["kind"] = name
         report[f"{name}_s"] = compare(runs, "wall_s")
         report[f"{name}_s"]["all_passed"] = all(r["passed"] for r in runs)
+        report[f"{name}_peak_rss_mb"] = compare(runs, "peak_rss_mb")
         if name == "criterion_7":
             report["criterion_7"] = criterion_7_values(runs)
         report["runs"] += runs

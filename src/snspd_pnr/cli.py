@@ -247,6 +247,9 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 
     if n_bar is None:
         n_bar = cfg.fit.n_bar if cfg.fit.n_bar is not None else hist.mean_photon_number
+        if hist.mean_photon_number not in (None, n_bar):
+            _fail(EXIT_CONFIG, f"config.fit.n_bar = {n_bar!r} contradicts the n_bar = {hist.mean_photon_number!r} "
+                               f"header of {input_file}; pass --n-bar to choose one")
     if n_bar is None:
         _fail(EXIT_CONFIG, "mean photon number required (--n-bar, config.fit.n_bar, or a '# n_bar=' header)")
 

@@ -1,19 +1,19 @@
 """Synthetic time-tag generation for swept mean photon numbers.
 
-Each event draws a photon number from the click-conditioned Poisson
-distribution, optionally collapses it to the number of distinct detector
-elements hit (domain-merge model), and draws an arrival time from the EMG
-component of that effective photon number.  Both discrete draws search one
-uniform in a CDF through the guide table ``dist._GuideTable``: n in the
-weights' CDF, the number ``rng.choice(p=weights)`` draws from the same
-generator, and K in row n of ``overlap.occupied_law``.  Weights and
-components are the arrays of ``fit.mixture_from_params`` at the budget's
-(sigma_int, tau) and the detector's delta_mu, the same model the fit and the
-sweep evaluate.  Triggers sit on a fixed 9.5 kHz comb, built once per call
-and shared, read-only, by every source; a source keeps only its edges,
-trigger + arrival.  The canonical event time is (trigger + arrival) - trigger
-evaluated in float64, so CSV round-trips reproduce in-memory results bit for
-bit.
+Each chunk draws, per event and in this order: a photon number n from the
+click-conditioned Poisson weights, a standard normal z, a standard exponential
+e and, under the domain-merge model, the number K of distinct elements hit.
+The arrival is z sigma[k] + mu[k] + e tau[k] for the event's effective photon
+number k + 1 (K, or n), so a merged source shares every n, z and e with its
+unmerged twin.  n and K each search one uniform through ``dist._GuideTable``:
+n in the weights' CDF, as ``rng.choice(p=weights)`` draws it, and K in row n
+of ``overlap.occupied_law``.  Weights and components are the arrays of
+``fit.mixture_from_params`` at the budget's (sigma_int, tau) and the
+detector's delta_mu, the model the fit and the sweep evaluate.  Triggers sit
+on a fixed 9.5 kHz comb, built once per call and shared, read-only, by every
+source; a source keeps only its edges, trigger + arrival.  The canonical event
+time is (trigger + arrival) - trigger in float64, so CSV round-trips reproduce
+in-memory results bit for bit.
 
 Generation runs each source's chunks in order, and every chunk seeds its own
 generator from (seed, bits(n_bar), chunk_index), so duplicated n_bar entries
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import JitterBudget
-from .dist import EmgParams, MixtureModel, _GuideTable, emg_sample, mixture_moments
+from .dist import MixtureModel, _GuideTable, mixture_moments
 from .fit import FixedParams, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable
@@ -108,16 +108,16 @@ def _chunk_arrivals(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index:
     seed_seq = np.random.SeedSequence((plan.seed, _nbar_entropy(n_bar), chunk_index))
     rng = np.random.default_rng(seed_seq)
     ks = ns = _draw_photon_numbers(mix.weights, rng.random(count))
+    arrivals = rng.standard_normal(count)
+    tail = rng.standard_exponential(count)
     if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
         ks = occupied_element_counts(plan.detector.grid, ns, rng)
-    arrivals = np.empty(count)
-    # stable, so each k's events keep ascending index order; keys of at most
-    # 16 bits take numpy's radix sort
-    order = np.argsort(ks.astype(np.min_scalar_type(ks.max())), kind="stable")
-    ends = np.cumsum(np.bincount(ks))
-    for k in np.flatnonzero(np.diff(ends, prepend=0)):
-        idx = order[ends[k - 1] : ends[k]]
-        arrivals[idx] = emg_sample(EmgParams(mix.mu[k - 1], mix.sigma[k - 1], mix.tau[k - 1]), rng, idx.size)
+    # the operations of rng.normal(mu[k], sigma[k]) + rng.exponential(tau[k]), in place
+    k = ks - 1
+    arrivals *= mix.sigma[k]
+    arrivals += mix.mu[k]
+    tail *= mix.tau[k]
+    arrivals += tail
     return arrivals
 
 

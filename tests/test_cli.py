@@ -190,6 +190,21 @@ def test_fit_one_bootstrap_resample_exit_2(runner, config_path, tag_file, tmp_pa
     assert not (out / "fit_result.json").exists()
 
 
+def test_fit_config_n_bar_contradicting_the_header_exit_2(runner, tag_file, tmp_path):
+    path = tmp_path / "n_bar_3.json"
+    path.write_text(json.dumps({**CONFIG, "fit": {**CONFIG["fit"], "n_bar": 3.0}}), encoding="utf-8")
+    out = tmp_path / "o"
+    result = runner.invoke(main, ["fit", str(tag_file), "-c", str(path), "-o", str(out)])
+    assert result.exit_code == 2, out_text(result)
+    for part in ("config.fit.n_bar = 3.0", "n_bar = 1.0 header", str(tag_file)):
+        assert part in out_text(result)
+    assert not (out / "fit_result.json").exists()
+    # --n-bar still overrides both
+    result = runner.invoke(main, ["fit", str(tag_file), "-c", str(path), "-o", str(out), "--n-bar", "1"])
+    assert result.exit_code == 0, out_text(result)
+    assert json.loads((out / "fit_result.json").read_text())["n_bar"] == 1.0
+
+
 def test_fit_histogram_without_nbar_fails(runner, config_path, tag_file, tmp_path):
     hist = ingest_time_tags(tag_file)
     hist = type(hist)(hist.bin_edges, hist.counts, hist.total_events, None)

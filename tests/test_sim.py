@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -15,7 +16,6 @@ from snspd_pnr import (
     TimeTagTable,
     conditioned_poisson_weights,
     emg_cdf,
-    emg_sample,
     mixture_from_params,
     mixture_moments,
     mu_scaling,
@@ -116,30 +116,6 @@ def test_low_rate_source_is_single_photon_emg(make_plan, simulate_with_draws, re
     assert stat < 1.9495 / math.sqrt(x.size)
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.4])
-def test_simulator_samples_the_mixture_that_fit_and_sweep_evaluate(make_plan, simulate_with_draws, ref_detector,
-                                                                   ref_budget, monkeypatch, alpha):
-    budget = dataclasses.replace(ref_budget, rise_scaling_exponent=alpha)
-    plan = dataclasses.replace(make_plan([3.0], 50_000, seed=13), budget=budget)
-    sampled = []
-
-    def spy(p, rng, count):
-        sampled.append((p.mu, p.sigma, p.tau))
-        return emg_sample(p, rng, count)
-
-    monkeypatch.setattr(snspd_pnr.sim, "emg_sample", spy)
-    ((_, ns, ks),) = simulate_with_draws(plan)
-    fp = FixedParams.from_budget(budget, ref_detector.mu_infinity, 3.0)
-    mix = mixture_from_params(fp, (ref_detector.delta_mu, budget.sigma_int, budget.tau))
-    drawn = np.unique(ks) - 1  # one chunk: components are sampled in ascending n
-    assert ns.max() <= mix.n_max
-    assert drawn.size > 5
-    mu, sigma, tau = (np.array(v) for v in zip(*sampled))
-    assert np.array_equal(mu, mix.mu[drawn])
-    assert np.array_equal(sigma, mix.sigma[drawn])
-    assert np.array_equal(tau, mix.tau[drawn])
-
-
 def _check_photon_number_draw(weights, count, seed):
     old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     old = old_rng.choice(np.arange(1, weights.size + 1), size=count, p=weights)
@@ -166,8 +142,9 @@ def test_photon_number_draw_on_and_below_every_cdf_entry(weights):
 
 
 def _reference_simulation(plan):
-    """``simulate_tags`` drawn through ``rng.choice``, a search in each row of the ``occupied_law`` CDF and
-    ``normal + exponential``."""
+    """``simulate_tags`` drawn through ``rng.choice``, ``normal + exponential`` per event and a search in each row
+    of the ``occupied_law`` CDF, in that order: K comes from a copy of the generator advanced past the arrival
+    draws.  Per source: (mixture, n, K, trigger, edge)."""
     out = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
@@ -180,32 +157,48 @@ def _reference_simulation(plan):
             ns = rng.choice(np.arange(1, mix.n_max + 1), size=count, p=mix.weights)
             ks = ns.copy()
             if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
+                after = copy.deepcopy(rng)
+                after.normal(size=count)
+                after.exponential(size=count)
                 law = occupied_law(int(ns.max()), plan.detector.grid.element_count)
-                u = rng.random(count)
+                u = after.random(count)
                 for n in np.unique(ns):
                     cdf = law[n].cumsum()
                     cdf /= cdf[-1]
                     at = ns == n
                     ks[at] = np.searchsorted(cdf, u[at], side="right")
-            arrivals = np.empty(count)
-            for k in np.unique(ks):
-                idx = np.flatnonzero(ks == k)
-                arrivals[idx] = (rng.normal(mix.mu[k - 1], mix.sigma[k - 1], size=idx.size)
-                                 + rng.exponential(mix.tau[k - 1], size=idx.size))
+            arrivals = rng.normal(mix.mu[ks - 1], mix.sigma[ks - 1]) + rng.exponential(mix.tau[ks - 1])
             trigger = (start + np.arange(count, dtype=np.float64)) * TRIGGER_PERIOD_PS
             pieces.append((ns, ks, trigger, trigger + arrivals))
-        out.append(tuple(np.concatenate(column) for column in zip(*pieces)))
+        out.append((mix, *(np.concatenate(column) for column in zip(*pieces))))
     return out
 
 
-@pytest.mark.parametrize("merge", ["off", "occupied_elements"])
-def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, simulate_with_draws, merge):
+@pytest.mark.parametrize(("merge", "alpha"), [pytest.param("off", 0.5, id="off"),
+                                              pytest.param("occupied_elements", 0.5, id="occupied_elements"),
+                                              pytest.param("off", 0.4, id="off-exponent_0.4")])
+def test_simulation_matches_the_reference_draws_bit_for_bit(make_plan, simulate_with_draws, merge, alpha):
     # n_bar 0.5 fills one chunk and part of a second; 7.0 spans two chunks
     plan = make_plan([0.5, 7.0], _CHUNK_EVENTS + 50_000, merge=merge, seed=17)
-    for (tags, n, k), (ns, ks, trigger, edge) in zip(simulate_with_draws(plan), _reference_simulation(plan),
-                                                     strict=True):
+    plan = dataclasses.replace(plan, budget=dataclasses.replace(plan.budget, rise_scaling_exponent=alpha))
+    for (tags, n, k), (mix, ns, ks, trigger, edge) in zip(simulate_with_draws(plan), _reference_simulation(plan),
+                                                          strict=True):
+        # the simulator draws from the arrays that fit and sweep evaluate
+        for got, ref in zip(dataclasses.astuple(tags.mixture), dataclasses.astuple(mix), strict=True):
+            assert np.array_equal(got, ref)
         for got, ref in ((n, ns), (k, ks), (tags.trigger_ps, trigger), (tags.edge_ps, edge)):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+def test_merged_and_unmerged_twins_share_every_draw_but_k(make_plan, simulate_with_draws):
+    # two chunks; at n_bar 6 on 24 elements about half the events have K < n
+    events = _CHUNK_EVENTS + 50_000
+    ((off, off_n, _),) = simulate_with_draws(make_plan([6.0], events, merge="off", seed=23))
+    ((on, on_n, on_k),) = simulate_with_draws(make_plan([6.0], events, merge="occupied_elements", seed=23))
+    assert np.array_equal(on_n, off_n)
+    same = on_k == on_n
+    assert 0.2 < same.mean() < 0.8
+    assert np.array_equal(on.edge_ps == off.edge_ps, same)
 
 
 def test_trigger_comb_is_exact(make_plan, tmp_path):
@@ -226,7 +219,7 @@ def test_trigger_comb_is_exact(make_plan, tmp_path):
     assert not a.trigger_ps.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         a.trigger_ps[0] = 1.0
-    _, _, trigger, edge = _reference_simulation(dataclasses.replace(plan, n_bar_values=(1.0,)))[0]
+    _, _, _, trigger, edge = _reference_simulation(dataclasses.replace(plan, n_bar_values=(1.0,)))[0]
     write_time_tags(tmp_path / "tags.csv", a)
     write_time_tags(tmp_path / "reference.csv", TimeTagTable(trigger, edge, 1.0))
     assert (tmp_path / "tags.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()

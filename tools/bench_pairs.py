@@ -11,8 +11,9 @@ Kendall tau and one-sided p), and compares the bootstrapped fit of the
 and the ``geom`` run of the ``geom-mc`` workload between the two sides.  Its ``startup`` block times whole CLI
 processes on both sides: ones that do little work beyond starting up, the
 ``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it, and
-``simulate`` of the README configuration, whose tag files it compares byte for
-byte across the sides.  Every timed process's peak RSS is its ``ru_maxrss``
+the README pipeline (``simulate``, ``fit tags_002.csv --bootstrap 100`` and
+``sweep``), whose tag files it compares byte for byte across the sides, with
+the z of each differing file's delay mean and std.  Every timed process's peak RSS is its ``ru_maxrss``
 from ``os.wait4``, read by a small launcher that forks it.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
@@ -257,17 +258,43 @@ def fit_runs(sides: dict, runs) -> dict:
     return out
 
 
+def std_se(sigma: float, kurtosis: float, samples: int) -> float:
+    """Delta-method standard error of a sample std over ``samples`` values of std ``sigma``:
+    ``s/2 sqrt((kurtosis - (N-3)/(N-1)) / N)``."""
+    return sigma / 2.0 * math.sqrt((kurtosis - (samples - 3) / (samples - 1)) / samples)
+
+
+def delay_z(parent_csv: Path, change_csv: Path) -> dict:
+    """z across the sides of the mean and the std of ``edge - trigger`` of one tag CSV, the two sides' standard
+    errors combined in quadrature as if the samples were independent."""
+    stats = {}
+    for side, path in (("parent", parent_csv), ("change", change_csv)):
+        with open(path, encoding="utf-8") as fh:
+            trigger, edge = np.loadtxt((line for line in fh if line[:1].isdigit()), delimiter=",", unpack=True)
+        delay = edge - trigger
+        s = float(delay.std(ddof=1))
+        kurtosis = float(np.mean((delay - delay.mean()) ** 4)) / float(delay.var()) ** 2
+        stats[side] = (float(delay.mean()), s / math.sqrt(delay.size), s, std_se(s, kurtosis, delay.size))
+    (m0, e0, s0, f0), (m1, e1, s1, f1) = stats["parent"], stats["change"]
+    return {"parent_mean_ps": m0, "change_mean_ps": m1, "z_mean": (m1 - m0) / math.hypot(e0, e1),
+            "parent_std_ps": s0, "change_std_ps": s1, "z_std": (s1 - s0) / math.hypot(f0, f1)}
+
+
 def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
-    """Time whole CLI processes of both sides in alternating pairs: start-up cost, and a fit as a user pays it.
+    """Time whole CLI processes of both sides in alternating pairs: start-up cost, a fit as a user pays it, and
+    the README pipeline.
 
     ``--version`` and ``overlap --elements 24`` are nearly pure start-up; the
     ``geom-mc`` workload's ``geom`` command adds its Monte Carlo; ``fit
     --bootstrap 0`` of the ``hist-bootstrap`` histogram evaluates the mixture,
     so it loads ``scipy.special`` on either side; ``fit --bootstrap 100`` of the
-    same histogram adds the workload's bootstrap refits; ``simulate`` draws and
-    writes the README configuration's sources (its seed set to ``seed``), and
-    one more run per side into its own directory gives the files that
-    ``simulate.files_identical`` compares byte for byte.
+    same histogram adds the workload's bootstrap refits.  ``simulate``, ``fit
+    tags_002.csv --bootstrap 100`` and ``sweep`` are the README pipeline on its
+    configuration (seed set to ``seed``).  One more ``simulate`` per side into
+    its own directory gives the files that ``simulate.files_identical``
+    compares byte for byte; when a tag file differs, ``simulate.delay_z`` holds
+    the z of its delay mean and std across the sides.  Both sides fit the
+    change's ``tags_002.csv``, so they time the same input.
     """
     workloads, _ = _benchmark_modules(sides)
     summary, all_runs = {}, []
@@ -277,6 +304,11 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
         (geom,) = workloads.GeomMc(seed, Path(tmp) / "geom").round_ops()
         config = Path(tmp) / "readme.json"
         config.write_text(json.dumps({**readme_config(sides["change"]), "seed": seed}))
+        written = {}
+        for side, root in sides.items():
+            written[side] = Path(tmp) / f"simulate-{side}"
+            subprocess.run([sys.executable, "-c", CLI, "simulate", "-c", str(config), "-o", str(written[side])],
+                           cwd=root, env=_env(root), check=True, capture_output=True)
         commands = {
             "version": ["--version"],
             "overlap": ["overlap", "--elements", "24"],
@@ -284,6 +316,9 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
             **{f"fit_bootstrap_{n}": ["fit", str(hist.hist), "-c", str(hist.config), "-o", str(Path(tmp) / "fit-out"),
                                       "--bootstrap", str(n)] for n in (0, workloads.FIT_BOOTSTRAP)},
             "simulate": ["simulate", "-c", str(config), "-o", str(Path(tmp) / "simulate-out")],
+            "readme_fit_bootstrap_100": ["fit", str(written["change"] / "tags_002.csv"), "-c", str(config),
+                                         "-o", str(Path(tmp) / "readme-fit-out"), "--bootstrap", "100"],
+            "readme_sweep": ["sweep", "-c", str(config), "-o", str(Path(tmp) / "readme-sweep-out")],
         }
         for name, args in commands.items():
             runs = alternate(PAIRS, sides, lambda root: process_run(root, args))
@@ -294,14 +329,12 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
             summary[name]["all_exit_0"] = all(r["exit_code"] == 0 for r in runs)
             summary[name]["args"] = [a.replace(tmp, "<tmp>") for a in args]
             all_runs += runs
-        written = {}
-        for side, root in sides.items():
-            written[side] = Path(tmp) / f"simulate-{side}"
-            subprocess.run([sys.executable, "-c", CLI, "simulate", "-c", str(config), "-o", str(written[side])],
-                           cwd=root, env=_env(root), check=True, capture_output=True)
         files = sorted(p.name for p in written["parent"].iterdir())
-        summary["simulate"]["files_identical"] = {
-            name: filecmp.cmp(written["parent"] / name, written["change"] / name, shallow=False) for name in files}
+        identical = {name: filecmp.cmp(written["parent"] / name, written["change"] / name, shallow=False)
+                     for name in files}
+        summary["simulate"]["files_identical"] = identical
+        summary["simulate"]["delay_z"] = {name: delay_z(written["parent"] / name, written["change"] / name)
+                                          for name in files if name.endswith(".csv") and not identical[name]}
     return summary, all_runs
 
 
@@ -338,11 +371,10 @@ def merged_sweeps(sides: dict, seeds) -> dict:
 def midrange_std_se(sigma: float, n: int, samples: int) -> float:
     """Closed-form (delta-method) error of a sample std of ``samples`` midranges of n uniforms.
 
-    ``s/2 sqrt((kurtosis - (N-3)/(N-1)) / N)`` with the midrange's exact
-    kurtosis ``6 (n+1)(n+2) / ((n+3)(n+4))`` (1.8 at n = 1, the uniform's).
+    ``std_se`` with the midrange's exact kurtosis ``6 (n+1)(n+2) / ((n+3)(n+4))``
+    (1.8 at n = 1, the uniform's).
     """
-    kurtosis = 6.0 * (n + 1) * (n + 2) / ((n + 3) * (n + 4))
-    return sigma / 2.0 * math.sqrt((kurtosis - (samples - 3) / (samples - 1)) / samples)
+    return std_se(sigma, 6.0 * (n + 1) * (n + 2) / ((n + 3) * (n + 4)), samples)
 
 
 def geom_runs(sides: dict, seeds) -> dict:
@@ -429,10 +461,13 @@ def main(argv=None) -> int:
                        f"version: --version; overlap: overlap --elements 24; geom: the geom-mc workload's geom "
                        f"command at seed {args.seed}; fit_bootstrap_0 and fit_bootstrap_100: fit --bootstrap 0 "
                        f"and 100 of the hist-bootstrap histogram CSV and configuration at seed {args.seed}; "
-                       f"simulate: simulate of the README configuration with seed {args.seed}, and "
-                       "files_identical compares each file it writes (tag CSVs and manifest) across the sides "
-                       "byte for byte; peak_rss_mb is each process's ru_maxrss from os.wait4 in a launcher that forks "
-                       "it, in MiB",
+                       f"simulate, readme_fit_bootstrap_100 and readme_sweep: simulate, fit tags_002.csv "
+                       f"--bootstrap 100 and sweep of the README configuration with seed {args.seed}, both sides "
+                       "fitting the change's tags_002.csv; files_identical compares each file simulate writes (tag "
+                       "CSVs and manifest) across the sides byte for byte, and delay_z gives, for each tag CSV that "
+                       "differs, the change's mean and std of edge - trigger minus the parent's over the two "
+                       "standard errors combined in quadrature (delta-method error for the std); peak_rss_mb is "
+                       "each process's ru_maxrss from os.wait4 in a launcher that forks it, in MiB",
             "fit": "the hist-bootstrap workload's histogram CSV and configuration at seeds "
                    f"{sorted({seed for seed, _ in FIT_RUNS})}, fitted once per seed through the CLI "
                    "`fit --bootstrap 100` of each side, and with --fit-mu-infinity too at seeds "

@@ -37,6 +37,7 @@ from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .budget import JitterBudget
+from .dist import MAX_N_BAR
 from .fit import _check_bootstrap, check_theta0
 from .pulse import DetectorConfig
 from .sim import SimPlan
@@ -61,8 +62,8 @@ class FitSettings:
     fit_mu_infinity: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_bar is not None and not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
-            raise ValueError(f"n_bar: must be positive and finite, got {self.n_bar}")
+        if self.n_bar is not None and not 0.0 < self.n_bar <= MAX_N_BAR:
+            raise ValueError(f"n_bar: must be positive and at most {MAX_N_BAR:g}, got {self.n_bar}")
         if self.theta0 is not None:
             object.__setattr__(self, "theta0", check_theta0(self.theta0))
         _check_bootstrap(self.n_bootstrap)

@@ -10,9 +10,10 @@ number n_bar.  A mixture is held as four arrays over photon number (weights,
 mu, sigma, tau), and every mixture quantity is
 evaluated on a (component, time) grid by one broadcast kernel, which gives bin
 masses and their Jacobian in one pass; R mixtures of the same weights, held as
-(R, n_max) rows, share one pass over a (row, component, time) grid.  ``scipy.special`` is
-imported by the two functions that use it, on their first call, so importing
-this module (and the CLI) loads no scipy.
+(R, n_max) rows, share one pass over a (row, component, time) grid.  The
+Poisson weights need only numpy and ``math``; ``scipy.special`` is imported by
+the EMG kernel on its first call, so importing this module (and the CLI), or
+simulating a source, loads no scipy.
 
 All times are picoseconds; densities are per picosecond.
 """
@@ -25,6 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 TAIL_MASS = 1e-9  # click-conditioned Poisson mass the weights leave beyond n_max
+# Largest source mean the weights accept.  Up to it (checked from 1e-6 against scipy.special.pdtrc) the Poisson
+# mass beyond their cutoff n_bar + 12 sqrt(n_bar) + 40 is at most 2.5e-34 of the click mass; 1e9 would need 8 GB.
+MAX_N_BAR = 1e4
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # phi(u) = sqrt(2/pi) g/2
 
@@ -79,7 +83,7 @@ def _emg_grid(mu, sigma, tau, t):
     Two erfcx calls per cell and no factor that can overflow: erfcx <= 1 on
     non-negative arguments and r^2/2 - u r <= 0 where r <= u.
     """
-    from scipy.special import erfcx  # on first use: the import is slow, and geom, overlap and pulse never need it
+    from scipy.special import erfcx  # on first use: the import is slow, and only the fit evaluates this kernel
 
     v = (t - mu) / (sigma * _SQRT2)  # u / sqrt 2
     q = sigma / (tau * _SQRT2)  # r / sqrt 2, so r^2/2 - u r = q^2 - 2 q v
@@ -183,29 +187,23 @@ class _GuideTable:
 def conditioned_poisson_weights(n_bar: float) -> tuple[int, np.ndarray]:
     """Photon-number weights of a Poissonian source of mean ``n_bar``, given at least one photon.
 
-    Returns ``(n_max, weights)`` where ``weights[i]`` is the probability of
-    ``n = i + 1`` photons given ``n >= 1``.  ``n_max`` is the smallest cutoff
-    whose conditioned tail mass falls below ``TAIL_MASS``; the retained
-    weights are renormalized to sum to exactly 1.
+    Returns ``(n_max, weights)`` where ``weights[i]`` is P(N = n | N >= 1) for ``n = i + 1``,
+    exp(n ln n_bar - lgamma(n + 1) - n_bar) / (1 - exp(-n_bar)).  ``n_max`` is the smallest n
+    whose tail P(N > n), summed from the far end, falls below ``TAIL_MASS``; the retained
+    weights are renormalized to sum to exactly 1.  ``n_bar`` may be at most ``MAX_N_BAR``.
     """
     if not math.isfinite(n_bar):
         raise ValueError(f"n_bar must be finite, got {n_bar}")
     if not n_bar > 0.0:
         raise ValueError(f"no detectable events: n_bar must be > 0, got {n_bar}")
-    from scipy.special import gammaln, pdtrc, xlogy
-
-    click_mass = -math.expm1(-n_bar)
+    if n_bar > MAX_N_BAR:
+        raise ValueError(f"n_bar must be at most {MAX_N_BAR:g}, got {n_bar}")
     hi = int(math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 40.0))
-    while True:
-        ns = np.arange(1, hi + 1)
-        tail = pdtrc(ns, n_bar) / click_mass  # P(N > n)
-        below = tail < TAIL_MASS
-        if below.any():
-            n_max = int(ns[np.argmax(below)])
-            break
-        hi *= 2
-    ns = np.arange(1, n_max + 1)
-    w = np.exp(xlogy(ns, n_bar) - gammaln(ns + 1) - n_bar) / click_mass  # P(N = n)
+    log_factorials = np.fromiter(map(math.lgamma, range(2, hi + 2)), np.float64, hi)
+    p = np.exp(np.arange(1, hi + 1) * math.log(n_bar) - log_factorials - n_bar) / -math.expm1(-n_bar)
+    tail = np.cumsum(p[:0:-1])[::-1]  # P(N > n) for n = 1..hi - 1
+    n_max = int(np.argmax(tail < TAIL_MASS)) + 1
+    w = p[:n_max]
     return n_max, w / w.sum()
 
 

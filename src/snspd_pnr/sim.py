@@ -25,13 +25,12 @@ width errors are closed-form, so the tag streams are its only random draws.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .budget import JitterBudget
-from .dist import MixtureModel, _GuideTable, mixture_moments
+from .dist import MAX_N_BAR, MixtureModel, _GuideTable, mixture_moments
 from .fit import FixedParams, mixture_from_params, total_width
 from .histogram import ArrivalHistogram
 from .io import TimeTagTable
@@ -64,8 +63,9 @@ class SimPlan:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_bar_values", tuple(float(v) for v in self.n_bar_values))
-        if not (self.n_bar_values and all(math.isfinite(v) and v > 0.0 for v in self.n_bar_values)):
-            raise ValueError(f"n_bar_values: must be non-empty, positive and finite, got {list(self.n_bar_values)}")
+        if not (self.n_bar_values and all(0.0 < v <= MAX_N_BAR for v in self.n_bar_values)):
+            raise ValueError(f"n_bar_values: must be non-empty, positive and at most {MAX_N_BAR:g}, "
+                             f"got {list(self.n_bar_values)}")
         if self.events_per_source < 1:
             raise ValueError(f"events_per_source: must be >= 1, got {self.events_per_source}")
         try:

@@ -205,6 +205,18 @@ def test_fit_config_n_bar_contradicting_the_header_exit_2(runner, tag_file, tmp_
     assert json.loads((out / "fit_result.json").read_text())["n_bar"] == 1.0
 
 
+def test_fit_n_bar_above_the_weights_bound_exit_2(runner, config_path, tmp_path):
+    # from --n-bar or from the file's header, the mean reaches the weights' check, not an 8 GB array
+    hist = tmp_path / "hist.csv"
+    hist.write_text("# n_bar=1e9\nbin_center_ps,count\n1,500\n3,700\n5,400\n", encoding="utf-8")
+    for extra in ([], ["--n-bar", "1e9"]):
+        out = tmp_path / "o"
+        result = runner.invoke(main, ["fit", str(hist), "-c", config_path, "-o", str(out), *extra])
+        assert result.exit_code == 2, out_text(result)
+        assert "n_bar must be at most 10000, got 1000000000.0" in out_text(result)
+        assert not (out / "fit_result.json").exists()
+
+
 def test_fit_histogram_without_nbar_fails(runner, config_path, tag_file, tmp_path):
     hist = ingest_time_tags(tag_file)
     hist = type(hist)(hist.bin_edges, hist.counts, hist.total_events, None)
@@ -459,12 +471,15 @@ def test_cli_import_leaves_unused_scipy_modules_out():
         ["overlap", "--elements", "24"],
         ["pulse", "--kinetic-inductance", "500nH", "--amplitude", "100mV", "--noise-floor", "10mV",
          "--rise-time", "300ps"],
+        ["simulate", "-c", "{config}", "-o", "{out}"],
+        ["sweep", "-c", "{config}", "-o", "{out}"],
     ],
-    ids=["version", "geom", "overlap", "pulse"],
+    ids=["version", "geom", "overlap", "pulse", "simulate", "sweep"],
 )
-def test_commands_without_a_mixture_load_no_scipy(tmp_path, args):
-    # these commands evaluate no EMG kernel and no Poisson weight, so scipy.special never loads
-    args = [a.format(out=tmp_path / "out") for a in args]
+def test_commands_without_the_emg_kernel_load_no_scipy(tmp_path, config_path, args):
+    # these commands evaluate no EMG CDF, so scipy.special never loads: simulate and sweep build the
+    # mixture, but its Poisson weights need only numpy and math
+    args = [a.format(out=tmp_path / "out", config=config_path) for a in args]
     assert _scipy_modules_loaded_by(CLI, *args) == []
 
 

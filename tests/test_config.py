@@ -5,6 +5,7 @@ import math
 import pytest
 
 from snspd_pnr import ConfigError, FitSettings, SimPlan, load_config
+from snspd_pnr.dist import MAX_N_BAR
 
 GOOD = {
     "seed": 7,
@@ -141,6 +142,8 @@ def _merge_without_grid(d):
         (lambda d: d["sim"].update(n_bar_values=[0]), "config.sim.n_bar_values"),
         (lambda d: d["sim"].update(n_bar_values=[2, math.inf]), "config.sim.n_bar_values"),
         (lambda d: d["sim"].update(events_per_source=0), "config.sim.events_per_source"),
+        (lambda d: d["sim"].update(n_bar_values=[1, 1e9]), "config.sim.n_bar_values"),
+        (lambda d: d["fit"].update(n_bar=1e9), "config.fit.n_bar"),
     ],
 )
 def test_settings_a_command_would_reject_fail_at_load_with_path(tmp_path, mutate, path):
@@ -149,6 +152,12 @@ def test_settings_a_command_would_reject_fail_at_load_with_path(tmp_path, mutate
     with pytest.raises(ConfigError) as info:
         load_config(write(tmp_path, payload))
     assert str(info.value).startswith(path + ":")
+
+
+def test_the_largest_mean_the_weights_accept_loads(tmp_path):
+    cfg = load_config(write(tmp_path, {**GOOD, "fit": {**GOOD["fit"], "n_bar": MAX_N_BAR},
+                                       "sim": {**GOOD["sim"], "n_bar_values": [1, MAX_N_BAR]}}))
+    assert cfg.fit.n_bar == MAX_N_BAR and cfg.sim.n_bar_values == (1.0, MAX_N_BAR)
 
 
 def test_domain_validation_becomes_config_error(tmp_path):
@@ -234,6 +243,8 @@ def test_unreadable_json_is_reported(tmp_path, raw):
         ({"merge_model": "merge-everything"}, "merge_model"),
         ({"merge_model": 1}, "merge_model"),
         ({"merge_model": "occupied_elements", "grid": None}, "merge_model"),
+        ({"n_bar_values": [1, MAX_N_BAR * (1 + 2**-52)]}, "n_bar_values"),  # one ulp above the weights' bound
+        ({"n_bar_values": [1e9]}, "n_bar_values"),
     ],
 )
 def test_each_sim_check_is_the_plans_and_loads_as_config_sim(tmp_path, change, field):
@@ -270,6 +281,8 @@ def test_each_sim_check_is_the_plans_and_loads_as_config_sim(tmp_path, change, f
         ({"bin_width": math.inf}, "bin_width"),
         ({"theta0": [289, 1e-30, 6]}, "theta0"),  # finite, but outside the fit's search box
         ({"theta0": [2e7, 6, 6]}, "theta0"),
+        ({"n_bar": MAX_N_BAR * (1 + 2**-52)}, "n_bar"),
+        ({"n_bar": 1e9}, "n_bar"),
     ],
 )
 def test_each_fit_check_is_the_settings_and_loads_as_config_fit(tmp_path, change, field):

@@ -339,7 +339,8 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
 
 
 def merged_sweeps(sides: dict, seeds) -> dict:
-    """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows and bytes."""
+    """Run the ``sweep-merge`` workload's CLI sweep once per seed on both sides and compare rows and bytes:
+    the z of each ``sigma_hist_ps`` and the relative difference of each ``sigma_model_ps``."""
     workloads, _ = _benchmark_modules(sides)  # the workload writes its own configuration
 
     out = {}
@@ -362,9 +363,12 @@ def merged_sweeps(sides: dict, seeds) -> dict:
                               "change_sigma_hist_ps": new["sigma_hist_ps"],
                               "combined_error_ps": combined,
                               "z": (new["sigma_hist_ps"] - old["sigma_hist_ps"]) / combined,
-                              "sigma_model_ps_identical": old["sigma_model_ps"] == new["sigma_model_ps"]})
+                              "sigma_model_ps_identical": old["sigma_model_ps"] == new["sigma_model_ps"],
+                              "sigma_model_ps_rel_diff": _rel_diff(old["sigma_model_ps"], new["sigma_model_ps"])})
             out[str(seed)] = {"sweep_csv_identical": csv["parent"] == csv["change"],
-                              "max_abs_z": max(abs(r["z"]) for r in per_n), "rows": per_n}
+                              "max_abs_z": max(abs(r["z"]) for r in per_n),
+                              "sigma_model_ps_max_rel_diff": max(r["sigma_model_ps_rel_diff"] for r in per_n),
+                              "rows": per_n}
     return out
 
 
@@ -479,8 +483,9 @@ def main(argv=None) -> int:
                    "expected_max_rel_diff and pearson_max_abs_diff compare the fit_residuals.csv columns",
             "merged_sweep": "the sweep-merge workload's configuration, run once per seed through the CLI `sweep` "
                             "of each side; z is the change's sigma_hist_ps minus the parent's over the two "
-                            "standard errors combined in quadrature; sweep_csv_identical compares the two sides' "
-                            "sweep.csv byte for byte",
+                            "standard errors combined in quadrature; sigma_model_ps_rel_diff is |change - parent| / "
+                            "|parent| of sigma_model_ps, and sigma_model_ps_max_rel_diff its largest over n_bar; "
+                            "sweep_csv_identical compares the two sides' sweep.csv byte for byte",
             "geom": "the geom-mc workload's CLI `geom` flags, run once per seed on each side; z_change_vs_parent "
                     "is the change's sigma_ps minus the parent's over the two bootstrap errors combined in "
                     "quadrature; z_vs_exact is a side's sigma_ps minus the exact midrange spread over its "

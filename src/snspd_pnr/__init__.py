@@ -33,7 +33,6 @@ from .fit import (
     SinglePeakFit,
     fit_histogram,
     fit_single_peak,
-    ingest_time_tags,
     mixture_from_params,
     predict_histogram,
     total_width,
@@ -50,6 +49,7 @@ from .geom import (
 from .histogram import ArrivalHistogram
 from .io import (
     TimeTagTable,
+    ingest_time_tags,
     read_histogram_csv,
     read_time_tags,
     write_histogram_csv,

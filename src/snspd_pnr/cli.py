@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 configuration or input error, 3 I/O error,
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,9 +22,9 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig, load_config
-from .fit import FixedParams, fit_histogram, ingest_time_tags
+from .fit import FixedParams, fit_histogram
 from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_histogram, geom_mc, geom_sigma_analytic
-from .io import HIST_COLUMNS, TAG_COLUMNS, _fmt, read_histogram_csv, write_histogram_csv, write_time_tags
+from .io import read_fit_input, write_fit_residuals, write_histogram_csv, write_sweep_csv, write_time_tags
 from .overlap import ElementGrid, overlap_approx, overlap_exact
 from .pulse import (
     DetectorConfig,
@@ -205,25 +204,6 @@ def simulate(config_path, out_dir, seed):
     _write_json(out / "manifest.json", manifest)
 
 
-def _sniff_format(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                s = line.strip()
-                if not s or s.startswith("#"):
-                    continue
-                if s == TAG_COLUMNS:
-                    return "time_tags"
-                if s == HIST_COLUMNS:
-                    return "histogram"
-                raise ValueError(
-                    f"{path}: unrecognized header {s!r}; expected {TAG_COLUMNS!r} or {HIST_COLUMNS!r}"
-                )
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
-    raise ValueError(f"{path}: no header line found")
-
-
 @main.command()
 @click.argument("input_file")
 @click.option("-c", "--config", "config_path", required=True, help="Run configuration JSON.")
@@ -238,8 +218,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
     cfg = _read_config(config_path)
     out = _resolve_out(out_dir, cfg)
     try:
-        fmt = _sniff_format(input_file)
-        hist = ingest_time_tags(input_file, cfg.fit.bin_width) if fmt == "time_tags" else read_histogram_csv(input_file)
+        fmt, hist = read_fit_input(input_file, cfg.fit.bin_width)
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
     except OSError as exc:
@@ -303,11 +282,7 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
     }
     _write_json(out / "fit_result.json", payload)
 
-    lines = ["bin_center_ps,count,expected,pearson"]
-    for center, count, m in zip(hist.bin_centers, hist.counts, expected):
-        pearson = (count - m) / math.sqrt(m) if m > 0 else 0.0
-        lines.append(f"{_fmt(center)},{int(count)},{_fmt(m)},{_fmt(pearson)}")
-    _write_text(out / "fit_residuals.csv", "\n".join(lines) + "\n")
+    _write_file(out / "fit_residuals.csv", lambda p: write_fit_residuals(p, hist, expected))
 
     if want_svg:
         svg = _svg_plot(
@@ -466,10 +441,7 @@ def sweep(config_path, out_dir, seed, bin_width, want_svg):
         rows = sweep_total_width(plan, bin_width=bin_width)
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
-    lines = ["n_bar,sigma_hist_ps,sigma_err_ps,sigma_model_ps"]
-    for r in rows:
-        lines.append(f"{_fmt(r.n_bar)},{_fmt(r.sigma_hist)},{_fmt(r.sigma_error)},{_fmt(r.sigma_model)}")
-    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
+    _write_file(out / "sweep.csv", lambda p: write_sweep_csv(p, rows))
     payload = {
         "seed": plan.seed,
         "merge_model": plan.merge_model.value,

@@ -32,13 +32,13 @@ import numpy as np
 
 from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
 from .dist import (
+    MAX_N_BAR,
     EmgParams,
     MixtureModel,
     conditioned_poisson_weights,
     mixture_bin_masses,
 )
 from .histogram import ArrivalHistogram
-from .io import read_time_tags
 
 _REFIT_XTOL = 1e-10
 # A bootstrap refit stops once its undamped step s is at most this many of the fit's standard errors
@@ -81,7 +81,7 @@ class FixedParams:
     """Constants held fixed during the three-parameter fit.
 
     Widths in ps, noise amplitude in mV, slew rate in mV/ps; ``n_bar`` is the
-    mean photon number of the source feeding the histogram.
+    mean photon number of the source feeding the histogram, at most ``MAX_N_BAR``.
     """
 
     sigma_inst: float
@@ -97,6 +97,8 @@ class FixedParams:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
             raise ValueError("n_bar must be positive")
+        if self.n_bar > MAX_N_BAR:
+            raise ValueError(f"n_bar must be at most {MAX_N_BAR:g}, got {self.n_bar}")
         if not math.isfinite(self.mu_infinity):
             raise ValueError("mu_infinity must be finite")
         # remaining range checks are delegated to JitterBudget
@@ -589,9 +591,3 @@ def total_width(hist: ArrivalHistogram) -> tuple[float, float]:
         return 0.0, 0.0
     m4 = float(np.dot(w, d2 * d2))
     return math.sqrt(m2), math.sqrt(max(m4 - m2 * m2, 0.0) / (4.0 * m2 * hist.total_events))
-
-
-def ingest_time_tags(source, bin_width: float = 2.0) -> ArrivalHistogram:
-    """Read a time-tag CSV and bin trigger-to-edge deltas at ``bin_width`` ps."""
-    table = read_time_tags(source)
-    return ArrivalHistogram.from_events(table.delta_ps, bin_width, table.n_bar)

@@ -1,13 +1,16 @@
 import dataclasses
+import json
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from scipy import integrate, stats
 from scipy.optimize import minimize
 
+import snspd_pnr.cli
 import snspd_pnr.dist
 import snspd_pnr.fit
 from snspd_pnr import (
@@ -18,6 +21,7 @@ from snspd_pnr import (
     JitterBudget,
     MixtureModel,
     SimPlan,
+    SweepRow,
     emg_pdf,
     emg_sample,
     fit_histogram,
@@ -774,6 +778,13 @@ def test_fit_input_validation(fp1):
         fit_histogram(big, fp1, theta0=(100.0, -1.0, 6.0))
 
 
+def test_fixed_params_reject_a_mean_above_the_weights_bound(ref_budget):
+    FixedParams.from_budget(ref_budget, 144.0, snspd_pnr.dist.MAX_N_BAR)
+    for n_bar in (math.nextafter(snspd_pnr.dist.MAX_N_BAR, math.inf), 1e9):
+        with pytest.raises(ValueError, match="^n_bar must be at most 10000, got "):
+            FixedParams.from_budget(ref_budget, 144.0, n_bar)
+
+
 @pytest.mark.parametrize("theta0", [(math.nan, 6.0, 6.0), (289.0, math.inf, 6.0), (289.0, 6.0, -math.inf)],
                          ids=["nan-delta_mu", "inf-sigma_int", "minus-inf-tau"])
 def test_non_finite_theta0_is_rejected(fp1, theta0):
@@ -1011,6 +1022,59 @@ def test_csv_writers_match_the_per_row_format(tmp_path, n_bar):
         rows = ((c, str(int(k))) for c, k in zip(hist.bin_centers, counts))
         want = _fmt_rows_file(n_bar, "bin_center_ps,count", rows)
         assert path.read_bytes() == want.encode()
+
+
+def _per_row_table(columns, rows) -> str:
+    """A headerless CSV in the per-row form the CLI wrote: strings as they are, every other value
+    through ``format(float(x), ".17g")``."""
+    lines = [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row) for row in rows]
+    return "\n".join([columns, *lines]) + "\n"
+
+
+def test_fit_residuals_and_sweep_csvs_match_the_per_row_format(tmp_path, monkeypatch, ref_budget):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 3,
+        "detector": {"kinetic_inductance": 500.0, "amplitude": 100.0, "noise_floor": 10.0,
+                     "delta_mu": 289.0, "mu_infinity": 144.0, "rise_time_1": 300.0},
+        "budget": dataclasses.asdict(ref_budget),
+        "sim": {"n_bar_values": [1.0, 20.0], "events_per_source": 1000},
+    }), encoding="utf-8")
+    counts = np.array([0, 2**62 + 1, 7, 3, 1], dtype=np.int64)  # %.17g would write 2**62 + 1 as 4.6e+18
+    path = tmp_path / "hist.csv"
+    write_histogram_csv(path, ArrivalHistogram(433.0 + 0.1 * np.arange(6.0), counts, int(counts.sum()), 3.0))
+    # an expected count of 0 and one below 0 give pearson 0; 1e-300 gives 7e150
+    expected = np.array([0.0, 1.0 / 3.0, 1e-300, -1.0, 2.5e10])
+    result = FitResult(delta_mu=289.0, sigma_int=6.0, tau=6.0, negative_log_likelihood=0.0, converged=True,
+                       iterations=1, bootstrap_errors=None, covariance_proxy=np.eye(3), expected_counts=expected,
+                       mixture=MixtureModel([1.0], [433.0], [12.0], [6.0]))
+    monkeypatch.setattr(snspd_pnr.cli, "fit_histogram", lambda hist, fp, **kwargs: result)
+    run = CliRunner().invoke(snspd_pnr.cli.main, ["fit", str(path), "-c", str(config), "-o", str(tmp_path / "fit")])
+    assert run.exit_code == 0, run.output
+    hist = read_histogram_csv(path)
+    rows = [(c, str(int(k)), m, (k - m) / math.sqrt(m) if m > 0 else 0.0)
+            for c, k, m in zip(hist.bin_centers, hist.counts, expected)]
+    assert rows[0][3] == 0.0 and rows[3][3] == 0.0 and rows[1][1] == str(2**62 + 1)
+    want = _per_row_table("bin_center_ps,count,expected,pearson", rows)
+    assert (tmp_path / "fit" / "fit_residuals.csv").read_bytes() == want.encode()
+
+    sweep = [SweepRow(1.0, 1.0 / 3.0, 0.1, 1e-300), SweepRow(20.0, 5e-324, 1.7976931348623157e308, -0.0)]
+    monkeypatch.setattr(snspd_pnr.cli, "sweep_total_width", lambda plan, bin_width: sweep)
+    run = CliRunner().invoke(snspd_pnr.cli.main, ["sweep", "-c", str(config), "-o", str(tmp_path / "sweep")])
+    assert run.exit_code == 0, run.output
+    rows = [(r.n_bar, r.sigma_hist, r.sigma_error, r.sigma_model) for r in sweep]
+    want = _per_row_table("n_bar,sigma_hist_ps,sigma_err_ps,sigma_model_ps", rows)
+    assert (tmp_path / "sweep" / "sweep.csv").read_bytes() == want.encode()
+
+
+def test_each_reader_rejects_the_other_formats_file_naming_the_line(tmp_path):
+    tags, hist = tmp_path / "tags.csv", tmp_path / "hist.csv"
+    write_time_tags(tags, TimeTagTable(np.array([0.0, 1000.0]), np.array([410.0, 1420.0]), n_bar=2.5))
+    write_histogram_csv(hist, ArrivalHistogram(np.array([0.0, 2.0, 4.0]), np.array([3, 4]), 7, 2.5))
+    with pytest.raises(ValueError, match="^line 3: malformed row 'bin_center_ps,count'$"):
+        read_time_tags(hist)
+    with pytest.raises(ValueError, match="^line 3: malformed row 'trigger_ps,edge_ps'$"):
+        read_histogram_csv(tags)
 
 
 def test_bad_nbar_header_reports_line(tmp_path):

@@ -12,8 +12,8 @@ and the ``geom`` run of the ``geom-mc`` workload between the two sides.  Its ``s
 processes on both sides: ones that do little work beyond starting up, the
 ``hist-bootstrap`` workload's ``fit --bootstrap 100`` as a user runs it, and
 the README pipeline (``simulate``, ``fit tags_002.csv --bootstrap 100`` and
-``sweep``), whose tag files it compares byte for byte across the sides, with
-the z of each differing file's delay mean and std.  Every timed process's peak RSS is its ``ru_maxrss``
+``sweep``), whose output files it compares byte for byte across the sides, with
+the z of each differing tag file's delay mean and std.  Every timed process's peak RSS is its ``ru_maxrss``
 from ``os.wait4``, read by a small launcher that forks it.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
@@ -290,11 +290,12 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
     so it loads ``scipy.special`` on either side; ``fit --bootstrap 100`` of the
     same histogram adds the workload's bootstrap refits.  ``simulate``, ``fit
     tags_002.csv --bootstrap 100`` and ``sweep`` are the README pipeline on its
-    configuration (seed set to ``seed``).  One more ``simulate`` per side into
-    its own directory gives the files that ``simulate.files_identical``
-    compares byte for byte; when a tag file differs, ``simulate.delay_z`` holds
-    the z of its delay mean and std across the sides.  Both sides fit the
-    change's ``tags_002.csv``, so they time the same input.
+    configuration (seed set to ``seed``).  One more untimed run of each of the
+    three per side, into that side's own directory, gives the files that
+    ``files_identical`` of each compares byte for byte; when a tag file differs,
+    ``simulate.delay_z`` holds the z of its delay mean and std across the sides.
+    Both sides fit the change's ``tags_002.csv``, so they time the same input
+    and write the same ``input.path`` into ``fit_result.json``.
     """
     workloads, _ = _benchmark_modules(sides)
     summary, all_runs = {}, []
@@ -304,11 +305,17 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
         (geom,) = workloads.GeomMc(seed, Path(tmp) / "geom").round_ops()
         config = Path(tmp) / "readme.json"
         config.write_text(json.dumps({**readme_config(sides["change"]), "seed": seed}))
-        written = {}
-        for side, root in sides.items():
-            written[side] = Path(tmp) / f"simulate-{side}"
-            subprocess.run([sys.executable, "-c", CLI, "simulate", "-c", str(config), "-o", str(written[side])],
-                           cwd=root, env=_env(root), check=True, capture_output=True)
+        written = {side: Path(tmp) / f"simulate-{side}" for side in sides}
+        readme = {
+            "simulate": ["simulate", "-c", str(config)],
+            "readme_fit_bootstrap_100": ["fit", str(written["change"] / "tags_002.csv"), "-c", str(config),
+                                         "--bootstrap", "100"],
+            "readme_sweep": ["sweep", "-c", str(config)],
+        }
+        for name, args in readme.items():  # simulate first: both sides fit the change's tags
+            for side, root in sides.items():
+                subprocess.run([sys.executable, "-c", CLI, *args, "-o", str(Path(tmp) / f"{name}-{side}")],
+                               cwd=root, env=_env(root), check=True, capture_output=True)
         commands = {
             "version": ["--version"],
             "overlap": ["overlap", "--elements", "24"],
@@ -329,12 +336,13 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
             summary[name]["all_exit_0"] = all(r["exit_code"] == 0 for r in runs)
             summary[name]["args"] = [a.replace(tmp, "<tmp>") for a in args]
             all_runs += runs
-        files = sorted(p.name for p in written["parent"].iterdir())
-        identical = {name: filecmp.cmp(written["parent"] / name, written["change"] / name, shallow=False)
-                     for name in files}
-        summary["simulate"]["files_identical"] = identical
+        for name in readme:
+            parent, change = Path(tmp) / f"{name}-parent", Path(tmp) / f"{name}-change"
+            summary[name]["files_identical"] = {f: filecmp.cmp(parent / f, change / f, shallow=False)
+                                                for f in sorted(p.name for p in parent.iterdir())}
+        identical = summary["simulate"]["files_identical"]
         summary["simulate"]["delay_z"] = {name: delay_z(written["parent"] / name, written["change"] / name)
-                                          for name in files if name.endswith(".csv") and not identical[name]}
+                                          for name in identical if name.endswith(".csv") and not identical[name]}
     return summary, all_runs
 
 
@@ -467,8 +475,10 @@ def main(argv=None) -> int:
                        f"and 100 of the hist-bootstrap histogram CSV and configuration at seed {args.seed}; "
                        f"simulate, readme_fit_bootstrap_100 and readme_sweep: simulate, fit tags_002.csv "
                        f"--bootstrap 100 and sweep of the README configuration with seed {args.seed}, both sides "
-                       "fitting the change's tags_002.csv; files_identical compares each file simulate writes (tag "
-                       "CSVs and manifest) across the sides byte for byte, and delay_z gives, for each tag CSV that "
+                       "fitting the change's tags_002.csv; files_identical compares each file that one more untimed "
+                       "run of the command writes on each side (simulate: tag CSVs and manifest; "
+                       "readme_fit_bootstrap_100: fit_result.json and fit_residuals.csv; readme_sweep: sweep.csv and "
+                       "sweep.json) across the sides byte for byte, and delay_z gives, for each tag CSV that "
                        "differs, the change's mean and std of edge - trigger minus the parent's over the two "
                        "standard errors combined in quadrature (delta-method error for the std); peak_rss_mb is "
                        "each process's ru_maxrss from os.wait4 in a launcher that forks it, in MiB",

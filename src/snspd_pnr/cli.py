@@ -23,7 +23,7 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, RunConfig, load_config
 from .fit import FixedParams, fit_histogram
-from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_histogram, geom_mc, geom_sigma_analytic
+from .geom import Estimator, WireGeometry, conventional_readout_delay, geom_mc, geom_sigma_analytic
 from .io import read_fit_input, write_fit_residuals, write_histogram_csv, write_sweep_csv, write_time_tags
 from .overlap import ElementGrid, overlap_approx, overlap_exact
 from .pulse import (
@@ -307,10 +307,12 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 @click.option("--ground-velocity", type=Quantity("um/ps"), default=None, help="Ground-return velocity, um/ps.")
 @click.option("--n-values", default="1,2,3,4,5,6,7,8,9,10", show_default=True, help="Comma-separated photon numbers.")
 @click.option("--samples", type=int, default=200_000, show_default=True,
-              help="Trials per n (>= 10000); all are held at once: K x N x 8 bytes plus about 4 x N x 8 "
-                   "for K values of n (16 MB at the defaults, 800 MB for 10 values at 10^7).")
+              help="Trials per n (>= 10000); all are held at once: K x N x 8 bytes for K values of n, plus "
+                   "N x 8 for the bootstrap counts and a few MB (21 MB at the defaults, 880 MB for 10 values at 10^7).")
 @click.option("--estimator", type=click.Choice([e.value for e in Estimator]), default="midrange", show_default=True)
-@click.option("--bootstrap", type=int, default=200, show_default=True, help="Bootstrap resamples, shared by all n (>= 2).")
+@click.option("--bootstrap", type=int, default=200, show_default=True,
+              help="Bootstrap resamples (>= 2); each resamples the trials once, for all n, as one two-stage "
+                   "multinomial draw of their counts.")
 @click.option("--histogram-bins", type=click.IntRange(min=0), default=0,
               help="Also write a per-n timing histogram with this many bins (0: none).")
 @click.option("--seed", type=SEED, default=0, show_default=True)
@@ -321,7 +323,7 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
         wire = WireGeometry(length, signal_velocity, ground_velocity)
         ns = [int(v) for v in n_values.split(",") if v.strip()]
         rng = np.random.default_rng(seed)
-        result = geom_mc(wire, ns, samples, rng, estimator, bootstrap)
+        result = geom_mc(wire, ns, samples, rng, estimator, bootstrap, histogram_bins)
     except ValueError as exc:
         _fail(EXIT_CONFIG, exc)
     out = _resolve_out(out_dir, None)
@@ -348,11 +350,8 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
         ),
     }
     _write_json(out / "geom.json", payload)
-    if histogram_bins > 0:
-        for n in ns:
-            rng_h = np.random.default_rng(np.random.SeedSequence((seed, n)))
-            hist = geom_histogram(wire, n, samples, histogram_bins, rng_h, estimator)
-            _write_file(out / f"geom_hist_n{n:02d}.csv", lambda p: write_histogram_csv(p, hist))
+    for n, hist in zip(ns, result.histograms):
+        _write_file(out / f"geom_hist_n{n:02d}.csv", lambda p: write_histogram_csv(p, hist))
 
 
 @main.command()

@@ -1,8 +1,11 @@
+import collections
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from snspd_pnr import (
     Estimator,
@@ -171,9 +174,11 @@ def test_bootstrap_counts_give_each_resample_std(monkeypatch, block, rows, resam
     monkeypatch.setattr(geom, "_BOOTSTRAP_BLOCK", block)
     got = geom._bootstrap_std_se(x, resamples, np.random.default_rng(8))
     rng = np.random.default_rng(8)
+    counts = np.empty(x.shape[1], dtype=np.uint8)
     stds = []
     for _ in range(resamples):
-        idx = rng.integers(0, x.shape[1], size=x.shape[1])
+        geom._resample_counts(x.shape[1], rng, counts)
+        idx = np.repeat(np.arange(x.shape[1]), counts)
         stds.append(x[:, idx].std(axis=1, ddof=1))
     np.testing.assert_allclose(got, np.std(stds, axis=0, ddof=1), rtol=1e-9)
 
@@ -183,8 +188,10 @@ def _matrix_vector_std_se(centred, resamples, rng):
     k, n = centred.shape
     width = max(1, geom._BOOTSTRAP_BLOCK // k)
     stds = np.empty((resamples, k))
+    counts = np.empty(n, dtype=np.uint8)
     for i in range(resamples):
-        c = np.bincount(rng.integers(0, n, size=n), minlength=n).astype(float)
+        geom._resample_counts(n, rng, counts)
+        c = counts.astype(float)
         s1 = np.zeros(k)
         s2 = np.zeros(k)
         for j in range(0, n, width):
@@ -205,11 +212,67 @@ def test_batched_bootstrap_errors_equal_the_matrix_vector_loop(ref_wire, monkeyp
     np.testing.assert_allclose([se for *_, se in got.per_n_std], [se for *_, se in want.per_n_std], rtol=1e-12)
 
 
-class _ZeroIndices:
-    """A generator stub whose every index draw is zero, so index 0 is counted N times."""
+def _chi2_p(observed, probs, draws):
+    """Pearson chi-square p-value of category counts; the categories expected fewer than 5 times are pooled."""
+    cells = [(observed.get(c, 0), draws * p) for c, p in probs.items() if draws * p >= 5.0]
+    if len(cells) < len(probs):
+        cells.append((draws - sum(o for o, _ in cells), draws - sum(e for _, e in cells)))
+    stat = sum((o - e) ** 2 / e for o, e in cells)
+    return float(stats.chi2.sf(stat, len(cells) - 1))
 
-    def integers(self, low, high, size):
-        return np.zeros(size, dtype=np.int64)
+
+def _count_vectors(n):
+    """Every vector of n non-negative counts that sums to n (stars and bars)."""
+    for bars in itertools.combinations(range(2 * n - 1), n - 1):
+        ends = (-1, *bars, 2 * n - 1)
+        yield tuple(b - a - 1 for a, b in zip(ends, ends[1:]))
+
+
+@pytest.mark.parametrize("n", [7, 6, 2])
+def test_resample_counts_follow_the_multinomial_law(monkeypatch, n):
+    # blocks of 3 cells: n = 7 spans blocks of 3, 3 and 1, n = 6 two full blocks, n = 2 one partial block
+    monkeypatch.setattr(geom, "_COUNT_BLOCK", 3)
+    rng, draws = np.random.default_rng(21), 10_000
+    row = np.empty(n, dtype=np.uint8)
+    seen = collections.Counter()
+    for _ in range(draws):
+        geom._resample_counts(n, rng, row)
+        assert row.sum() == n
+        seen[tuple(row.tolist())] += 1
+    pmf = {c: math.factorial(n) / math.prod(map(math.factorial, c)) / n**n for c in _count_vectors(n)}
+    assert sum(pmf.values()) == pytest.approx(1.0, rel=1e-12)
+    assert set(seen) <= set(pmf)
+    assert _chi2_p(seen, pmf, draws) > 1e-3
+
+
+@pytest.mark.parametrize("n", [10_000, 2 * geom._COUNT_BLOCK, 3 * geom._COUNT_BLOCK + 3392])
+def test_resample_counts_at_full_block_size(n):
+    # below one block, an exact multiple of the block, and three full blocks plus a partial one
+    rng, draws = np.random.default_rng(22), 4
+    row = np.empty(n, dtype=np.uint8)
+    values = collections.Counter()
+    for _ in range(draws):
+        geom._resample_counts(n, rng, row)
+        assert row.sum(dtype=np.int64) == n
+        for start in range(0, n, geom._COUNT_BLOCK):
+            # each block's total is Binomial(n, size / n)
+            size = min(geom._COUNT_BLOCK, n - start)
+            total = int(row[start : start + size].sum(dtype=np.int64))
+            assert abs(total - size) < 4.0 * math.sqrt(size * (1.0 - size / n)) + 1e-9
+        values.update(dict(enumerate(np.bincount(row).tolist())))
+    # every cell's count is Binomial(n, 1/n)
+    pmf = {k: float(stats.binom.pmf(k, n, 1.0 / n)) for k in range(12)}
+    assert _chi2_p(values, pmf, draws * n) > 1e-3
+
+
+class _ZeroIndices:
+    """A generator stub whose draws all land in the first block at index 0, so index 0 is counted N times."""
+
+    def multinomial(self, n, pvals):
+        return np.array([n] + [0] * (len(pvals) - 1))
+
+    def integers(self, low, high, size, dtype=np.int64):
+        return np.zeros(size, dtype=dtype)
 
 
 def test_bootstrap_count_above_255_raises():
@@ -248,3 +311,34 @@ def test_columnwise_midrange_is_bit_identical(n):
     x = np.random.default_rng(n).uniform(-3.0, 250.0, size=(4099, n))
     got = geom._min_plus_max(x)
     assert got.tobytes() == (x.min(axis=1) + x.max(axis=1)).tobytes()
+
+
+@pytest.mark.parametrize("bins", [5, 40])
+@pytest.mark.parametrize("estimator", list(Estimator))
+def test_geom_mc_histograms_bin_its_own_trials_and_draw_nothing(ref_wire, estimator, bins):
+    ns, samples, span = (1, 3, 10), 10_000, 200.0 / 6.0
+    res = geom_mc(ref_wire, ns, samples, np.random.default_rng(7), estimator, 2, histogram_bins=bins)
+    assert len(res.histograms) == len(ns)
+    # the trial draws come first, so a fresh generator of the same seed gives the same trials
+    trials = np.random.default_rng(7)
+    for n, hist in zip(ns, res.histograms):
+        x = np.empty(samples)
+        geom._trial_times(ref_wire, n, x, trials, estimator)
+        counts, edges = np.histogram(x, bins=np.linspace(0.0, span, bins + 1))
+        assert np.array_equal(hist.counts, counts) and np.array_equal(hist.bin_edges, edges)
+        assert hist.total_events == samples
+    with pytest.raises(ValueError, match="one per per_n_std row"):
+        GeomMcResult(res.per_n_std, res.fitted_exponent, res.fit_residual, res.histograms[:1])
+    with pytest.raises(ValueError, match="times must hold 10000 trials"):
+        geom_histogram(ref_wire, 1, samples, bins, None, times=np.zeros(samples + 1))
+
+
+def test_geom_mc_spreads_do_not_depend_on_histogram_bins(ref_wire):
+    ns, samples = range(1, 11), 20_000
+    plain = geom_mc(ref_wire, ns, samples, np.random.default_rng(3), bootstrap_resamples=20)
+    binned = geom_mc(ref_wire, ns, samples, np.random.default_rng(3), bootstrap_resamples=20, histogram_bins=40)
+    assert plain.per_n_std == binned.per_n_std
+    assert (plain.fitted_exponent, plain.fit_residual) == (binned.fitted_exponent, binned.fit_residual)
+    assert plain.histograms == () and [h.counts.size for h in binned.histograms] == [40] * 10
+    with pytest.raises(ValueError, match="histogram_bins must be >= 0"):
+        geom_mc(ref_wire, ns, samples, np.random.default_rng(3), histogram_bins=-1)

@@ -439,8 +439,9 @@ def geom_runs(sides: dict, seeds) -> dict:
                     per_side["parent"]["fitted_exponent"] == per_side["change"]["fitted_exponent"],
                 "max_se_rel_diff": max(r["se_rel_diff"] for r in per_n),
                 "max_abs_z_change_vs_parent": max(abs(r["z_change_vs_parent"]) for r in per_n),
-                "change_se_over_closed_form_range": [min(r["change_se_over_closed_form"] for r in per_n),
-                                                     max(r["change_se_over_closed_form"] for r in per_n)],
+                **{f"{side}_se_over_closed_form_range": [min(r[f"{side}_se_over_closed_form"] for r in per_n),
+                                                         max(r[f"{side}_se_over_closed_form"] for r in per_n)]
+                   for side in sides},
                 "rows": per_n,
             }
     return out

@@ -322,6 +322,9 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
     try:
         wire = WireGeometry(length, signal_velocity, ground_velocity)
         ns = [int(v) for v in n_values.split(",") if v.strip()]
+        repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
+        if repeated:  # each n names its own geom_hist_nNN.csv
+            raise ValueError(f"--n-values: photon number {repeated[0]} is repeated")
         rng = np.random.default_rng(seed)
         result = geom_mc(wire, ns, samples, rng, estimator, bootstrap, histogram_bins)
     except ValueError as exc:

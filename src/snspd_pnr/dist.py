@@ -152,9 +152,10 @@ class _GuideTable:
     has one answer for all its u, the count of entries at or below its lower
     edge; ``guide`` holds it, or the marker W for a bucket that must be
     searched (no answer reaches W, because u < 1 = cdf[-1], while 0 is one).
-    At most W - 1 of a row's G buckets are searched.  ``guide`` is R x G
-    entries of the narrowest unsigned dtype that holds W, one byte each up to
-    W = 255.  Both tables are read-only, so a cached table can be shared.
+    At most W - 1 of a row's G buckets are searched.  ``guide`` is G x R
+    intp entries, bucket-major, so that ``search`` forms each event's flat
+    index ``bucket * R + row`` and looks it up in place in one intp array.
+    Both tables are read-only, so a cached table can be shared.
     """
 
     def __init__(self, p: np.ndarray) -> None:
@@ -163,19 +164,21 @@ class _GuideTable:
         width = self.cdf.shape[1]
         size = 16 << (width - 1).bit_length()
         edges = np.arange(size + 1) / size
-        self.guide = np.empty((len(self.cdf), size), dtype=np.min_scalar_type(width))
-        for guide, cdf in zip(self.guide, self.cdf):
+        self.guide = np.empty((size, len(self.cdf)), dtype=np.intp)
+        for guide, cdf in zip(self.guide.T, self.cdf):
             lo = cdf.searchsorted(edges[:-1], side="right")
             guide[:] = np.where(cdf.searchsorted(edges[1:], side="left") > lo, width, lo)
         self.cdf.flags.writeable = self.guide.flags.writeable = False
 
-    def search(self, u: np.ndarray, rows=0) -> np.ndarray:
-        """``searchsorted(cdf[rows], u, side="right")`` as int64 for uniforms ``u`` in [0, 1) and
-        row indices ``rows`` (one per event, or one for all)."""
-        width, size = self.cdf.shape[1], self.guide.shape[1]
-        index = (u * size).astype(np.intp)
-        index += rows * size
-        k = self.guide.take(index).astype(np.int64)
+    def search(self, u: np.ndarray, rows=0, out: np.ndarray | None = None) -> np.ndarray:
+        """``searchsorted(cdf[rows], u, side="right")`` as intp for uniforms ``u`` in [0, 1) and
+        row indices ``rows`` (one per event, or one for all), written into ``out`` if given."""
+        (size, row_count), width = self.guide.shape, self.cdf.shape[1]
+        k = np.empty(u.shape, np.intp) if out is None else out
+        np.multiply(u, size, out=k, casting="unsafe")  # the bucket, (u * size).astype(intp)
+        k *= row_count
+        k += rows
+        np.take(self.guide, k, out=k, mode="clip")  # every index is in range; "raise" would copy out first
         todo = np.flatnonzero(k == width)
         todo_rows = np.broadcast_to(rows, u.shape)[todo]
         for row in np.unique(todo_rows):

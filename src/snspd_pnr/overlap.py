@@ -90,19 +90,22 @@ def occupied_law(n_hi: int, M: int) -> np.ndarray:
 def _occupied_guide(n_hi: int, M: int) -> _GuideTable:
     """Guide table over the rows n = 0..n_hi of ``occupied_law(n_hi, M)``.
 
-    Its guide is (n_hi + 1) x G bytes while min(n_hi, M) < 255, 33 x 512 at
-    n_hi = 32 and M = 24, next to a float64 CDF of the law's shape.  Each
-    row's answers depend on n and M alone, not on n_hi.
+    Its guide is G x (n_hi + 1) intp entries, 512 x 33 (135 kB) at n_hi = 32
+    and M = 24, next to a float64 CDF of the law's shape.  Each row's answers
+    depend on n and M alone, not on n_hi.
     """
     return _GuideTable(occupied_law(n_hi, M))
 
 
-def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator) -> np.ndarray:
+def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Generator,
+                            out: np.ndarray | None = None, u: np.ndarray | None = None) -> np.ndarray:
     """Number of distinct elements occupied by each event's photons, drawn from ``occupied_law``.
 
     Takes one ``rng.random`` value per event, so the draw of an event depends
     only on its photon number and its uniform.  Photon counts must be
     non-negative integers; an event without photons occupies no element.
+    The counts go into ``out`` (intp) and the uniforms into ``u`` (float64),
+    each of the counts' length, when given.
     """
     counts = np.asarray(photon_counts)
     if counts.ndim != 1:
@@ -116,4 +119,4 @@ def occupied_element_counts(grid: ElementGrid, photon_counts, rng: np.random.Gen
         return np.zeros(0, dtype=np.int64)
     M = int(grid.element_count)
     n_hi = -(-int(counts.max()) // _LAW_ROWS) * _LAW_ROWS
-    return _occupied_guide(n_hi, M).search(rng.random(counts.size), counts)
+    return _occupied_guide(n_hi, M).search(rng.random(counts.size, out=u), counts, out)

@@ -17,9 +17,14 @@ in-memory results bit for bit.
 
 Generation runs each source's chunks in order, and every chunk seeds its own
 generator from (seed, bits(n_bar), chunk_index), so duplicated n_bar entries
-yield identical tag streams.  The module only draws, and keeps no per-event
-photon numbers: ``cli`` writes the tag files and the manifest.  The sweep's
-width errors are closed-form, so the tag streams are its only random draws.
+yield identical tag streams.  A call allocates one workspace of chunk-sized
+buffers (a uniform, an exponential, n and K) that every chunk of every source
+draws into with the ``out=`` forms of the draws, which consume the generator
+as the ``size=`` forms do; z goes straight into the source's edge array, and
+the comb is added once its chunks are drawn.  The module only draws, and keeps
+no per-event photon numbers: ``cli`` writes the tag files and the manifest.
+The sweep's width errors are closed-form, so the tag streams are its only
+random draws.
 """
 
 from __future__ import annotations
@@ -94,45 +99,58 @@ def _nbar_entropy(n_bar: float) -> int:
     return int(np.float64(n_bar).view(np.uint64))
 
 
-def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Photon numbers ``searchsorted(cdf, u, side="right") + 1`` for uniforms ``u``, by the guide table.
+def _draw_photon_numbers(weights: np.ndarray, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Photon numbers ``searchsorted(cdf, u, side="right") + 1`` for uniforms ``u``, by the guide table,
+    written into ``out`` (intp) if given.
 
     The ``cdf`` is formed exactly as ``rng.choice(np.arange(1, n_max + 1),
     p=weights)`` forms it, so with ``u = rng.random(count)`` the result is
     that call's draw bit for bit.
     """
-    return _GuideTable(weights[None]).search(u) + 1
+    n = _GuideTable(weights[None]).search(u, out=out)
+    n += 1
+    return n
 
 
-def _chunk_arrivals(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, count: int) -> np.ndarray:
+def _chunk_arrivals(plan: SimPlan, n_bar: float, mix: MixtureModel, chunk_index: int, arrivals: np.ndarray,
+                    work: tuple[np.ndarray, ...]) -> None:
+    """Draw one chunk's arrival times into ``arrivals``, through the first ``arrivals.size`` entries of the
+    call's workspace ``work``: a uniform (once n and K are drawn, the gathers' scratch), an exponential, an n
+    and a K array."""
     seed_seq = np.random.SeedSequence((plan.seed, _nbar_entropy(n_bar), chunk_index))
     rng = np.random.default_rng(seed_seq)
-    ks = ns = _draw_photon_numbers(mix.weights, rng.random(count))
-    arrivals = rng.standard_normal(count)
-    tail = rng.standard_exponential(count)
+    u, tail, n_out, k_out = (a[: arrivals.size] for a in work)
+    k = n = _draw_photon_numbers(mix.weights, rng.random(out=u), n_out)
+    rng.standard_normal(out=arrivals)
+    rng.standard_exponential(out=tail)
     if plan.merge_model is MergeModel.OCCUPIED_ELEMENTS:
-        ks = occupied_element_counts(plan.detector.grid, ns, rng)
-    # the operations of rng.normal(mu[k], sigma[k]) + rng.exponential(tau[k]), in place
-    k = ks - 1
-    arrivals *= mix.sigma[k]
-    arrivals += mix.mu[k]
-    tail *= mix.tau[k]
+        k = occupied_element_counts(plan.detector.grid, n, rng, k_out, u)
+    # the operations of rng.normal(mu[k], sigma[k]) + rng.exponential(tau[k]), in place; every k is a
+    # component, and take's default mode="raise" would allocate a copy of u for each gather
+    k -= 1
+    arrivals *= np.take(mix.sigma, k, out=u, mode="clip")
+    arrivals += np.take(mix.mu, k, out=u, mode="clip")
+    tail *= np.take(mix.tau, k, out=u, mode="clip")
     arrivals += tail
-    return arrivals
 
 
 def simulate_tags(plan: SimPlan) -> list[SourceTags]:
     """Generate one tag table per n_bar value, deterministically from the plan seed."""
     events = plan.events_per_source
-    counts = [min(_CHUNK_EVENTS, events - start) for start in range(0, events, _CHUNK_EVENTS)]
-    trigger = np.arange(events, dtype=np.float64) * TRIGGER_PERIOD_PS
+    starts = range(0, events, _CHUNK_EVENTS)
+    size = min(events, _CHUNK_EVENTS)
+    work = (np.empty(size), np.empty(size), np.empty(size, np.intp), np.empty(size, np.intp))
+    trigger = np.arange(events, dtype=np.float64)
+    trigger *= TRIGGER_PERIOD_PS
     trigger.flags.writeable = False
     out: list[SourceTags] = []
     for n_bar in plan.n_bar_values:
         fp = FixedParams.from_budget(plan.budget, plan.detector.mu_infinity, n_bar)
         mix = mixture_from_params(fp, (plan.detector.delta_mu, plan.budget.sigma_int, plan.budget.tau))
-        pieces = [_chunk_arrivals(plan, n_bar, mix, i, count) for i, count in enumerate(counts)]
-        edge = trigger + (pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
+        edge = np.empty(events)
+        for i, start in enumerate(starts):
+            _chunk_arrivals(plan, n_bar, mix, i, edge[start : start + _CHUNK_EVENTS], work)
+        edge += trigger
         out.append(SourceTags(trigger, edge, n_bar, mixture=mix))
     return out
 
@@ -160,7 +178,9 @@ def sweep_total_width(plan: SimPlan, bin_width: float = 2.0) -> list[SweepRow]:
     rows = []
     for n_bar in plan.n_bar_values:
         st = simulate_tags(replace(plan, n_bar_values=(n_bar,)))[0]
-        hist = ArrivalHistogram.from_events(st.delta_ps, bin_width, st.n_bar)
+        delay = st.edge_ps
+        delay -= st.trigger_ps  # st.delta_ps, in place: the source is not used again
+        hist = ArrivalHistogram.from_events(delay, bin_width, st.n_bar)
         sigma_hist, sigma_err = total_width(hist)
         _, sigma_model = mixture_moments(st.mixture)
         rows.append(SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model))

@@ -375,6 +375,16 @@ def test_geom_empty_n_values_exit_2(runner, tmp_path):
     assert not out.exists()
 
 
+def test_geom_repeated_n_value_exit_2(runner, tmp_path):
+    # two rows of n = 1 would both write geom_hist_n01.csv
+    out = tmp_path / "geom"
+    result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2,01",
+                                  "--samples", "10000", "--histogram-bins", "3", "-o", str(out)])
+    assert result.exit_code == 2
+    assert "--n-values: photon number 1 is repeated" in out_text(result)
+    assert not out.exists()
+
+
 def test_geom_negative_histogram_bins_exit_2(runner, tmp_path):
     out = tmp_path / "geom"
     result = runner.invoke(main, ["geom", "--length", "200um", "--signal-velocity", "6", "--n-values", "1,2",

@@ -248,8 +248,8 @@ class _Uniforms:
     def __init__(self, u):
         self.u = u
 
-    def random(self, size):
-        assert size == self.u.size
+    def random(self, size, out=None):
+        assert size == self.u.size and out is None
         return self.u
 
 

@@ -8,6 +8,7 @@ from scipy import stats
 
 import snspd_pnr.sim
 from snspd_pnr import (
+    ArrivalHistogram,
     EmgParams,
     FixedParams,
     MergeModel,
@@ -24,6 +25,7 @@ from snspd_pnr import (
     simulate_tags,
     sweep_total_width,
     tau_at,
+    total_width,
     write_time_tags,
 )
 from snspd_pnr.overlap import occupied_element_counts, occupied_law
@@ -51,13 +53,16 @@ def simulate_with_draws(monkeypatch):
     seen at the draw: (tags, n, K) per source."""
     ns, ks = [], []
 
-    def draw_n(weights, u):
-        ns.append(_draw_photon_numbers(weights, u))
-        return ns[-1]
+    # the simulator draws every chunk into one workspace, so each draw is copied before the next overwrites it
+    def draw_n(weights, u, out=None):
+        n = _draw_photon_numbers(weights, u, out)
+        ns.append(n.copy())
+        return n
 
-    def draw_k(grid, n, rng):
-        ks.append(occupied_element_counts(grid, n, rng))
-        return ks[-1]
+    def draw_k(grid, n, rng, out=None, u=None):
+        k = occupied_element_counts(grid, n, rng, out, u)
+        ks.append(k.copy())
+        return k
 
     monkeypatch.setattr(snspd_pnr.sim, "_draw_photon_numbers", draw_n)
     monkeypatch.setattr(snspd_pnr.sim, "occupied_element_counts", draw_k)
@@ -304,6 +309,19 @@ def test_sweep_is_reproducible(make_plan):
     a = sweep_total_width(plan)
     b = sweep_total_width(plan)
     assert a == b
+
+
+@pytest.mark.parametrize("merge", ["off", "occupied_elements"])
+def test_sweep_rows_are_those_of_the_simulated_sources(make_plan, merge):
+    # a full and a partial chunk per source and a repeated n_bar: the reused chunk buffers carry nothing
+    # from one chunk or source to the next, whether a call simulates one source or all of them
+    plan = make_plan([1.0, 6.0, 1.0], _CHUNK_EVENTS + 50_001, merge=merge, seed=9)
+    rows = sweep_total_width(plan, bin_width=2.0)
+    for row, st in zip(rows, simulate_tags(plan), strict=True):
+        sigma_hist, sigma_error = total_width(ArrivalHistogram.from_events(st.delta_ps, 2.0))
+        _, sigma_model = mixture_moments(st.mixture)
+        assert dataclasses.astuple(row) == (st.n_bar, sigma_hist, sigma_error, sigma_model)
+    assert rows[0] == rows[2]
 
 
 def test_plan_validation(ref_detector, ref_budget, make_plan):

@@ -14,7 +14,8 @@ processes on both sides: ones that do little work beyond starting up, the
 the README pipeline (``simulate``, ``fit tags_002.csv --bootstrap 100`` and
 ``sweep``), whose output files it compares byte for byte across the sides, with
 the z of each differing tag file's delay mean and std.  Every timed process's peak RSS is its ``ru_maxrss``
-from ``os.wait4``, read by a small launcher that forks it.
+from ``os.wait4``, read by a small launcher that forks it; a startup process also reports its minor page
+faults, ``ru_minflt`` from the same call.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
     python3 tools/bench_pairs.py --parent ../parent --change . --seed 11 --out BENCH_10_seed11.json
@@ -76,29 +77,31 @@ def _env(root: Path) -> dict:
     return env
 
 
-# Runs ARGV[2:] as its child and writes the child's ru_maxrss (KiB) from os.wait4 to the file ARGV[1].  The
-# kernel carries a process's RSS over into ru_maxrss at exec, so a command started from this script would count
-# this script's RSS; one forked by the small launcher counts only the launcher's.
+# Runs ARGV[2:] as its child and writes the child's ru_maxrss (KiB) and ru_minflt from os.wait4 to the file
+# ARGV[1].  The kernel carries a process's RSS over into ru_maxrss at exec, so a command started from this script
+# would count this script's RSS; one forked by the small launcher counts only the launcher's.
 LAUNCHER = """import os, sys
 pid = os.fork()
 if pid == 0:
     os.execv(sys.argv[2], sys.argv[2:])
 _, status, usage = os.wait4(pid, 0)
-open(sys.argv[1], "w").write(str(usage.ru_maxrss))
+open(sys.argv[1], "w").write(f"{usage.ru_maxrss} {usage.ru_minflt}")
 sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
-def child_run(root: Path, cmd: list[str]) -> tuple[int, str, float, float]:
-    """Run ``cmd`` in ``root`` under ``LAUNCHER``: its exit code, stdout, wall time (s) and peak RSS (MiB,
-    ``ru_maxrss`` of ``os.wait4``, which covers the child and the descendants it waited for)."""
+def child_run(root: Path, cmd: list[str]) -> tuple[int, str, float, float, int]:
+    """Run ``cmd`` in ``root`` under ``LAUNCHER``: its exit code, stdout, wall time (s), peak RSS (MiB) and
+    minor page faults, ``ru_maxrss`` and ``ru_minflt`` of ``os.wait4``, which cover the child and the
+    descendants it waited for."""
     with tempfile.TemporaryFile() as out, tempfile.NamedTemporaryFile("r") as rss:
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-S", "-c", LAUNCHER, rss.name, *cmd], cwd=root, env=_env(root),
                               stdout=out, stderr=subprocess.DEVNULL)
         wall_s = time.perf_counter() - t0
         out.seek(0)
-        return proc.returncode, out.read().decode(), wall_s, int(rss.read()) / 1024.0
+        maxrss, minflt = (int(v) for v in rss.read().split())
+        return proc.returncode, out.read().decode(), wall_s, maxrss / 1024.0, minflt
 
 
 def bench_run(root: Path, workload: str, seed: int) -> dict:
@@ -112,7 +115,7 @@ def bench_run(root: Path, workload: str, seed: int) -> dict:
 
 
 def criterion_run(root: Path, test: str) -> dict:
-    code, stdout, wall_s, peak_rss_mb = child_run(root, [sys.executable, "-m", "pytest", "-q", "-s", "-p",
+    code, stdout, wall_s, peak_rss_mb, _ = child_run(root, [sys.executable, "-m", "pytest", "-q", "-s", "-p",
                                                          "no:cacheprovider", test])
     verdicts = [line for line in stdout.splitlines() if line.startswith("CRITERION ")]
     return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "passed": code == 0,
@@ -133,8 +136,8 @@ def criterion_7_values(runs: list[dict]) -> dict:
 
 
 def process_run(root: Path, args: list[str]) -> dict:
-    code, _, wall_s, peak_rss_mb = child_run(root, [sys.executable, "-c", CLI, *args])
-    return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "exit_code": code}
+    code, _, wall_s, peak_rss_mb, minor_faults = child_run(root, [sys.executable, "-c", CLI, *args])
+    return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "minor_faults": minor_faults, "exit_code": code}
 
 
 def readme_config(root: Path) -> dict:
@@ -333,6 +336,7 @@ def startup_runs(sides: dict, seed: int) -> tuple[dict, list[dict]]:
                 r["kind"] = f"startup_{name}"
             summary[name] = compare(runs, "wall_s")
             summary[name]["peak_rss_mb"] = compare(runs, "peak_rss_mb")
+            summary[name]["minor_faults"] = compare(runs, "minor_faults")
             summary[name]["all_exit_0"] = all(r["exit_code"] == 0 for r in runs)
             summary[name]["args"] = [a.replace(tmp, "<tmp>") for a in args]
             all_runs += runs
@@ -482,7 +486,8 @@ def main(argv=None) -> int:
                        "sweep.json) across the sides byte for byte, and delay_z gives, for each tag CSV that "
                        "differs, the change's mean and std of edge - trigger minus the parent's over the two "
                        "standard errors combined in quadrature (delta-method error for the std); peak_rss_mb is "
-                       "each process's ru_maxrss from os.wait4 in a launcher that forks it, in MiB",
+                       "each process's ru_maxrss from os.wait4 in a launcher that forks it, in MiB, and "
+                       "minor_faults its ru_minflt from the same call",
             "fit": "the hist-bootstrap workload's histogram CSV and configuration at seeds "
                    f"{sorted({seed for seed, _ in FIT_RUNS})}, fitted once per seed through the CLI "
                    "`fit --bootstrap 100` of each side, and with --fit-mu-infinity too at seeds "

@@ -45,15 +45,15 @@ class JitterBudget:
         for name in ("sigma_inst", "sigma_opt", "sigma_int", "sigma_elec", "sigma_geom_1"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0")
-        if not (math.isfinite(self.tau) and self.tau > 0.0):
-            raise ValueError("tau must be positive")
-        if not (math.isfinite(self.slew_rate_1) and self.slew_rate_1 > 0.0):
-            raise ValueError("slew_rate_1 must be positive")
+                raise ValueError(f"{name}: must be finite and >= 0, got {v}")
+        for name in ("tau", "slew_rate_1"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name}: must be positive and finite, got {v}")
         if not (0.0 < self.geom_exponent <= 1.5):
-            raise ValueError("geom_exponent must be in (0, 1.5]")
+            raise ValueError(f"geom_exponent: must be in (0, 1.5], got {self.geom_exponent}")
         if not (0.3 <= self.rise_scaling_exponent <= 0.5):
-            raise ValueError("rise_scaling_exponent must be in [0.3, 0.5]")
+            raise ValueError(f"rise_scaling_exponent: must be in [0.3, 0.5], got {self.rise_scaling_exponent}")
 
 
 def sigma_noise(b: JitterBudget, n) -> float:

@@ -7,7 +7,11 @@ JSON is written with sorted keys, CSV floats with repr-exact precision, and
 the optional SVG plots are composed by hand so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration or input error, 3 I/O error,
-4 numerical non-convergence (the result file is still written).
+4 numerical non-convergence (the result file is still written).  The
+commands raise: ``main``'s group class runs each one and turns a
+``ConfigError`` or ``ValueError`` into exit 2 and an ``OSError`` into exit 3,
+each with one ``error: <message>`` line on stderr.  Only ``fit`` picks an exit
+code itself, 4.
 """
 
 from __future__ import annotations
@@ -42,11 +46,6 @@ EXIT_NUMERIC = 4
 SEED = click.IntRange(0, 2**64 - 1)  # the range config.seed accepts
 
 
-def _fail(code: int, message) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 class Quantity(click.ParamType):
     """Float parameter accepting an optional unit suffix, e.g. 500nH or 100 mV."""
 
@@ -66,33 +65,29 @@ class Quantity(click.ParamType):
             self.fail(f"expected a number with optional {self.unit!r} suffix, got {value!r}", param, ctx)
 
 
-def _read_config(path) -> RunConfig:
-    try:
-        return load_config(path)
-    except ConfigError as exc:
-        _fail(EXIT_CONFIG, exc)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
+class _Commands(click.Group):
+    """The group of the subcommands and the one place that maps a rejection to an exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (ConfigError, ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG)
 
 
 def _resolve_out(flag_value, cfg: RunConfig | None) -> Path:
     out = flag_value if flag_value is not None else (cfg.output_dir if cfg else None)
     if out is None:
-        _fail(EXIT_CONFIG, "output directory required (--out or config.output_dir)")
+        raise ValueError("output directory required (--out or config.output_dir)")
     path = Path(out)
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
+    path.mkdir(parents=True, exist_ok=True)
     return path
 
 
 def _write_file(path: Path, write, note: str = "") -> None:
-    """Run ``write(path)`` and report the path; an OSError exits 3 naming it."""
-    try:
-        write(path)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
+    """Run ``write(path)`` and report the path."""
+    write(path)
     click.echo(f"wrote {path}{note}")
 
 
@@ -170,11 +165,11 @@ def _svg_plot(series, x_label: str, y_label: str, title: str) -> str:
 
 def _build_plan(cfg: RunConfig, seed: int | None) -> SimPlan:
     if cfg.sim is None:
-        _fail(EXIT_CONFIG, "config.sim: required for this command")
+        raise ValueError("config.sim: required for this command")
     return cfg.sim if seed is None else replace(cfg.sim, seed=seed)
 
 
-@click.group()
+@click.group(cls=_Commands)
 @click.version_option(__version__, prog_name="snspd-pnr")
 def main() -> None:
     """Photon-number-resolved arrival-time statistics for nanowire detectors."""
@@ -186,7 +181,7 @@ def main() -> None:
 @click.option("--seed", type=SEED, default=None, help="Override the configured seed.")
 def simulate(config_path, out_dir, seed):
     """Generate time-tag CSV files, one per configured mean photon number."""
-    cfg = _read_config(config_path)
+    cfg = load_config(config_path)
     plan = _build_plan(cfg, seed)
     out = _resolve_out(out_dir, cfg)
     sources = []
@@ -215,35 +210,27 @@ def simulate(config_path, out_dir, seed):
 @click.option("--svg", "want_svg", is_flag=True, help="Write a data/model overlay plot.")
 def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, seed, want_svg):
     """Fit the three-parameter mixture model to a time-tag or histogram CSV."""
-    cfg = _read_config(config_path)
+    cfg = load_config(config_path)
     out = _resolve_out(out_dir, cfg)
-    try:
-        fmt, hist = read_fit_input(input_file, cfg.fit.bin_width)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
-    except OSError as exc:
-        _fail(EXIT_IO, exc)
+    fmt, hist = read_fit_input(input_file, cfg.fit.bin_width)
 
     if n_bar is None:
         n_bar = cfg.fit.n_bar if cfg.fit.n_bar is not None else hist.mean_photon_number
         if hist.mean_photon_number not in (None, n_bar):
-            _fail(EXIT_CONFIG, f"config.fit.n_bar = {n_bar!r} contradicts the n_bar = {hist.mean_photon_number!r} "
-                               f"header of {input_file}; pass --n-bar to choose one")
+            raise ValueError(f"config.fit.n_bar = {n_bar!r} contradicts the n_bar = {hist.mean_photon_number!r} "
+                             f"header of {input_file}; pass --n-bar to choose one")
     if n_bar is None:
-        _fail(EXIT_CONFIG, "mean photon number required (--n-bar, config.fit.n_bar, or a '# n_bar=' header)")
+        raise ValueError("mean photon number required (--n-bar, config.fit.n_bar, or a '# n_bar=' header)")
 
-    try:
-        fp = FixedParams.from_budget(cfg.budget, cfg.detector.mu_infinity, float(n_bar))
-        result = fit_histogram(
-            hist,
-            fp,
-            theta0=cfg.fit.theta0,
-            fit_mu_infinity=fit_mu_infinity or cfg.fit.fit_mu_infinity,
-            n_bootstrap=cfg.fit.n_bootstrap if n_bootstrap is None else n_bootstrap,
-            bootstrap_seed=cfg.seed if seed is None else seed,
-        )
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    fp = FixedParams.from_budget(cfg.budget, cfg.detector.mu_infinity, float(n_bar))
+    result = fit_histogram(
+        hist,
+        fp,
+        theta0=cfg.fit.theta0,
+        fit_mu_infinity=fit_mu_infinity or cfg.fit.fit_mu_infinity,
+        n_bootstrap=cfg.fit.n_bootstrap if n_bootstrap is None else n_bootstrap,
+        bootstrap_seed=cfg.seed if seed is None else seed,
+    )
 
     mix, expected = result.mixture, result.expected_counts
     components = [
@@ -319,16 +306,13 @@ def fit(input_file, config_path, out_dir, n_bar, n_bootstrap, fit_mu_infinity, s
 @click.option("-o", "--out", "out_dir", required=True, help="Output directory.")
 def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator, bootstrap, histogram_bins, seed, out_dir):
     """Monte Carlo geometric timing jitter versus photon number."""
-    try:
-        wire = WireGeometry(length, signal_velocity, ground_velocity)
-        ns = [int(v) for v in n_values.split(",") if v.strip()]
-        repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
-        if repeated:  # each n names its own geom_hist_nNN.csv
-            raise ValueError(f"--n-values: photon number {repeated[0]} is repeated")
-        rng = np.random.default_rng(seed)
-        result = geom_mc(wire, ns, samples, rng, estimator, bootstrap, histogram_bins)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    wire = WireGeometry(length, signal_velocity, ground_velocity)
+    ns = [int(v) for v in n_values.split(",") if v.strip()]
+    repeated = [n for i, n in enumerate(ns) if n in ns[:i]]
+    if repeated:  # each n names its own geom_hist_nNN.csv
+        raise ValueError(f"--n-values: photon number {repeated[0]} is repeated")
+    rng = np.random.default_rng(seed)
+    result = geom_mc(wire, ns, samples, rng, estimator, bootstrap, histogram_bins)
     out = _resolve_out(out_dir, None)
     payload = {
         "wire": {
@@ -363,16 +347,13 @@ def geom(length, signal_velocity, ground_velocity, n_values, samples, estimator,
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (default: print to stdout).")
 def overlap(elements, max_photons, out_dir):
     """Multi-photon same-element overlap probabilities, exact and approximate."""
-    try:
-        grid = ElementGrid(elements)
-        if max_photons < 1:
-            raise ValueError("--max-photons must be >= 1")
-        rows = [
-            {"n": n, "exact": overlap_exact(grid, n), "approx": overlap_approx(grid, n)}
-            for n in range(1, max_photons + 1)
-        ]
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    grid = ElementGrid(elements)
+    if max_photons < 1:
+        raise ValueError("--max-photons must be >= 1")
+    rows = [
+        {"n": n, "exact": overlap_exact(grid, n), "approx": overlap_approx(grid, n)}
+        for n in range(1, max_photons + 1)
+    ]
     _emit_json(out_dir, "overlap.json", {"elements": elements, "rows": rows})
 
 
@@ -388,31 +369,28 @@ def overlap(elements, max_photons, out_dir):
 @click.option("-o", "--out", "out_dir", default=None, help="Output directory (default: print to stdout).")
 def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistance, sigma_elec, threshold_fraction, max_n, out_dir):
     """Pulse-edge timing: threshold crossings, fall/reset times, bandwidth."""
-    try:
-        det = DetectorConfig(
-            kinetic_inductance=kinetic_inductance,
-            amplitude=amplitude,
-            noise_floor=noise_floor,
-            delta_mu=0.0,
-            mu_infinity=0.0,
-            rise_time_1=rise_time_1,
-            load_resistance=load_resistance,
-        )
-        if max_n < 1:
-            raise ValueError("--max-n must be >= 1")
-        t_fall, t_reset = fall_and_reset(det)
-        rows = []
-        for n in range(1, max_n + 1):
-            row = {
-                "n": n,
-                "threshold_crossing_ps": threshold_crossing(det, n, threshold_fraction),
-                "rise_time_ps": rise_time(det, n),
-            }
-            if sigma_elec is not None:
-                row["slew_noise_jitter_ps"] = slew_noise_jitter(det, sigma_elec, n)
-            rows.append(row)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    det = DetectorConfig(
+        kinetic_inductance=kinetic_inductance,
+        amplitude=amplitude,
+        noise_floor=noise_floor,
+        delta_mu=0.0,
+        mu_infinity=0.0,
+        rise_time_1=rise_time_1,
+        load_resistance=load_resistance,
+    )
+    if max_n < 1:
+        raise ValueError("--max-n must be >= 1")
+    t_fall, t_reset = fall_and_reset(det)
+    rows = []
+    for n in range(1, max_n + 1):
+        row = {
+            "n": n,
+            "threshold_crossing_ps": threshold_crossing(det, n, threshold_fraction),
+            "rise_time_ps": rise_time(det, n),
+        }
+        if sigma_elec is not None:
+            row["slew_noise_jitter_ps"] = slew_noise_jitter(det, sigma_elec, n)
+        rows.append(row)
     payload = {
         "kinetic_inductance_nH": kinetic_inductance,
         "load_resistance_ohm": load_resistance,
@@ -436,13 +414,10 @@ def pulse(kinetic_inductance, amplitude, noise_floor, rise_time_1, load_resistan
 @click.option("--svg", "want_svg", is_flag=True, help="Write a width-versus-n_bar plot.")
 def sweep(config_path, out_dir, seed, bin_width, want_svg):
     """Simulate the configured sources and report total width versus n_bar."""
-    cfg = _read_config(config_path)
+    cfg = load_config(config_path)
     plan = _build_plan(cfg, seed)
     out = _resolve_out(out_dir, cfg)
-    try:
-        rows = sweep_total_width(plan, bin_width=bin_width)
-    except ValueError as exc:
-        _fail(EXIT_CONFIG, exc)
+    rows = sweep_total_width(plan, bin_width=bin_width)
     _write_file(out / "sweep.csv", lambda p: write_sweep_csv(p, rows))
     payload = {
         "seed": plan.seed,

@@ -7,12 +7,13 @@ keys, defaults and value checks live only there: ``detector`` is
 ``JitterBudget``, ``fit`` is ``FitSettings`` and ``sim``, with the detector,
 budget and seed, is the ``sim.SimPlan`` it describes.  This module checks JSON
 types, the types check values: ``FitSettings`` requires ``n_bar``, when given,
-positive and finite, ``theta0`` a start that ``fit.check_theta0`` accepts
-(three finite numbers with positive sigma_int and tau, inside the fit's
-search box), ``n_bootstrap`` 0 or >= 2 and ``bin_width`` positive.  A rejection
-whose message starts with a field name is reported as
-``config.<section>.<message>`` (``config.fit.n_bar: must be positive and
-finite, got -1.0``), any other as ``config.<section>: <message>``.  Layout:
+positive and at most ``dist.MAX_N_BAR``, ``theta0`` a start that
+``fit.check_theta0`` accepts (three finite numbers with positive sigma_int and
+tau, inside the fit's search box), ``n_bootstrap`` 0 or >= 2 and ``bin_width``
+positive and finite.  Every value type's ValueError starts with the offending
+field's name, so each rejection is reported under that field's path,
+``config.<section>[.<nested>].<field>: ...`` (``config.fit.n_bar: must be
+positive and at most 10000, got -1.0``).  Layout:
 
     {
       "seed": 1,
@@ -31,14 +32,14 @@ Units follow the library conventions: ps, mV, mV/ps, nH, Ohm, um, um/ps.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
 from .budget import JitterBudget
-from .dist import MAX_N_BAR
+from .dist import check_n_bar
 from .fit import _check_bootstrap, check_theta0
+from .histogram import check_bin_width
 from .pulse import DetectorConfig
 from .sim import SimPlan
 
@@ -62,13 +63,12 @@ class FitSettings:
     fit_mu_infinity: bool = False
 
     def __post_init__(self) -> None:
-        if self.n_bar is not None and not 0.0 < self.n_bar <= MAX_N_BAR:
-            raise ValueError(f"n_bar: must be positive and at most {MAX_N_BAR:g}, got {self.n_bar}")
+        if self.n_bar is not None:
+            check_n_bar(self.n_bar)
         if self.theta0 is not None:
             object.__setattr__(self, "theta0", check_theta0(self.theta0))
         _check_bootstrap(self.n_bootstrap)
-        if not (math.isfinite(self.bin_width) and self.bin_width > 0.0):
-            raise ValueError(f"bin_width: must be positive, got {self.bin_width}")
+        check_bin_width(self.bin_width)
 
 
 @dataclass(frozen=True)
@@ -131,9 +131,8 @@ def _build(cls, data: Any, path: str, **given):
     A field without a default is required and an omitted one keeps its default.
     A dataclass-typed field takes a nested section, a tuple a list of numbers,
     a ``bool`` true or false, an ``int`` an integer, a ``float`` a number, and
-    an enum any value, which the type checks.  A rejection whose
-    message starts with ``<field>: `` is reported as ``<path>.<message>``, any
-    other as ``<path>: <message>``.
+    an enum any value, which the type checks.  The type's ValueError starts
+    with ``<field>: `` and is reported as ``<path>.<message>``.
     """
     d = _mapping(data, path)
     keys = [f for f in fields(cls) if f.name not in given]
@@ -148,8 +147,7 @@ def _build(cls, data: Any, path: str, **given):
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        named = any(str(exc).startswith(f"{f.name}: ") for f in fields(cls))
-        raise ConfigError(f"{path}{'.' if named else ': '}{exc}") from None
+        raise ConfigError(f"{path}.{exc}") from None
 
 
 def load_config(path) -> RunConfig:

@@ -33,6 +33,15 @@ _SQRT2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)  # phi(u) = sqrt(2/pi) g/2
 
 
+def check_n_bar(value, field: str = "n_bar") -> float:
+    """``value`` as a float if it is a mean photon number the weights take, positive and at most ``MAX_N_BAR``;
+    the ValueError starts with ``<field>: ``."""
+    value = float(value)
+    if not 0.0 < value <= MAX_N_BAR:  # a NaN fails too
+        raise ValueError(f"{field}: must be positive and at most {MAX_N_BAR:g}, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class EmgParams:
     """One EMG component: location ``mu``, Gaussian width ``sigma``, tail ``tau`` (ps)."""
@@ -195,12 +204,7 @@ def conditioned_poisson_weights(n_bar: float) -> tuple[int, np.ndarray]:
     whose tail P(N > n), summed from the far end, falls below ``TAIL_MASS``; the retained
     weights are renormalized to sum to exactly 1.  ``n_bar`` may be at most ``MAX_N_BAR``.
     """
-    if not math.isfinite(n_bar):
-        raise ValueError(f"n_bar must be finite, got {n_bar}")
-    if not n_bar > 0.0:
-        raise ValueError(f"no detectable events: n_bar must be > 0, got {n_bar}")
-    if n_bar > MAX_N_BAR:
-        raise ValueError(f"n_bar must be at most {MAX_N_BAR:g}, got {n_bar}")
+    check_n_bar(n_bar)
     hi = int(math.ceil(n_bar + 12.0 * math.sqrt(n_bar) + 40.0))
     log_factorials = np.fromiter(map(math.lgamma, range(2, hi + 2)), np.float64, hi)
     p = np.exp(np.arange(1, hi + 1) * math.log(n_bar) - log_factorials - n_bar) / -math.expm1(-n_bar)

@@ -31,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import JitterBudget, mu_scaling, sigma_total, tau_at
-from .dist import (
-    MAX_N_BAR,
-    EmgParams,
-    MixtureModel,
-    conditioned_poisson_weights,
-    mixture_bin_masses,
-)
+from .dist import EmgParams, MixtureModel, check_n_bar, conditioned_poisson_weights, mixture_bin_masses
 from .histogram import ArrivalHistogram
 
 _REFIT_XTOL = 1e-10
@@ -95,10 +89,7 @@ class FixedParams:
     rise_scaling_exponent: float = 0.5
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.n_bar) and self.n_bar > 0.0):
-            raise ValueError("n_bar must be positive")
-        if self.n_bar > MAX_N_BAR:
-            raise ValueError(f"n_bar must be at most {MAX_N_BAR:g}, got {self.n_bar}")
+        check_n_bar(self.n_bar)
         if not math.isfinite(self.mu_infinity):
             raise ValueError("mu_infinity must be finite")
         # remaining range checks are delegated to JitterBudget

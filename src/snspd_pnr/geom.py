@@ -40,13 +40,14 @@ class WireGeometry:
     ground_velocity: float | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.length) and self.length > 0.0):
-            raise ValueError("length must be positive")
-        if not (math.isfinite(self.signal_velocity) and self.signal_velocity > 0.0):
-            raise ValueError("signal_velocity must be positive")
-        if self.ground_velocity is not None:
-            if not (math.isfinite(self.ground_velocity) and self.ground_velocity > self.signal_velocity):
-                raise ValueError("ground_velocity must exceed signal_velocity")
+        for name in ("length", "signal_velocity"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name}: must be positive and finite, got {v}")
+        v = self.ground_velocity
+        if v is not None and not (math.isfinite(v) and v > self.signal_velocity):
+            raise ValueError(f"ground_velocity: must be finite and exceed signal_velocity {self.signal_velocity}, "
+                             f"got {v}")
 
 
 @dataclass(frozen=True)

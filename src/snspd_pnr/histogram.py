@@ -8,6 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_bin_width(value) -> None:
+    """Reject a bin width that is not positive and finite; the ValueError starts with ``bin_width: ``."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"bin_width: must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ArrivalHistogram:
     """Uniformly binned arrival-time counts with total-count metadata.
@@ -58,8 +64,7 @@ class ArrivalHistogram:
         t_min, t_max = float(t.min()), float(t.max())  # a NaN propagates to both
         if not (math.isfinite(t_min) and math.isfinite(t_max)):
             raise ValueError("event times must be finite")
-        if not (math.isfinite(bin_width) and bin_width > 0.0):
-            raise ValueError("bin_width must be positive and finite")
+        check_bin_width(bin_width)
         lo = math.floor(t_min / bin_width) * bin_width
         hi = math.ceil(t_max / bin_width) * bin_width
         if hi <= lo:

@@ -31,7 +31,7 @@ class ElementGrid:
 
     def __post_init__(self) -> None:
         if int(self.element_count) != self.element_count or self.element_count < 1:
-            raise ValueError("element_count must be an integer >= 1")
+            raise ValueError(f"element_count: must be an integer >= 1, got {self.element_count}")
 
 
 def overlap_exact(grid: ElementGrid, n) -> float:

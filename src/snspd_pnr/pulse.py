@@ -31,17 +31,17 @@ class DetectorConfig:
     grid: ElementGrid | None = None
 
     def __post_init__(self) -> None:
-        for name in ("kinetic_inductance", "amplitude", "rise_time_1", "load_resistance"):
+        for name in ("kinetic_inductance", "amplitude", "noise_floor", "rise_time_1", "load_resistance"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive")
-        if not (math.isfinite(self.noise_floor) and self.noise_floor > 0.0):
-            raise ValueError("noise_floor must be positive")
+                raise ValueError(f"{name}: must be positive and finite, got {v}")
         if self.noise_floor >= self.amplitude:
-            raise ValueError("noise_floor must be below amplitude: the pulse never exceeds noise")
+            raise ValueError(f"noise_floor: must be below the amplitude {self.amplitude}, or the pulse never "
+                             f"exceeds noise; got {self.noise_floor}")
         for name in ("delta_mu", "mu_infinity"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            v = getattr(self, name)
+            if not math.isfinite(v):
+                raise ValueError(f"{name}: must be finite, got {v}")
 
 
 def growth_rate(d: DetectorConfig) -> float:

@@ -35,9 +35,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .budget import JitterBudget
-from .dist import MAX_N_BAR, MixtureModel, _GuideTable, mixture_moments
+from .dist import MixtureModel, _GuideTable, check_n_bar, mixture_moments
 from .fit import FixedParams, mixture_from_params, total_width
-from .histogram import ArrivalHistogram
+from .histogram import ArrivalHistogram, check_bin_width
 from .io import TimeTagTable
 from .overlap import occupied_element_counts
 from .pulse import DetectorConfig
@@ -67,10 +67,9 @@ class SimPlan:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_bar_values", tuple(float(v) for v in self.n_bar_values))
-        if not (self.n_bar_values and all(0.0 < v <= MAX_N_BAR for v in self.n_bar_values)):
-            raise ValueError(f"n_bar_values: must be non-empty, positive and at most {MAX_N_BAR:g}, "
-                             f"got {list(self.n_bar_values)}")
+        object.__setattr__(self, "n_bar_values", tuple(check_n_bar(v, "n_bar_values") for v in self.n_bar_values))
+        if not self.n_bar_values:
+            raise ValueError("n_bar_values: must be non-empty, got []")
         if self.events_per_source < 1:
             raise ValueError(f"events_per_source: must be >= 1, got {self.events_per_source}")
         try:
@@ -165,23 +164,28 @@ class SweepRow:
     sigma_model: float
 
 
+def _source_row(plan: SimPlan, n_bar: float, bin_width: float) -> SweepRow:
+    """One source's row of ``sweep_total_width``; its tags are freed when this returns."""
+    st = simulate_tags(replace(plan, n_bar_values=(n_bar,)))[0]
+    delay = st.edge_ps
+    delay -= st.trigger_ps  # st.delta_ps, in place: the source is not used again
+    hist = ArrivalHistogram.from_events(delay, bin_width, st.n_bar)
+    sigma_hist, sigma_err = total_width(hist)
+    _, sigma_model = mixture_moments(st.mixture)
+    return SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model)
+
+
 def sweep_total_width(plan: SimPlan, bin_width: float = 2.0) -> list[SweepRow]:
     """Simulated histogram width vs n_bar alongside the analytic mixture width.
 
     Each width and its error come from ``total_width`` (delta-method standard
     error, no resampling).  The analytic column evaluates the law of total
     variance for the mixture the simulator draws from, before merging, so it
-    is the merge-off reference curve.  Sources are simulated one at a time,
-    so only one source's tags are held at once; a source's draws depend only
-    on (seed, n_bar, chunk), so they are those of one call for all sources.
+    is the merge-off reference curve.  ``bin_width`` is checked before any
+    draw.  Sources are simulated one at a time, each binned and dropped before
+    the next is drawn, so only one source's tags are held at once; a source's
+    draws depend only on (seed, n_bar, chunk), so they are those of one call
+    for all sources.
     """
-    rows = []
-    for n_bar in plan.n_bar_values:
-        st = simulate_tags(replace(plan, n_bar_values=(n_bar,)))[0]
-        delay = st.edge_ps
-        delay -= st.trigger_ps  # st.delta_ps, in place: the source is not used again
-        hist = ArrivalHistogram.from_events(delay, bin_width, st.n_bar)
-        sigma_hist, sigma_err = total_width(hist)
-        _, sigma_model = mixture_moments(st.mixture)
-        rows.append(SweepRow(st.n_bar, sigma_hist, sigma_err, sigma_model))
-    return rows
+    check_bin_width(bin_width)
+    return [_source_row(plan, n_bar, bin_width) for n_bar in plan.n_bar_values]

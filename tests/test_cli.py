@@ -213,7 +213,7 @@ def test_fit_n_bar_above_the_weights_bound_exit_2(runner, config_path, tmp_path)
         out = tmp_path / "o"
         result = runner.invoke(main, ["fit", str(hist), "-c", config_path, "-o", str(out), *extra])
         assert result.exit_code == 2, out_text(result)
-        assert "n_bar must be at most 10000, got 1000000000.0" in out_text(result)
+        assert "error: n_bar: must be positive and at most 10000, got 1000000000.0" in out_text(result)
         assert not (out / "fit_result.json").exists()
 
 
@@ -446,13 +446,47 @@ def test_sweep_cli(runner, tmp_path):
     assert payload["version"]
 
 
-@pytest.mark.parametrize("width", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("width", ["nan", "inf", "-1", "0"])
 def test_sweep_bad_bin_width_exit_2(runner, config_path, tmp_path, width):
     out = tmp_path / "w"
     result = runner.invoke(main, ["sweep", "-c", config_path, "-o", str(out), "--bin-width", width])
     assert result.exit_code == 2
-    assert "bin_width must be positive and finite" in out_text(result)
-    assert not (out / "sweep.json").exists()
+    assert f"error: bin_width: must be positive and finite, got {float(width)}" in out_text(result)
+    assert not (out / "sweep.json").exists() and not (out / "sweep.csv").exists()
+
+
+def _rejection_args(command, tmp_path, config_path) -> tuple[list[str], list[str]]:
+    """Arguments of ``command`` that it rejects as bad input, and arguments that it accepts, both without ``-o``."""
+    no_sim = tmp_path / "no_sim.json"
+    no_sim.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "sim"}), encoding="utf-8")
+    anon, hist = tmp_path / "anon.csv", tmp_path / "hist.csv"  # the configuration sets no fit.n_bar
+    anon.write_text("bin_center_ps,count\n1,500\n3,700\n5,400\n", encoding="utf-8")
+    hist.write_text("# n_bar=1\nbin_center_ps,count\n1,500\n3,700\n5,400\n", encoding="utf-8")
+    geom = ["geom", "--signal-velocity", "6", "--samples", "10000", "--bootstrap", "2", "--length"]
+    pulse = ["pulse", "--kinetic-inductance", "500nH", "--amplitude", "100mV", "--rise-time", "300ps", "--noise-floor"]
+    return {
+        "simulate": (["simulate", "-c", str(no_sim)], ["simulate", "-c", config_path]),
+        "fit": (["fit", str(anon), "-c", config_path], ["fit", str(hist), "-c", config_path]),
+        "geom": (geom + ["0"], geom + ["200"]),
+        "overlap": (["overlap", "--elements", "0"], ["overlap", "--elements", "24"]),
+        "pulse": (pulse + ["200mV"], pulse + ["10mV"]),
+        "sweep": (["sweep", "-c", config_path, "--bin-width", "0"], ["sweep", "-c", config_path]),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "geom", "overlap", "pulse", "sweep"])
+def test_every_command_maps_rejections_to_one_error_line_and_its_exit_code(runner, config_path, tmp_path, command):
+    # an input error exits 2, and an output directory that cannot be made exits 3, each with one error line
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    bad, good = _rejection_args(command, tmp_path, config_path)
+    for args, code in ((bad + ["-o", str(tmp_path / "out")], 2), (good + ["-o", str(blocker / "out")], 3)):
+        result = runner.invoke(main, args)
+        assert result.exit_code == code, (args, out_text(result))
+        assert isinstance(result.exception, SystemExit), result.exception
+        errors = [line for line in result.output.splitlines() if line.startswith("error: ")]
+        assert len(errors) == 1, result.output
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def _scipy_modules_loaded_by(code: str, *args: str) -> list[str]:

@@ -4,7 +4,16 @@ import math
 
 import pytest
 
-from snspd_pnr import ConfigError, FitSettings, SimPlan, load_config
+from snspd_pnr import (
+    ConfigError,
+    DetectorConfig,
+    ElementGrid,
+    FitSettings,
+    JitterBudget,
+    SimPlan,
+    WireGeometry,
+    load_config,
+)
 from snspd_pnr.dist import MAX_N_BAR
 
 GOOD = {
@@ -170,10 +179,10 @@ def test_domain_validation_becomes_config_error(tmp_path):
 @pytest.mark.parametrize(
     "mutate,path",
     [
-        (lambda d: d["budget"].update(tau=-1), "config.budget"),
-        (lambda d: d["detector"].update(noise_floor=200), "config.detector"),
-        (lambda d: d["detector"]["wire"].update(length=-3), "config.detector.wire"),
-        (lambda d: d["detector"]["grid"].update(element_count=0), "config.detector.grid"),
+        (lambda d: d["budget"].update(tau=-1), "config.budget.tau"),
+        (lambda d: d["detector"].update(noise_floor=200), "config.detector.noise_floor"),
+        (lambda d: d["detector"]["wire"].update(length=-3), "config.detector.wire.length"),
+        (lambda d: d["detector"]["grid"].update(element_count=0), "config.detector.grid.element_count"),
     ],
 )
 def test_value_type_rejections_name_their_section(tmp_path, mutate, path):
@@ -181,7 +190,52 @@ def test_value_type_rejections_name_their_section(tmp_path, mutate, path):
     mutate(payload)
     with pytest.raises(ConfigError) as info:
         load_config(write(tmp_path, payload))
-    assert str(info.value).startswith(path + ":")
+    assert str(info.value).startswith(path + ": ")
+
+
+_VALUE_TYPES = {"budget": JitterBudget, "detector": DetectorConfig, "detector.wire": WireGeometry,
+                "detector.grid": ElementGrid}
+
+
+@pytest.mark.parametrize(
+    "section,field,value",
+    [
+        *[("budget", f, -1.0) for f in ("sigma_inst", "sigma_opt", "sigma_int", "sigma_elec", "sigma_geom_1")],
+        ("budget", "sigma_elec", math.nan),
+        ("budget", "tau", 0.0),
+        ("budget", "tau", math.inf),
+        ("budget", "slew_rate_1", -1.0),
+        ("budget", "geom_exponent", 0.0),
+        ("budget", "geom_exponent", 2.0),
+        ("budget", "rise_scaling_exponent", 0.6),
+        ("budget", "rise_scaling_exponent", 0.2),
+        *[("detector", f, 0.0) for f in ("kinetic_inductance", "amplitude", "noise_floor", "rise_time_1",
+                                         "load_resistance")],
+        ("detector", "rise_time_1", math.inf),
+        ("detector", "noise_floor", 200.0),  # above the amplitude
+        ("detector", "delta_mu", math.nan),
+        ("detector", "mu_infinity", -math.inf),
+        ("detector.wire", "length", 0.0),
+        ("detector.wire", "signal_velocity", -6.0),
+        ("detector.wire", "ground_velocity", 5.0),  # below the signal velocity
+        ("detector.wire", "ground_velocity", math.inf),
+        ("detector.grid", "element_count", 0),
+        ("detector.grid", "element_count", -3),
+    ],
+)
+def test_each_value_type_check_loads_under_its_field_path(tmp_path, section, field, value):
+    payload = json.loads(json.dumps(GOOD))
+    data = payload
+    for key in section.split("."):
+        data = data[key]
+    data[field] = value  # a non-finite number is written as JSON NaN or Infinity
+    with pytest.raises(ValueError) as type_info:
+        _VALUE_TYPES[section](**{k: v for k, v in data.items() if not isinstance(v, dict)})
+    message = str(type_info.value)
+    assert message.startswith(f"{field}: ") and message.endswith(f"got {value}")
+    with pytest.raises(ConfigError) as config_info:
+        load_config(write(tmp_path, payload))
+    assert str(config_info.value) == f"config.{section}.{message}"
 
 
 def test_invalid_json_is_reported(tmp_path):

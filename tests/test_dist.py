@@ -421,19 +421,19 @@ def test_conditioned_weights_match_scipy_stats():
 
 
 def test_zero_rate_source_rejected():
-    with pytest.raises(ValueError, match="no detectable events"):
+    with pytest.raises(ValueError, match=r"^n_bar: must be positive and at most 10000, got 0\.0$"):
         conditioned_poisson_weights(0.0)
 
 
 @pytest.mark.parametrize("n_bar", [math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, -1e-300])
 def test_weights_reject_a_mean_that_is_not_finite_and_positive(n_bar):
-    with pytest.raises(ValueError, match=r"^(n_bar must be finite|no detectable events: n_bar must be > 0)"):
+    with pytest.raises(ValueError, match=f"^n_bar: must be positive and at most 10000, got {n_bar}$"):
         conditioned_poisson_weights(n_bar)
 
 
 @pytest.mark.parametrize("n_bar", [MAX_N_BAR * (1 + 2**-52), 1e9])
 def test_weights_reject_a_mean_above_the_bound(n_bar):
-    with pytest.raises(ValueError, match=r"^n_bar must be at most 10000, got "):
+    with pytest.raises(ValueError, match=r"^n_bar: must be positive and at most 10000, got "):
         conditioned_poisson_weights(n_bar)
 
 

@@ -781,7 +781,7 @@ def test_fit_input_validation(fp1):
 def test_fixed_params_reject_a_mean_above_the_weights_bound(ref_budget):
     FixedParams.from_budget(ref_budget, 144.0, snspd_pnr.dist.MAX_N_BAR)
     for n_bar in (math.nextafter(snspd_pnr.dist.MAX_N_BAR, math.inf), 1e9):
-        with pytest.raises(ValueError, match="^n_bar must be at most 10000, got "):
+        with pytest.raises(ValueError, match="^n_bar: must be positive and at most 10000, got "):
             FixedParams.from_budget(ref_budget, 144.0, n_bar)
 
 

@@ -82,7 +82,7 @@ def test_rise_time_scaling(ref_detector):
 
 
 def test_validation(ref_detector):
-    with pytest.raises(ValueError, match="noise_floor must be below amplitude"):
+    with pytest.raises(ValueError, match=r"^noise_floor: must be below the amplitude 100\.0, .*; got 100\.0$"):
         DetectorConfig(
             kinetic_inductance=500.0,
             amplitude=100.0,

@@ -324,6 +324,16 @@ def test_sweep_rows_are_those_of_the_simulated_sources(make_plan, merge):
     assert rows[0] == rows[2]
 
 
+@pytest.mark.parametrize("width", [0.0, -2.0, math.nan, math.inf])
+def test_sweep_rejects_a_bin_width_before_drawing(make_plan, monkeypatch, width):
+    def no_draws(plan):
+        raise AssertionError("a source was simulated")
+
+    monkeypatch.setattr(snspd_pnr.sim, "simulate_tags", no_draws)
+    with pytest.raises(ValueError, match=f"^bin_width: must be positive and finite, got {width}$"):
+        sweep_total_width(make_plan([1.0, 2.0], 1000), bin_width=width)
+
+
 def test_plan_validation(ref_detector, ref_budget, make_plan):
     with pytest.raises(ValueError, match="grid"):
         SimPlan(

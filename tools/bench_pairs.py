@@ -15,7 +15,8 @@ the README pipeline (``simulate``, ``fit tags_002.csv --bootstrap 100`` and
 ``sweep``), whose output files it compares byte for byte across the sides, with
 the z of each differing tag file's delay mean and std.  Every timed process's peak RSS is its ``ru_maxrss``
 from ``os.wait4``, read by a small launcher that forks it; a startup process also reports its minor page
-faults, ``ru_minflt`` from the same call.
+faults, ``ru_minflt`` from the same call.  ``src_lines`` counts each side's
+package lines, the total of ``wc -l src/snspd_pnr/*.py``, and their difference.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --out BENCH_10.json
     python3 tools/bench_pairs.py --parent ../parent --change . --seed 11 --out BENCH_10_seed11.json
@@ -138,6 +139,11 @@ def criterion_7_values(runs: list[dict]) -> dict:
 def process_run(root: Path, args: list[str]) -> dict:
     code, _, wall_s, peak_rss_mb, minor_faults = child_run(root, [sys.executable, "-c", CLI, *args])
     return {"wall_s": wall_s, "peak_rss_mb": peak_rss_mb, "minor_faults": minor_faults, "exit_code": code}
+
+
+def src_lines(root: Path) -> int:
+    """The total that ``wc -l src/snspd_pnr/*.py`` prints in ``root``: the newlines of the package's modules."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src" / "snspd_pnr").glob("*.py"))
 
 
 def readme_config(root: Path) -> dict:
@@ -510,10 +516,13 @@ def main(argv=None) -> int:
                     "histograms_identical compares every geom_hist_n*.csv byte for byte; sigma_ps_identical and "
                     "fitted_exponent_identical compare the geom.json values exactly; max_se_rel_diff is the largest "
                     "|change/parent - 1| of bootstrap_se_ps over n",
+            "src_lines": "the total of `wc -l src/snspd_pnr/*.py` in each checkout, and change minus parent",
         },
+        "src_lines": {side: src_lines(root) for side, root in sides.items()},
         "workloads": {},
         "runs": [],
     }
+    report["src_lines"]["change_minus_parent"] = report["src_lines"]["change"] - report["src_lines"]["parent"]
     for workload in WORKLOADS:
         runs = alternate(PAIRS, sides, lambda root: bench_run(root, workload, args.seed))
         for r in runs:
